@@ -2,10 +2,10 @@
 
 The characterized class consists exactly of the lexicographic products of
 an elementary circular-arc graph with a complete graph.  decompose_caw
-recovers such a product structure (or a named reason why none exists);
-scheme_decomposition classifies the scheme side as a rank-2 scheme wreathed
-with a rank-2 / matching-forestal / dihedral scheme; predicted_aut_order
-evaluates the closed-form automorphism group order.
+recovers such a product structure (or a named reason why none exists)
+from one closure; scheme_decomposition classifies that closure as a rank-2
+scheme wreathed with a rank-2 / matching-forestal / dihedral scheme;
+predicted_aut_order evaluates the closed-form automorphism group order.
 """
 
 from __future__ import annotations
@@ -68,10 +68,11 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class DecomposeOutcome:
-    """Either a certificate or the name of the first failed stage."""
+    """A certificate or the first failed stage, and the closure decided on."""
 
     certificate: Decomposition | None
     failure_stage: str | None
+    scheme: CoherentConfiguration
 
     @property
     def ok(self) -> bool:
@@ -179,18 +180,18 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     """
     cc = closure_of_graph(g)
     if not is_association(cc):
-        return DecomposeOutcome(None, STAGE_NON_ASSOCIATION)
+        return DecomposeOutcome(None, STAGE_NON_ASSOCIATION, cc)
 
     part = twin_relation(g)
     sizes = {len(c) for c in part.classes}
     if len(sizes) != 1:
-        return DecomposeOutcome(None, STAGE_UNEQUAL_TWIN_CLASSES)
+        return DecomposeOutcome(None, STAGE_UNEQUAL_TWIN_CLASSES, cc)
     r = sizes.pop()
 
     quot = quotient_graph(g, part)
     recognized = is_elementary_caw(quot)
     if recognized is None:
-        return DecomposeOutcome(None, STAGE_QUOTIENT_NOT_ELEMENTARY)
+        return DecomposeOutcome(None, STAGE_QUOTIENT_NOT_ELEMENTARY, cc)
     m, k, qlabels = recognized
 
     relabeling = [(0, 0)] * g.n
@@ -206,8 +207,8 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
             else:
                 want = 1 <= circular_distance(au, av, m) <= k
             if g.adjacent(u, v) != want:
-                return DecomposeOutcome(None, STAGE_RELABELING_FAILED)
-    return DecomposeOutcome(Decomposition(m, k, r, tuple(relabeling)), None)
+                return DecomposeOutcome(None, STAGE_RELABELING_FAILED, cc)
+    return DecomposeOutcome(Decomposition(m, k, r, tuple(relabeling)), None, cc)
 
 
 def _scheme_of_complete(r: int) -> CoherentConfiguration:
@@ -228,14 +229,15 @@ def predicted_scheme(m: int, k: int, r: int) -> CoherentConfiguration:
     return wreath_product(inner, outer)
 
 
-def scheme_decomposition(g: Graph, point_limit: int = 12) -> SchemeDecomposition | None:
-    """Classify the scheme of a decomposable graph.
+def scheme_decomposition(
+    outcome: DecomposeOutcome, point_limit: int = 12
+) -> SchemeDecomposition | None:
+    """Classify the scheme of a decompose_caw outcome; None for non-members.
 
-    Builds the predicted wreath product from the graph certificate and
-    confirms it against the actual closure; an algebraic-only verdict
-    (too many points for a definitive search) is passed through untouched.
+    Builds the predicted wreath product from the certificate and compares it
+    with outcome.scheme, so no closure is recomputed; an algebraic-only
+    verdict (too many points for a definitive search) is passed through.
     """
-    outcome = decompose_caw(g)
     if not outcome.ok:
         return None
     cert = outcome.certificate
@@ -247,7 +249,7 @@ def scheme_decomposition(g: Graph, point_limit: int = 12) -> SchemeDecomposition
     else:
         kind = OUTER_DIHEDRAL
     predicted = predicted_scheme(m, k, r)
-    verdict = schemes_isomorphic(closure_of_graph(g), predicted, point_limit=point_limit)
+    verdict = schemes_isomorphic(outcome.scheme, predicted, point_limit=point_limit)
     return SchemeDecomposition(r, kind, m, verdict)
 
 
@@ -270,10 +272,11 @@ def verify_wreath_theorem(
         raise ValueError(f"product on {n} points exceeds limit {size_limit}")
     lex = lex_product(outer, complete(r))
     actual = closure_of_graph(lex)
-    wreath = wreath_product(_scheme_of_complete(r), closure_of_graph(outer))
+    outer_scheme = closure_of_graph(outer)
+    wreath = wreath_product(_scheme_of_complete(r), outer_scheme)
     fusion = is_fusion_of(actual, wreath)
     twin_free = all(len(c) == 1 for c in twin_relation(outer).classes)
-    asserted = twin_free and is_association(closure_of_graph(outer))
+    asserted = twin_free and is_association(outer_scheme)
     verdict = schemes_isomorphic(actual, wreath, point_limit=n)
     return WreathTheoremReport(fusion, asserted, verdict)
 

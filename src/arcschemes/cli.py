@@ -28,7 +28,7 @@ from .graphs import (
     lex_product,
     read_graph,
 )
-from .schemes import is_association, scheme_to_text
+from .schemes import CoherentConfiguration, is_association, scheme_to_text
 
 DEFAULT_CLOSURE_LIMIT = 200
 DEFAULT_EXACT_LIMIT = 12  # isomorphism search and automorphism counting
@@ -41,7 +41,7 @@ def _default_limit(fallback: int) -> int:
     try:
         return int(env)
     except ValueError:
-        raise SystemExit(f"invalid CAW_LIMIT value {env!r}")
+        raise ValueError(f"invalid CAW_LIMIT value {env!r}") from None
 
 
 def _parse_gen_spec(spec: str):
@@ -89,6 +89,17 @@ def _render_report(report: dict, fmt: str, timing_ms: float | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scheme_summary(path: str, cc: CoherentConfiguration) -> dict:
+    """The summary keys closure and decompose reports open with."""
+    return {
+        "input": path,
+        "n": cc.n,
+        "rank": cc.rank,
+        "association": is_association(cc),
+        "diagonal-colors": len(cc.diagonal_colors),
+    }
+
+
 def _render_table(rows: list[dict]) -> str:
     width = max((len(r["case"]) for r in rows), default=4)
     lines = [f"{r['case']:<{width}}  {r['status']:<4}  {r['detail']}" for r in rows]
@@ -128,13 +139,7 @@ def cmd_closure(args) -> int:
     elapsed = (time.perf_counter() - start) * 1000
     if args.output:
         _emit(scheme_to_text(cc), args.output)
-    report = {
-        "input": args.graph,
-        "n": cc.n,
-        "rank": cc.rank,
-        "association": is_association(cc),
-        "diagonal-colors": len(cc.diagonal_colors),
-    }
+    report = _scheme_summary(args.graph, cc)
     sys.stdout.write(_render_report(report, args.format, None if args.no_timing else elapsed))
     return 0
 
@@ -150,15 +155,8 @@ def cmd_decompose(args) -> int:
         print(f"error: graph has {g.n} vertices, limit is {limit}", file=sys.stderr)
         return 2
     start = time.perf_counter()
-    cc = closure_of_graph(g)
     outcome = decompose_caw(g)
-    report = {
-        "input": args.graph,
-        "n": g.n,
-        "rank": cc.rank,
-        "association": is_association(cc),
-        "diagonal-colors": len(cc.diagonal_colors),
-    }
+    report = _scheme_summary(args.graph, outcome.scheme)
     # absent results are encoded explicitly so every report carries all keys
     report.update({
         "certificate": "none",
@@ -173,8 +171,8 @@ def cmd_decompose(args) -> int:
         report["certificate"] = f"m={cert.m} k={cert.k} r={cert.r}"
         report["relabeling"] = " ".join(f"{v}:{a},{b}" for v, (a, b) in enumerate(cert.relabeling))
         report["predicted-aut-order"] = predicted_aut_order(cert.m, cert.k, cert.r)
-        exact = DEFAULT_EXACT_LIMIT if args.limit is None else args.limit
-        sd = scheme_decomposition(g, point_limit=min(g.n, exact))
+        exact = args.limit if args.limit is not None else _default_limit(DEFAULT_EXACT_LIMIT)
+        sd = scheme_decomposition(outcome, point_limit=min(g.n, exact))
         if sd is not None:
             report["scheme-decomposition"] = (
                 f"rank2({sd.inner_rank2_size}) wr {sd.outer_kind}({sd.outer_size})"

@@ -163,11 +163,6 @@ def lex_product(outer: Graph, inner: Graph) -> Graph:
     return from_edges(n, edges)
 
 
-def disjoint_cliques(m: int, r: int) -> Graph:
-    """m disjoint copies of K_r."""
-    return lex_product(empty_graph(m), complete(r))
-
-
 @dataclass(frozen=True)
 class VertexPartition:
     """Partition of 0..n-1 into disjoint nonempty classes."""

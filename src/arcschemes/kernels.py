@@ -1,25 +1,19 @@
 """Kernel backend selection.
 
 The compiled refinement round (arcschemes._refine_cy, built by setup.py)
-is used when available; otherwise the pure-Python twin takes over.  Set
-CAW_PURE=1 in the environment to force the fallback, e.g. for the
-benchmark in benchmarks/bench_refine.py or to rule the extension out
-while debugging.
+is used when it can be imported; otherwise the pure-Python twin takes
+over.  available_backends() reaches both, e.g. for parity tests and
+benchmarks/bench_refine.py.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _refine_py
 
-if os.environ.get("CAW_PURE"):
+try:
+    from . import _refine_cy as _backend
+except ImportError:
     _backend = _refine_py
-else:
-    try:
-        from . import _refine_cy as _backend  # type: ignore[no-redef]
-    except ImportError:
-        _backend = _refine_py
 
 refine_step = _backend.refine_step
 BACKEND: str = _backend.BACKEND

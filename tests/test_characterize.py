@@ -223,7 +223,7 @@ class TestDecompose:
             out = decompose_caw(g)
             if out.ok:
                 assert is_association(closure_of_graph(g))
-                sd = scheme_decomposition(g, point_limit=14)
+                sd = scheme_decomposition(out, point_limit=14)
                 assert sd is not None
                 assert sd.witness.kind in ("iso", "algebraic-only")
                 if g.n <= 14:
@@ -239,31 +239,31 @@ class TestDecompose:
 class TestSchemeDecomposition:
     def test_dihedral_case(self):
         g = lex_product(elementary_caw(7, 2), complete(2))
-        sd = scheme_decomposition(g, point_limit=14)
+        sd = scheme_decomposition(decompose_caw(g), point_limit=14)
         assert sd.outer_kind == OUTER_DIHEDRAL
         assert sd.outer_size == 7 and sd.inner_rank2_size == 2
         assert sd.witness.kind == "iso"
 
     def test_matching_case(self):
-        sd = scheme_decomposition(elementary_caw(6, 2))
+        sd = scheme_decomposition(decompose_caw(elementary_caw(6, 2)))
         assert sd.outer_kind == OUTER_FORESTAL_MATCHING
         assert sd.outer_size == 6 and sd.inner_rank2_size == 1
         assert sd.witness.kind == "iso"
 
     def test_rank2_case(self):
-        sd = scheme_decomposition(lex_product(empty_graph(3), complete(2)))
+        sd = scheme_decomposition(decompose_caw(lex_product(empty_graph(3), complete(2))))
         assert sd.outer_kind == OUTER_RANK2
         assert sd.outer_size == 3 and sd.inner_rank2_size == 2
         assert sd.witness.kind == "iso"
 
     def test_complete_graph(self):
-        sd = scheme_decomposition(complete(6))
+        sd = scheme_decomposition(decompose_caw(complete(6)))
         assert sd.outer_kind == OUTER_RANK2
         assert sd.outer_size == 1 and sd.inner_rank2_size == 6
         assert sd.witness.kind == "iso"
 
     def test_outside_class(self):
-        assert scheme_decomposition(oracles.path(4)) is None
+        assert scheme_decomposition(decompose_caw(oracles.path(4))) is None
 
     def test_predicted_scheme_rank(self):
         assert predicted_scheme(7, 2, 2).rank == 5  # rank2(2) wr dihedral(7)

@@ -94,6 +94,11 @@ class TestClosure:
         assert main(["closure", c5_file]) == 2
         assert "limit" in capsys.readouterr().err
 
+    def test_invalid_env_limit_exit_2(self, c5_file, capsys, monkeypatch):
+        monkeypatch.setenv("CAW_LIMIT", "abc")
+        assert main(["closure", c5_file]) == 2
+        assert "invalid CAW_LIMIT" in capsys.readouterr().err
+
     def test_machine_format(self, c5_file, capsys):
         assert main(["--format", "machine", "--no-timing", "closure", c5_file]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -130,6 +135,22 @@ class TestDecompose:
         assert doc["certificate"] == "m=5 k=1 r=2"
         assert doc["scheme-verdict"] == "iso"
         assert "timing-ms" not in doc
+
+    def test_env_limit_sets_exact_search_limit(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c51k3.graph"
+        write_graph(lex_product(cycle(5), complete(3)), path)  # 15 points, above 12
+        monkeypatch.setenv("CAW_LIMIT", "15")
+        assert main(["--no-timing", "decompose", str(path)]) == 0
+        assert "scheme-verdict: iso" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("graph_file,rc", [("lex_file", 0), ("p4_file", 1)])
+    def test_one_closure_per_request(self, graph_file, rc, request, monkeypatch):
+        import arcschemes.closure as mod
+
+        calls, original = [], mod.coherent_closure
+        monkeypatch.setattr(mod, "coherent_closure", lambda *a: calls.append(a) or original(*a))
+        assert main(["--no-timing", "decompose", request.getfixturevalue(graph_file)]) == rc
+        assert len(calls) == 1
 
 
 class TestArcs:

@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -80,14 +77,3 @@ def closure_of_graph_matrix():
 
     return closure_of_graph(elementary_caw(8, 2))
 
-
-def test_env_forces_pure_backend():
-    env = dict(os.environ, CAW_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from arcschemes.kernels import BACKEND; print(BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"
