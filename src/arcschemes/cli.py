@@ -27,6 +27,7 @@ from .graphs import (
     graph_to_text,
     lex_product,
     read_graph,
+    VertexLimitError,
 )
 from .schemes import CoherentConfiguration, is_association, scheme_to_text
 
@@ -124,15 +125,22 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_closure(args) -> int:
-    limit = args.limit if args.limit is not None else _default_limit(DEFAULT_CLOSURE_LIMIT)
+def _read_limited_graph(path: str, limit: int, limit_name: str):
+    """Read a graph file, or print why not and return None.  The vertex
+    limit is checked before the graph is built."""
     try:
-        g = read_graph(args.graph)
+        return read_graph(path, max_vertices=limit)
+    except VertexLimitError as exc:
+        print(f"error: graph has {exc.n} vertices, {limit_name} is {limit}", file=sys.stderr)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if g.n > limit:
-        print(f"error: graph has {g.n} vertices, closure limit is {limit}", file=sys.stderr)
+    return None
+
+
+def cmd_closure(args) -> int:
+    limit = args.limit if args.limit is not None else _default_limit(DEFAULT_CLOSURE_LIMIT)
+    g = _read_limited_graph(args.graph, limit, "closure limit")
+    if g is None:
         return 2
     start = time.perf_counter()
     cc = closure_of_graph(g)
@@ -146,13 +154,8 @@ def cmd_closure(args) -> int:
 
 def cmd_decompose(args) -> int:
     limit = args.limit if args.limit is not None else _default_limit(DEFAULT_CLOSURE_LIMIT)
-    try:
-        g = read_graph(args.graph)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if g.n > limit:
-        print(f"error: graph has {g.n} vertices, limit is {limit}", file=sys.stderr)
+    g = _read_limited_graph(args.graph, limit, "limit")
+    if g is None:
         return 2
     start = time.perf_counter()
     outcome = decompose_caw(g)

@@ -2,10 +2,11 @@
 
 Computed by 2-dimensional Weisfeiler-Leman color refinement.  The initial
 color of a pair (u, v) records whether u = v and the membership of (u, v)
-and (v, u) in every generator relation; each round replaces the color with
-the sorted multiset of color pairs over all intermediate points, until the
-partition stabilizes.  The stable partition is a coherent configuration in
-which every generator is a union of colors.
+and (v, u) in every generator relation, computed on numpy membership
+matrices.  Each round of arcschemes.kernels.refine_step then replaces the
+color with the sorted multiset of color pairs over all intermediate
+points, until the partition stabilizes.  The stable partition is a
+coherent configuration in which every generator is a union of colors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .graphs import Graph
 from .kernels import refine_step
-from .schemes import CoherentConfiguration
+from .schemes import CoherentConfiguration, _canonical_relabel
 
 
 @dataclass(frozen=True)
@@ -49,22 +50,20 @@ class RelationSet:
 
 
 def _initial_coloring(rs: RelationSet) -> np.ndarray:
+    """Color of (u, v): whether u = v and which generators hold (u, v) and
+    (v, u), numbered by first appearance in a row-major scan."""
     n = rs.n
-    mat = np.zeros((n, n), dtype=np.int64)
-    ids: dict[tuple, int] = {}
-    for u in range(n):
-        for v in range(n):
-            key = (
-                u == v,
-                tuple((u, v) in rel for rel in rs.relations),
-                tuple((v, u) in rel for rel in rs.relations),
-            )
-            val = ids.get(key)
-            if val is None:
-                val = len(ids)
-                ids[key] = val
-            mat[u, v] = val
-    return mat
+    mat = np.eye(n, dtype=np.int64)
+    for rel in rs.relations:
+        member = np.zeros((n, n), dtype=np.int64)
+        if rel:
+            u, v = np.array(list(rel)).T
+            member[u, v] = 1
+        # split every class by membership of (u, v) and of (v, u), then
+        # renumber so the ids stay below n^2 however many generators there are
+        _, mat = np.unique(mat * 4 + member * 2 + member.T, return_inverse=True)
+        mat = mat.reshape(n, n)
+    return _canonical_relabel(mat)
 
 
 def coherent_closure(rs: RelationSet) -> CoherentConfiguration:

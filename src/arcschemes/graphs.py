@@ -321,7 +321,17 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> Graph:
+class VertexLimitError(ValueError):
+    """A graph file declares more vertices than the caller allows."""
+
+    def __init__(self, n: int, limit: int):
+        super().__init__(f"graph has {n} vertices, limit is {limit}")
+        self.n = n
+
+
+def graph_from_text(text: str, max_vertices: int | None = None) -> Graph:
+    """Parse a graph file.  A valid file declaring more than max_vertices
+    vertices raises VertexLimitError before the graph is built."""
     header = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -356,12 +366,14 @@ def graph_from_text(text: str) -> Graph:
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate edge ({u}, {v})")
         seen.add(key)
+    if max_vertices is not None and n > max_vertices:
+        raise VertexLimitError(n, max_vertices)
     return from_edges(n, [(u, v) for u, v, _ in edges])
 
 
-def read_graph(path) -> Graph:
+def read_graph(path, max_vertices: int | None = None) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_text(fh.read())
+        return graph_from_text(fh.read(), max_vertices)
 
 
 def write_graph(g: Graph, path) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from arcschemes.arcs import ArcFunction, condition_failures
 from arcschemes.graphs import Graph, from_edges
 
@@ -74,6 +76,45 @@ def exhaustive_intersection_counts(cfg, r: int, s: int, t: int) -> set[int]:
                     sum(1 for w in range(n) if mat[x, w] == r and mat[w, y] == s)
                 )
     return counts
+
+
+def refine_step_oracle(colors, rank: int):
+    """One 2-WL refinement round, pair by pair in pure Python.
+
+    The signature of (u, v) is its old color with the sorted multiset of
+    color(u, w) * rank + color(w, v) over all w; new ids follow first
+    appearance in a row-major scan.  Returns (new color matrix, new rank).
+    """
+    rows = [list(r) for r in np.asarray(colors)]
+    n = len(rows)
+    cols = [tuple(rows[w][v] for w in range(n)) for v in range(n)]
+    ids: dict[tuple, int] = {}
+    out = []
+    for u in range(n):
+        out_row = []
+        for v in range(n):
+            sig = sorted(rows[u][w] * rank + cols[v][w] for w in range(n))
+            out_row.append(ids.setdefault((rows[u][v], tuple(sig)), len(ids)))
+        out.append(out_row)
+    return np.array(out, dtype=np.int64), len(ids)
+
+
+def initial_coloring_oracle(rs) -> np.ndarray:
+    """Initial 2-WL coloring of a RelationSet, pair by pair: the key of
+    (u, v) is u == v with the membership of (u, v) and of (v, u) in every
+    relation; ids follow first appearance in a row-major scan."""
+    n = rs.n
+    mat = np.zeros((n, n), dtype=np.int64)
+    ids: dict[tuple, int] = {}
+    for u in range(n):
+        for v in range(n):
+            key = (
+                u == v,
+                tuple((u, v) in rel for rel in rs.relations),
+                tuple((v, u) in rel for rel in rs.relations),
+            )
+            mat[u, v] = ids.setdefault(key, len(ids))
+    return mat
 
 
 def petersen() -> Graph:

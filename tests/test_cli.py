@@ -99,6 +99,21 @@ class TestClosure:
         assert main(["closure", c5_file]) == 2
         assert "invalid CAW_LIMIT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, message", [
+        ("closure", "closure limit is 200"), ("decompose", "limit is 200"),
+    ])
+    def test_limit_checked_before_graph_is_built(self, command, message, tmp_path,
+                                                 capsys, monkeypatch):
+        huge = tmp_path / "huge.graph"
+        huge.write_text("2000000 0\n")
+
+        def refuse(*args):
+            raise AssertionError("graph built before the vertex limit was checked")
+
+        monkeypatch.setattr("arcschemes.graphs.from_edges", refuse)
+        assert main([command, str(huge)]) == 2
+        assert f"error: graph has 2000000 vertices, {message}\n" == capsys.readouterr().err
+
     def test_machine_format(self, c5_file, capsys):
         assert main(["--format", "machine", "--no-timing", "closure", c5_file]) == 0
         doc = json.loads(capsys.readouterr().out)
