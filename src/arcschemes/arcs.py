@@ -16,9 +16,10 @@ arcs.  These labels are the ones the `arcs check` CLI report uses.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
-from .graphs import Graph, from_edges, twin_relation
+from .graphs import Graph, build_by_line, from_edges, int_records, twin_relation
 
 
 class ArcFunction:
@@ -73,19 +74,21 @@ class ArcFunction:
         return f"{type(self).__name__}(m={self.m}, n={self.n_vertices})"
 
 
+def _endpoint_counts(f: ArcFunction) -> Counter:
+    """Number of arcs each point is an end-point of.  Points that are no
+    end-point are absent, so there are at most 2n keys whatever m is."""
+    return Counter(p for v in range(f.n_vertices) for p in set(f.endpoints(v)))
+
+
 def condition_failures(f: ArcFunction) -> list[str]:
     """Violations of conditions (1) and (2), as human-readable strings."""
     failures = []
-    endpoint_count = [0] * f.m
-    for v in range(f.n_vertices):
-        a, b = f.endpoints(v)
-        endpoint_count[a] += 1
-        if b != a:
-            endpoint_count[b] += 1
-    uncovered = [i for i in range(f.m) if endpoint_count[i] == 0]
-    if uncovered:
+    counts = _endpoint_counts(f)
+    if len(counts) < f.m:
+        # at most 2n points are covered, so this scan stops within 2n+1 steps
+        uncovered = next(i for i in range(f.m) if i not in counts)
         failures.append(
-            f"condition (1): point {uncovered[0]} of Z_{f.m} is not an end-point of any arc"
+            f"condition (1): point {uncovered} of Z_{f.m} is not an end-point of any arc"
         )
     small = [v for v in range(f.n_vertices) if f.arcs[v][1] < 2]
     if small:
@@ -171,17 +174,10 @@ def reduction_failures(f: ArcFunction) -> list[str]:
         break
     if f.m != n:
         failures.append(f"(ii): circle length {f.m} differs from vertex count {n}")
-    endpoint_count = [0] * f.m
-    for v in range(n):
-        a, b = f.endpoints(v)
-        endpoint_count[a] += 1
-        if b != a:
-            endpoint_count[b] += 1
-    bad = [i for i in range(f.m) if endpoint_count[i] != 2]
-    if bad:
-        failures.append(
-            f"(iii): point {bad[0]} is an end-point of {endpoint_count[bad[0]]} arcs, not 2"
-        )
+    counts = _endpoint_counts(f)
+    bad = next((i for i in range(f.m) if counts[i] != 2), None)
+    if bad is not None:
+        failures.append(f"(iii): point {bad} is an end-point of {counts[bad]} arcs, not 2")
     return failures
 
 
@@ -291,37 +287,13 @@ def model_to_text(f: ArcFunction) -> str:
 
 
 def model_from_text(text: str) -> ArcFunction:
-    header = None
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}") from None
-        if header is None:
-            header = (a, b, lineno)
-        else:
-            rows.append((a, b, lineno))
-    if header is None:
+    records = list(int_records(text, "two integers", 2))
+    if not records:
         raise ValueError("empty arc-model file (missing 'm n' header)")
-    m, n, _ = header
+    (lineno, (m, n)), rows = records[0], records[1:]
     if len(rows) != n:
         raise ValueError(f"header declares {n} arcs but file has {len(rows)}")
-    try:
-        return ArcFunction(m, [(a, b) for a, b, _ in rows])
-    except ValueError as exc:
-        for a, b, lineno in rows:
-            try:
-                ArcFunction(m, [(a, b)])
-            except ValueError:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        raise
+    return build_by_line(lineno, rows, lambda arcs: ArcFunction(m, arcs))
 
 
 def read_model(path) -> ArcFunction:

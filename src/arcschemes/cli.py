@@ -35,35 +35,53 @@ DEFAULT_CLOSURE_LIMIT = 200
 DEFAULT_EXACT_LIMIT = 12  # isomorphism search and automorphism counting
 
 
-def _default_limit(fallback: int) -> int:
+def _limit(args, builtin: int) -> int:
+    """The size limit of a command: --limit, then CAW_LIMIT, then builtin."""
+    if args.limit is not None:
+        return args.limit
     env = os.environ.get("CAW_LIMIT")
     if env is None:
-        return fallback
+        return builtin
     try:
         return int(env)
     except ValueError:
         raise ValueError(f"invalid CAW_LIMIT value {env!r}") from None
 
 
+_GENERATORS = {  # family: (parameter count, builder); the first parameter is the vertex count
+    "cnk": (2, elementary_caw),
+    "cycle": (1, cycle),
+    "complete": (1, complete),
+    "empty": (1, empty_graph),
+    "mkn": (2, None),  # mkn:M:N is lex empty:M complete:N
+}
+
+
 def _parse_gen_spec(spec: str):
-    """Family spec strings like cnk:7:2, cycle:5, complete:3, empty:4, mkn:3:2."""
-    parts = spec.split(":")
-    family, args = parts[0], parts[1:]
+    """Family spec strings like cnk:7:2, cycle:5, complete:3, empty:4, mkn:3:2.
+    Returns the vertex count and a function that builds the graph, so the
+    count can be checked before anything is built."""
+    family, *args = spec.split(":")
     try:
         nums = [int(x) for x in args]
     except ValueError:
         raise ValueError(f"non-integer parameter in spec {spec!r}") from None
-    if family == "cnk" and len(nums) == 2:
-        return elementary_caw(*nums)
-    if family == "cycle" and len(nums) == 1:
-        return cycle(nums[0])
-    if family == "complete" and len(nums) == 1:
-        return complete(nums[0])
-    if family == "empty" and len(nums) == 1:
-        return empty_graph(nums[0])
-    if family == "mkn" and len(nums) == 2:
-        return lex_product(empty_graph(nums[0]), complete(nums[1]))
-    raise ValueError(f"unknown generator spec {spec!r}")
+    if family not in _GENERATORS or len(nums) != _GENERATORS[family][0]:
+        raise ValueError(f"unknown generator spec {spec!r}")
+    if min(nums) < 0:
+        raise ValueError(f"negative parameter in spec {spec!r}")
+    if family == "mkn":
+        m, n = nums
+        return _product((m, lambda: empty_graph(m)), (n, lambda: complete(n)))
+    return nums[0], lambda: _GENERATORS[family][1](*nums)
+
+
+def _product(outer, inner):
+    """The lexicographic product of two (vertex count, build) pairs.  Both
+    factors are built too, so an empty factor must not hide a large one."""
+    (n_outer, build_outer), (n_inner, build_inner) = outer, inner
+    return (max(n_outer, n_inner, n_outer * n_inner),
+            lambda: lex_product(build_outer(), build_inner()))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -108,14 +126,20 @@ def _render_table(rows: list[dict]) -> str:
 
 
 def cmd_gen(args) -> int:
+    limit = _limit(args, DEFAULT_CLOSURE_LIMIT)
     try:
         if args.family == "lex":
             if len(args.params) != 2:
                 raise ValueError("lex takes two generator specs, e.g. cnk:5:1 complete:2")
-            g = lex_product(_parse_gen_spec(args.params[0]), _parse_gen_spec(args.params[1]))
+            n, build = _product(*map(_parse_gen_spec, args.params))
         else:
-            spec = ":".join([args.family] + args.params)
-            g = _parse_gen_spec(spec)
+            n, build = _parse_gen_spec(":".join([args.family] + args.params))
+        if n > limit:
+            raise VertexLimitError(n, limit)
+        g = build()
+    except VertexLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("usage: gen {cnk N K | cycle N | complete N | mkn M N | lex SPEC SPEC}",
@@ -138,7 +162,7 @@ def _read_limited_graph(path: str, limit: int, limit_name: str):
 
 
 def cmd_closure(args) -> int:
-    limit = args.limit if args.limit is not None else _default_limit(DEFAULT_CLOSURE_LIMIT)
+    limit = _limit(args, DEFAULT_CLOSURE_LIMIT)
     g = _read_limited_graph(args.graph, limit, "closure limit")
     if g is None:
         return 2
@@ -153,7 +177,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    limit = args.limit if args.limit is not None else _default_limit(DEFAULT_CLOSURE_LIMIT)
+    limit = _limit(args, DEFAULT_CLOSURE_LIMIT)
     g = _read_limited_graph(args.graph, limit, "limit")
     if g is None:
         return 2
@@ -174,7 +198,7 @@ def cmd_decompose(args) -> int:
         report["certificate"] = f"m={cert.m} k={cert.k} r={cert.r}"
         report["relabeling"] = " ".join(f"{v}:{a},{b}" for v, (a, b) in enumerate(cert.relabeling))
         report["predicted-aut-order"] = predicted_aut_order(cert.m, cert.k, cert.r)
-        exact = args.limit if args.limit is not None else _default_limit(DEFAULT_EXACT_LIMIT)
+        exact = _limit(args, DEFAULT_EXACT_LIMIT)
         sd = scheme_decomposition(outcome, point_limit=min(g.n, exact))
         if sd is not None:
             report["scheme-decomposition"] = (
@@ -233,7 +257,7 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     bound = args.bound
     if bound is None:
-        bound = _default_limit(12 if args.suite in ("aut", "all") else 14)
+        bound = _limit(args, 12 if args.suite in ("aut", "all") else 14)
     start = time.perf_counter()
     if args.suite == "dihedral":
         tables = {"dihedral": suites.run_dihedral_suite(bound)}

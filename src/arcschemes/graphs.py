@@ -311,7 +311,44 @@ def count_automorphisms(g: Graph, limit: int = 12) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list text format: "n e" header, then e lines "u v", '#' comments.
+# Text formats.  Graph files, arc models and scheme dumps are all a header
+# line and then records, one line of integers each, read by int_records.
+
+
+def int_records(text: str, what: str, width: int | None = None):
+    """Yield (line number, integers) for each line that is neither blank nor
+    a '#' comment; a line that is not integers, width of them if given,
+    raises ValueError.  Lazy, so a reader can reject a bad header first."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values = [int(x) for x in line.split()]
+        except ValueError:
+            values = []
+        if not values or width is not None and len(values) != width:
+            raise ValueError(f"line {lineno}: expected {what}, got {raw!r}")
+        yield lineno, values
+
+
+def build_by_line(lineno: int, rows, build):
+    """Return build(values), where values lazily yields the values of rows,
+    int_records' (line number, values) pairs.  A ValueError from build gets
+    the line of the row it was reading, or lineno before the first row."""
+
+    def values():
+        nonlocal lineno
+        for lineno, value in rows:
+            yield value
+
+    try:
+        return build(values())
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+# Edge-list format: "n e" header, then e lines "u v".
 
 
 def graph_to_text(g: Graph) -> str:
@@ -330,45 +367,20 @@ class VertexLimitError(ValueError):
 
 
 def graph_from_text(text: str, max_vertices: int | None = None) -> Graph:
-    """Parse a graph file.  A valid file declaring more than max_vertices
-    vertices raises VertexLimitError before the graph is built."""
-    header = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}") from None
-        if header is None:
-            header = (a, b, lineno)
-        else:
-            edges.append((a, b, lineno))
-    if header is None:
+    """Parse a graph file.  One declaring more than max_vertices vertices
+    raises VertexLimitError before its edges are checked or the graph is
+    built, so up to then memory grows with the file's length only."""
+    records = list(int_records(text, "two integers", 2))
+    if not records:
         raise ValueError("empty graph file (missing 'n e' header)")
-    n, e, hline = header
+    (lineno, (n, e)), edges = records[0], records[1:]
     if n < 0 or e < 0:
-        raise ValueError(f"line {hline}: negative count in header")
+        raise ValueError(f"line {lineno}: negative count in header")
     if len(edges) != e:
         raise ValueError(f"header declares {e} edges but file has {len(edges)}")
-    seen = set()
-    for u, v, lineno in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"line {lineno}: vertex out of range in edge ({u}, {v})")
-        if u == v:
-            raise ValueError(f"line {lineno}: loop edge ({u}, {v}) not allowed")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
     if max_vertices is not None and n > max_vertices:
         raise VertexLimitError(n, max_vertices)
-    return from_edges(n, [(u, v) for u, v, _ in edges])
+    return build_by_line(lineno, edges, lambda pairs: from_edges(n, pairs))
 
 
 def read_graph(path, max_vertices: int | None = None) -> Graph:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import circular_distance
+from .graphs import circular_distance, int_records
 from .kernels import refine_step
 
 ISO = "iso"
@@ -513,34 +513,24 @@ def scheme_to_text(cfg: CoherentConfiguration) -> str:
 
 
 def scheme_from_text(text: str) -> CoherentConfiguration:
-    rows = []
-    header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            values = [int(x) for x in line.split()]
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
-        if header is None:
-            if len(values) != 2:
-                raise ValueError(f"line {lineno}: expected 'n rank' header")
-            header = (values[0], values[1], lineno)
-        else:
-            rows.append((values, lineno))
+    records = int_records(text, "integers")
+    header = next(records, None)
     if header is None:
         raise ValueError("empty scheme file (missing 'n rank' header)")
-    n, rank, _ = header
+    lineno, values = header
+    if len(values) != 2:
+        raise ValueError(f"line {lineno}: expected 'n rank' header")
+    n, rank = values
+    rows = list(records)
     if len(rows) != n:
         raise ValueError(f"header declares {n} rows but file has {len(rows)}")
-    for values, lineno in rows:
+    for lineno, values in rows:
         if len(values) != n:
             raise ValueError(f"line {lineno}: expected {n} colors, got {len(values)}")
         for c in values:
             if not 0 <= c < rank:
                 raise ValueError(f"line {lineno}: color {c} outside 0..{rank - 1}")
-    cfg = CoherentConfiguration.from_matrix([values for values, _ in rows])
+    cfg = CoherentConfiguration.from_matrix([values for _, values in rows])
     if cfg.rank != rank:
         raise ValueError(f"header declares rank {rank} but matrix uses {cfg.rank} colors")
     return cfg

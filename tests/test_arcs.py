@@ -241,3 +241,9 @@ class TestIO:
             model_from_text("4 2\n0 2\n9 2\n")
         with pytest.raises(ValueError, match="declares"):
             model_from_text("4 3\n0 2\n1 2\n")
+
+    def test_header_error_names_header_line(self):
+        with pytest.raises(ValueError, match=r"^line 1: circle length must be at least 2"):
+            model_from_text("1 1\n0 1\n")
+        with pytest.raises(ValueError, match=r"^line 2: circle length"):
+            model_from_text("# comment\n0 0\n")

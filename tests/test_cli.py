@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -49,6 +50,11 @@ class TestGen:
         assert main(["gen", "cnk", "4", "2"]) == 2
         assert "usage" in capsys.readouterr().err
 
+    def test_negative_parameter_is_usage_error(self, capsys):
+        assert main(["gen", "mkn", "-30", "-7"]) == 2
+        err = capsys.readouterr().err
+        assert "negative parameter in spec 'mkn:-30:-7'" in err and "usage" in err
+
     def test_lex(self, capsys):
         assert main(["gen", "lex", "cnk:5:1", "complete:2"]) == 0
         g = graph_from_text(capsys.readouterr().out)
@@ -64,6 +70,25 @@ class TestGen:
         assert main(["gen", "cycle", "6", "-o", str(out)]) == 0
         capsys.readouterr()
         assert graph_from_text(out.read_text()) == cycle(6)
+
+    @pytest.mark.parametrize("env, argv, n, limit", [
+        (None, ["gen", "cycle", "1000000"], 1000000, 200),
+        (None, ["gen", "mkn", "30", "7"], 210, 200),
+        (None, ["gen", "lex", "cycle:50", "complete:5"], 250, 200),
+        (None, ["gen", "lex", "cycle:1000000", "empty:0"], 1000000, 200),
+        (None, ["--limit", "5", "gen", "cnk", "7", "2"], 7, 5),
+        ("5", ["gen", "cycle", "6"], 6, 5),
+    ], ids=["cycle", "mkn", "lex", "lex-empty-factor", "flag", "env"])
+    def test_limit_checked_before_graph_is_built(self, env, argv, n, limit, capsys,
+                                                 monkeypatch):
+        def refuse(*args):
+            raise AssertionError("graph built before the vertex limit was checked")
+
+        if env is not None:
+            monkeypatch.setenv("CAW_LIMIT", env)
+        monkeypatch.setattr("arcschemes.graphs.from_edges", refuse)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: graph has {n} vertices, limit is {limit}\n"
 
 
 class TestClosure:
@@ -113,6 +138,21 @@ class TestClosure:
         monkeypatch.setattr("arcschemes.graphs.from_edges", refuse)
         assert main([command, str(huge)]) == 2
         assert f"error: graph has 2000000 vertices, {message}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["closure", "decompose"])
+    def test_edges_of_huge_graph_allocate_nothing_per_vertex(self, command, tmp_path, capsys):
+        # a neighbor bitmask of vertex 1999999 takes 250 KB; a short file must not build any
+        huge = tmp_path / "huge.graph"
+        huge.write_text("2000000 8\n" + "".join(f"{i} {1999999 - i}\n" for i in range(8)))
+        tracemalloc.start()
+        try:
+            rc = main([command, str(huge)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "error: graph has 2000000 vertices" in capsys.readouterr().err
+        assert peak < 1_000_000
 
     def test_machine_format(self, c5_file, capsys):
         assert main(["--format", "machine", "--no-timing", "closure", c5_file]) == 0
@@ -221,6 +261,20 @@ class TestArcs:
         path.write_text("4 3\n0 1\n1 2\n2 2\n")
         assert main(["arcs", str(path), "graph"]) == 2
 
+    def test_check_on_huge_circle_allocates_nothing_per_point(self, tmp_path, capsys):
+        # condition (1) forces m <= 2n, so a huge m must fail without a list of m entries
+        path = tmp_path / "huge.arcs"
+        path.write_text("2000000 3\n0 2\n1 2\n2 2\n")
+        tracemalloc.start()
+        try:
+            rc = main(["arcs", str(path), "check"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert "condition (1)  FAIL  condition (1): point 4 of Z_2000000" in capsys.readouterr().out
+        assert peak < 1_000_000
+
 
 class TestVerify:
     def test_dihedral_suite(self, capsys):
@@ -232,6 +286,14 @@ class TestVerify:
         assert main(["--no-timing", "verify", "aut", "8"]) == 0
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("flag, env", [(["--limit", "6"], None), ([], "6")],
+                             ids=["flag", "env"])
+    def test_limit_sets_default_bound(self, flag, env, capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("CAW_LIMIT", env)
+        assert main(flag + ["--format", "machine", "--no-timing", "verify", "dihedral"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["dihedral"]) == 2
 
     def test_all_machine(self, capsys):
         assert main(["--format", "machine", "--no-timing", "--seed", "3",
