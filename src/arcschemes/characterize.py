@@ -3,8 +3,8 @@
 The characterized class consists exactly of the lexicographic products of
 an elementary circular-arc graph with a complete graph.  decompose_caw
 recovers such a product structure (or a named reason why none exists)
-from one closure; scheme_decomposition classifies that closure as a rank-2
-scheme wreathed with a rank-2 / matching-forestal / dihedral scheme;
+from one closure; scheme_decomposition checks, through its relabeling, that
+the closure is rank2(r) wreathed with a rank-2 / matching-forestal / dihedral scheme;
 predicted_aut_order evaluates the closed-form automorphism group order.
 """
 
@@ -24,6 +24,7 @@ from .graphs import (
     twin_relation,
 )
 from .schemes import (
+    ISO,
     CoherentConfiguration,
     IsoVerdict,
     dihedral_scheme,
@@ -229,28 +230,32 @@ def predicted_scheme(m: int, k: int, r: int) -> CoherentConfiguration:
     return wreath_product(inner, outer)
 
 
-def scheme_decomposition(
-    outcome: DecomposeOutcome, point_limit: int = 12
-) -> SchemeDecomposition | None:
+def scheme_decomposition(outcome: DecomposeOutcome) -> SchemeDecomposition | None:
     """Classify the scheme of a decompose_caw outcome; None for non-members.
 
-    Builds the predicted wreath product from the certificate and compares it
-    with outcome.scheme, so no closure is recomputed; an algebraic-only
-    verdict (too many points for a definitive search) is passed through.
+    The witness is the certificate's relabeling: v with relabeling (a, b)
+    is point a * r + b of the predicted wreath product, with a renumbered
+    in the matching case to the point order of rank2(2) wr rank2(k+1).
+    The relabeling is edge-verified and the closure does not depend on
+    labels, so a closure that differs from the pulled-back prediction is a
+    library bug or a counterexample to the theorem: AssertionError.
     """
     if not outcome.ok:
         return None
     cert = outcome.certificate
     m, k, r = cert.m, cert.k, cert.r
+    relabeling = cert.relabeling
     if k == 0:
         kind = OUTER_RANK2
     elif m == 2 * k + 2:
         kind = OUTER_FORESTAL_MATCHING
+        relabeling = [(a % (k + 1) * 2 + a // (k + 1), b) for a, b in relabeling]
     else:
         kind = OUTER_DIHEDRAL
-    predicted = predicted_scheme(m, k, r)
-    verdict = schemes_isomorphic(outcome.scheme, predicted, point_limit=point_limit)
-    return SchemeDecomposition(r, kind, m, verdict)
+    sigma = [a * r + b for a, b in relabeling]
+    if CoherentConfiguration(predicted_scheme(m, k, r).colors[sigma][:, sigma]) != outcome.scheme:
+        raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] differs from prediction")
+    return SchemeDecomposition(r, kind, m, IsoVerdict(ISO, tuple(sigma)))
 
 
 def verify_wreath_theorem(

@@ -32,7 +32,6 @@ from .graphs import (
 from .schemes import CoherentConfiguration, is_association, scheme_to_text
 
 DEFAULT_CLOSURE_LIMIT = 200
-DEFAULT_EXACT_LIMIT = 12  # isomorphism search and automorphism counting
 
 
 def _limit(args, builtin: int) -> int:
@@ -198,13 +197,11 @@ def cmd_decompose(args) -> int:
         report["certificate"] = f"m={cert.m} k={cert.k} r={cert.r}"
         report["relabeling"] = " ".join(f"{v}:{a},{b}" for v, (a, b) in enumerate(cert.relabeling))
         report["predicted-aut-order"] = predicted_aut_order(cert.m, cert.k, cert.r)
-        exact = _limit(args, DEFAULT_EXACT_LIMIT)
-        sd = scheme_decomposition(outcome, point_limit=min(g.n, exact))
-        if sd is not None:
-            report["scheme-decomposition"] = (
-                f"rank2({sd.inner_rank2_size}) wr {sd.outer_kind}({sd.outer_size})"
-            )
-            report["scheme-verdict"] = sd.witness.kind
+        sd = scheme_decomposition(outcome)
+        report["scheme-decomposition"] = (
+            f"rank2({sd.inner_rank2_size}) wr {sd.outer_kind}({sd.outer_size})"
+        )
+        report["scheme-verdict"] = sd.witness.kind
     else:
         report["failure-stage"] = outcome.failure_stage
     elapsed = (time.perf_counter() - start) * 1000

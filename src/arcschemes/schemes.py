@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import circular_distance, int_records
+from .graphs import int_records
 from .kernels import refine_step
 
 ISO = "iso"
@@ -216,11 +216,8 @@ def dihedral_scheme(n: int) -> CoherentConfiguration:
     """
     if n < 3:
         raise ValueError("dihedral scheme needs n >= 3")
-    mat = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = circular_distance(i, j, n)
-    cfg = CoherentConfiguration(mat)
+    d = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    cfg = CoherentConfiguration(np.minimum(d, n - d))
     report = verify(cfg)
     if not report:
         raise AssertionError(f"dihedral scheme failed verification: {report.message}")
@@ -240,24 +237,16 @@ def wreath_product(
     the tags keep the product coherent for inhomogeneous factors as well.
     The output is checked coherent.
     """
-    ni, no = inner.n, outer.n
-    n = ni * no
-    in_mat, out_mat = inner.colors, outer.colors
-    in_diag = np.diagonal(in_mat)
-    out_diag = np.diagonal(out_mat)
-    mat = np.empty((n, n), dtype=np.int64)
-    # within-fiber codes: out_diag[b] * rank_in + inner color, all < base
-    base = inner.rank * outer.rank
-    cross = base + (np.add.outer(in_diag * inner.rank, in_diag)) * outer.rank
-    for b in range(no):
-        rb = slice(b * ni, (b + 1) * ni)
-        for c in range(no):
-            rc = slice(c * ni, (c + 1) * ni)
-            if b == c:
-                mat[rb, rc] = out_diag[b] * inner.rank + in_mat
-            else:
-                mat[rb, rc] = cross + out_mat[b, c]
-    cfg = CoherentConfiguration(mat)
+    a = np.tile(np.arange(inner.n), outer.n)  # inner point of each product point
+    b = np.repeat(np.arange(outer.n), inner.n)  # outer point
+    in_diag = np.diagonal(inner.colors)[a]
+    out_diag = np.diagonal(outer.colors)[b]
+    # within-fiber codes: out_diag * rank_in + inner color, all < rank_in * rank_out
+    within = (out_diag * inner.rank)[:, None] + inner.colors[np.ix_(a, a)]
+    cross = inner.rank * outer.rank + (
+        np.add.outer(in_diag * inner.rank, in_diag) * outer.rank + outer.colors[np.ix_(b, b)]
+    )
+    cfg = CoherentConfiguration(np.where(b[:, None] == b, within, cross))
     report = verify(cfg)
     if not report:
         raise ValueError(f"wreath product is not coherent: {report.message}")
@@ -521,6 +510,8 @@ def scheme_from_text(text: str) -> CoherentConfiguration:
     if len(values) != 2:
         raise ValueError(f"line {lineno}: expected 'n rank' header")
     n, rank = values
+    if n < 1:
+        raise ValueError(f"line {lineno}: a scheme needs at least one point")
     rows = list(records)
     if len(rows) != n:
         raise ValueError(f"header declares {n} rows but file has {len(rows)}")

@@ -117,6 +117,30 @@ def initial_coloring_oracle(rs) -> np.ndarray:
     return mat
 
 
+def wreath_product_oracle(inner, outer) -> np.ndarray:
+    """Color matrix of the wreath product, assigned fiber block by fiber
+    block: point (a, b) is b * inner.n + a; a block inside one fiber holds
+    the inner colors tagged with the fiber's diagonal color, a block across
+    fibers b != c holds the outer color of (b, c) tagged with the diagonal
+    colors of both inner points."""
+    ni, no = inner.n, outer.n
+    in_mat, out_mat = inner.colors, outer.colors
+    in_diag = np.diagonal(in_mat)
+    out_diag = np.diagonal(out_mat)
+    mat = np.empty((ni * no, ni * no), dtype=np.int64)
+    base = inner.rank * outer.rank
+    cross = base + (np.add.outer(in_diag * inner.rank, in_diag)) * outer.rank
+    for b in range(no):
+        rb = slice(b * ni, (b + 1) * ni)
+        for c in range(no):
+            rc = slice(c * ni, (c + 1) * ni)
+            if b == c:
+                mat[rb, rc] = out_diag[b] * inner.rank + in_mat
+            else:
+                mat[rb, rc] = cross + out_mat[b, c]
+    return mat
+
+
 def petersen() -> Graph:
     edges = []
     for i in range(5):

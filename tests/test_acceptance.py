@@ -20,6 +20,7 @@ from arcschemes.characterize import (
     STAGE_NON_ASSOCIATION,
     decompose_caw,
     predicted_aut_order,
+    scheme_decomposition,
     verify_wreath_theorem,
 )
 from arcschemes.closure import closure_of_graph
@@ -132,6 +133,9 @@ def test_criterion_3_round_trip():
             failures.append(f"(m={m},k={k},r={r}): recovered k={cert.k}, r={cert.r}")
         if k >= 1 and cert.m != m:
             failures.append(f"(m={m},k={k},r={r}): recovered m={cert.m}")
+        verdict = scheme_decomposition(out).witness.kind
+        if verdict != "iso":
+            failures.append(f"(m={m},k={k},r={r}): scheme verdict {verdict}")
     _finish(3, "decomposition round-trip", failures, started, budget=60.0)
 
 

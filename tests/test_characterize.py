@@ -28,7 +28,7 @@ from arcschemes.graphs import (
     from_edges,
     lex_product,
 )
-from arcschemes.schemes import is_association
+from arcschemes.schemes import is_association, rank2_scheme
 
 
 def assert_labels_witness(g, n, k, labels):
@@ -223,11 +223,9 @@ class TestDecompose:
             out = decompose_caw(g)
             if out.ok:
                 assert is_association(closure_of_graph(g))
-                sd = scheme_decomposition(out, point_limit=14)
+                sd = scheme_decomposition(out)
                 assert sd is not None
-                assert sd.witness.kind in ("iso", "algebraic-only")
-                if g.n <= 14:
-                    assert sd.witness.kind == "iso"
+                assert sd.witness.kind == "iso"
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
@@ -239,7 +237,7 @@ class TestDecompose:
 class TestSchemeDecomposition:
     def test_dihedral_case(self):
         g = lex_product(elementary_caw(7, 2), complete(2))
-        sd = scheme_decomposition(decompose_caw(g), point_limit=14)
+        sd = scheme_decomposition(decompose_caw(g))
         assert sd.outer_kind == OUTER_DIHEDRAL
         assert sd.outer_size == 7 and sd.inner_rank2_size == 2
         assert sd.witness.kind == "iso"
@@ -264,6 +262,30 @@ class TestSchemeDecomposition:
 
     def test_outside_class(self):
         assert scheme_decomposition(decompose_caw(oracles.path(4))) is None
+
+    @pytest.mark.parametrize("m, k, r", [(30, 3, 3), (84, 5, 1), (8, 3, 5), (12, 0, 3)])
+    def test_witness_maps_predicted_classes_onto_closure(self, m, k, r):
+        g = lex_product(elementary_caw(m, k), complete(r))
+        perm = list(range(g.n))
+        random.Random(m * 100 + r).shuffle(perm)
+        out = decompose_caw(from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+        sd = scheme_decomposition(out)
+        assert sd.witness.kind == "iso"
+        sigma = sd.witness.witness
+        assert sorted(sigma) == list(range(g.n))
+        back = {x: v for v, x in enumerate(sigma)}
+        predicted = oracles.scheme_pair_classes(predicted_scheme(m, k, r))
+        mapped = {frozenset((back[x], back[y]) for x, y in pairs) for pairs in predicted}
+        assert oracles.scheme_pair_classes(out.scheme) == mapped
+
+    def test_mismatch_with_prediction_is_a_bug(self, monkeypatch):
+        # a certified member's closure always matches its prediction, so a
+        # wrong prediction must surface as a failed assertion, not a verdict
+        monkeypatch.setattr("arcschemes.characterize.predicted_scheme",
+                            lambda m, k, r: rank2_scheme(m * r))
+        out = decompose_caw(lex_product(cycle(5), complete(2)))
+        with pytest.raises(AssertionError):
+            scheme_decomposition(out)
 
     def test_predicted_scheme_rank(self):
         assert predicted_scheme(7, 2, 2).rank == 5  # rank2(2) wr dihedral(7)

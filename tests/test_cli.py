@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from arcschemes.graphs import (
     cycle,
     elementary_caw,
     empty_graph,
+    from_edges,
     graph_from_text,
     lex_product,
     write_graph,
@@ -191,12 +193,20 @@ class TestDecompose:
         assert doc["scheme-verdict"] == "iso"
         assert "timing-ms" not in doc
 
-    def test_env_limit_sets_exact_search_limit(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "c51k3.graph"
-        write_graph(lex_product(cycle(5), complete(3)), path)  # 15 points, above 12
-        monkeypatch.setenv("CAW_LIMIT", "15")
-        assert main(["--no-timing", "decompose", str(path)]) == 0
-        assert "scheme-verdict: iso" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag, env", [([], None), (["--limit", "1000"], None), ([], "90")],
+                             ids=["default", "flag", "env"])
+    def test_large_member_gets_iso_verdict(self, flag, env, tmp_path, capsys, monkeypatch):
+        g = lex_product(elementary_caw(30, 3), complete(3))  # 90 points
+        perm = list(range(g.n))
+        random.Random(3).shuffle(perm)
+        path = tmp_path / "c303k3.graph"
+        write_graph(from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]), path)
+        if env is not None:
+            monkeypatch.setenv("CAW_LIMIT", env)
+        assert main(flag + ["--no-timing", "decompose", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "certificate: m=30 k=3 r=3" in out
+        assert "scheme-verdict: iso" in out
 
     @pytest.mark.parametrize("graph_file,rc", [("lex_file", 0), ("p4_file", 1)])
     def test_one_closure_per_request(self, graph_file, rc, request, monkeypatch):

@@ -198,6 +198,15 @@ class TestWreath:
                 if a.n * b.n <= 60:
                     assert verify(wreath_product(a, b)).ok
 
+    def test_matches_blockwise_oracle(self, scheme_corpus):
+        # homogeneous and inhomogeneous (path and star closures) factors alike
+        factors = scheme_corpus + [point_scheme()]
+        for a in factors:
+            for b in factors:
+                if a.n * b.n <= 60:
+                    expected = CoherentConfiguration(oracles.wreath_product_oracle(a, b))
+                    assert wreath_product(a, b) == expected
+
     def test_inhomogeneous_factors_stay_coherent(self):
         p3 = closure_of_graph(oracles.path(3))
         assert not is_association(p3)
@@ -373,6 +382,12 @@ class TestIO:
             scheme_from_text("2 3\n0 1\n1 0\n")
         with pytest.raises(ValueError, match="line 2"):
             scheme_from_text("2 2\n0 1 1\n1 0\n")
+
+    @pytest.mark.parametrize("text", ["0 0\n", "0 1\n", "# c\n-1 0\n"])
+    def test_header_needs_a_point(self, text):
+        line = text.count("\n")
+        with pytest.raises(ValueError, match=f"^line {line}: a scheme needs at least one point$"):
+            scheme_from_text(text)
 
     def test_non_canonical_input_is_canonicalized(self):
         # swapped color ids on input; write-then-read is stable afterwards
