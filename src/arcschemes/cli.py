@@ -250,11 +250,17 @@ def cmd_arcs(args) -> int:
         return 2 if "condition (3.1)" not in str(exc) else 1
 
 
+# built-in verify bounds; aut and all stay small for count_automorphisms
+_VERIFY_BOUNDS = {"dihedral": 30, "wreath": 24, "aut": 12, "all": 12}
+
+
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     bound = args.bound
     if bound is None:
-        bound = _limit(args, 12 if args.suite in ("aut", "all") else 14)
+        bound = _limit(args, _VERIFY_BOUNDS[args.suite])
+    if bound < 2:
+        raise ValueError(f"verify bound must be at least 2, got {bound}")
     start = time.perf_counter()
     if args.suite == "dihedral":
         tables = {"dihedral": suites.run_dihedral_suite(bound)}

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# upper bound on the signature block built at once, in bytes
+# target size of the signature block built at once, in bytes: a block
+# holds as many rows as fit, but never fewer than one, so for n >= 128 it
+# is a single row of 8 * n * (n + 1) bytes (1.3 MB at n = 400)
 _BLOCK_BYTES = 1 << 17
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from arcschemes.arcs import ArcFunction, condition_failures
 from arcschemes.graphs import Graph, from_edges
+from arcschemes.schemes import ISO, NOT_ISO, IsoVerdict
 
 
 def dihedral_pair_orbits(n: int) -> set[frozenset]:
@@ -139,6 +140,93 @@ def wreath_product_oracle(inner, outer) -> np.ndarray:
             else:
                 mat[rb, rc] = cross + out_mat[b, c]
     return mat
+
+
+def _color_profile(cfg) -> tuple:
+    """Relabeling-invariant summary of the intersection tensor: per color,
+    whether it meets the diagonal, its size, whether its first pair's
+    transpose has the same color and the sorted counts c_rs^t at that pair."""
+    mat = cfg.colors
+    n = cfg.n
+    diagonal = set(np.diagonal(mat).tolist())
+    profiles = []
+    for t in range(cfg.rank):
+        xs, ys = np.nonzero(mat == t)
+        x, y = int(xs[0]), int(ys[0])
+        counts: dict[tuple[int, int], int] = {}
+        for w in range(n):
+            key = (int(mat[x, w]), int(mat[w, y]))
+            counts[key] = counts.get(key, 0) + 1
+        profiles.append((t in diagonal, len(xs), int(mat[y, x]) == t, tuple(sorted(counts.values()))))
+    return tuple(sorted(profiles))
+
+
+def _search_point_bijection(a, b):
+    """Backtracking search for a color-respecting point bijection a -> b."""
+    n = a.n
+    A, B = a.colors, b.colors
+    amap = [-1] * a.rank  # a color -> b color
+    bused = [False] * b.rank
+    perm = [-1] * n
+    used = [False] * n
+
+    def bind(ca: int, cb: int, journal: list[int]) -> bool:
+        if amap[ca] == cb:
+            return True
+        if amap[ca] != -1 or bused[cb]:
+            return False
+        amap[ca] = cb
+        bused[cb] = True
+        journal.append(ca)
+        return True
+
+    def backtrack(i: int) -> bool:
+        if i == n:
+            return True
+        for w in range(n):
+            if used[w]:
+                continue
+            journal: list[int] = []
+            ok = bind(int(A[i, i]), int(B[w, w]), journal)
+            if ok:
+                for j in range(i):
+                    pj = perm[j]
+                    if not (
+                        bind(int(A[i, j]), int(B[w, pj]), journal)
+                        and bind(int(A[j, i]), int(B[pj, w]), journal)
+                    ):
+                        ok = False
+                        break
+            if ok:
+                perm[i] = w
+                used[w] = True
+                if backtrack(i + 1):
+                    return True
+                perm[i] = -1
+                used[w] = False
+            for ca in journal:
+                bused[amap[ca]] = False
+                amap[ca] = -1
+        return False
+
+    if backtrack(0):
+        return tuple(perm)
+    return None
+
+
+def schemes_isomorphic(a, b) -> IsoVerdict:
+    """Decide isomorphism of two schemes by exhaustive search.
+
+    Point count, rank and the intersection profiles must agree; then a
+    backtracking search finds a color-respecting point bijection (the
+    witness) or proves there is none.  Exponential: keep n to about 14.
+    """
+    if a.n != b.n or a.rank != b.rank or _color_profile(a) != _color_profile(b):
+        return IsoVerdict(NOT_ISO)
+    witness = _search_point_bijection(a, b)
+    if witness is None:
+        return IsoVerdict(NOT_ISO)
+    return IsoVerdict(ISO, witness)
 
 
 def petersen() -> Graph:

@@ -36,13 +36,14 @@ from arcschemes.graphs import (
     twin_relation,
 )
 from arcschemes.schemes import (
+    CoherentConfiguration,
     dihedral_scheme,
     is_association,
     rank2_scheme,
-    schemes_isomorphic,
     verify,
     wreath_product,
 )
+from arcschemes.suites import run_dihedral_suite
 
 
 def _finish(num: int, name: str, failures: list, started: float, budget: float | None):
@@ -59,7 +60,9 @@ def test_criterion_1_dihedral_sweep():
     failures = []
     cases = [(n, k) for n in range(5, 15) for k in range(1, n) if 2 * k + 2 < n]
     assert cases
-    for n, k in cases:
+    rows, _ = run_dihedral_suite(14)
+    assert [row["case"] for row in rows] == [f"C_{{{n},{k}}}" for n, k in cases]
+    for (n, k), row in zip(cases, rows):
         cc = closure_of_graph(elementary_caw(n, k))
         target = dihedral_scheme(n)
         if oracles.scheme_pair_classes(target) != oracles.dihedral_pair_orbits(n):
@@ -68,9 +71,11 @@ def test_criterion_1_dihedral_sweep():
             failures.append(f"C_{{{n},{k}}}: closure not association")
         if cc.rank != n // 2 + 1:
             failures.append(f"C_{{{n},{k}}}: rank {cc.rank}, expected {n // 2 + 1}")
-        verdict = schemes_isomorphic(cc, target, point_limit=14)
+        verdict = oracles.schemes_isomorphic(cc, target)
         if verdict.kind != "iso":
-            failures.append(f"C_{{{n},{k}}}: verdict {verdict.kind}, expected definitive iso")
+            failures.append(f"C_{{{n},{k}}}: oracle verdict {verdict.kind}, expected iso")
+        if row["status"] != "pass" or f"iso={verdict.kind}" not in row["detail"].split():
+            failures.append(f"C_{{{n},{k}}}: suite row {row} disagrees with the oracle")
     _finish(1, "dihedral theorem sweep", failures, started, budget=10.0)
 
 
@@ -78,13 +83,17 @@ def test_criterion_2_matching_case():
     started = time.perf_counter()
     failures = []
     for k in range(1, 6):
-        cc = closure_of_graph(elementary_caw(2 * k + 2, k))
+        g = elementary_caw(2 * k + 2, k)
+        cc = closure_of_graph(g)
         if cc.rank != 3:
             failures.append(f"k={k}: rank {cc.rank} != 3")
         target = wreath_product(rank2_scheme(2), rank2_scheme(k + 1))
-        verdict = schemes_isomorphic(cc, target, point_limit=2 * k + 2)
+        verdict = oracles.schemes_isomorphic(cc, target)
         if verdict.kind != "iso":
-            failures.append(f"k={k}: verdict {verdict.kind}")
+            failures.append(f"k={k}: oracle verdict {verdict.kind}")
+        library = scheme_decomposition(decompose_caw(g)).witness.kind
+        if library != verdict.kind:
+            failures.append(f"k={k}: library verdict {library}, oracle {verdict.kind}")
     _finish(2, "matching-case scheme", failures, started, budget=1.0)
 
 
@@ -186,6 +195,12 @@ def test_criterion_5_wreath_theorem():
             failures.append(f"case {i}: fusion fails (r={r}, edges={outer.edges()})")
         if report.iso_asserted and report.iso.kind != "iso":
             failures.append(f"case {i}: asserted iso is {report.iso.kind}")
+        inner = closure_of_graph(complete(r))
+        wreath = CoherentConfiguration(oracles.wreath_product_oracle(inner, closure_of_graph(outer)))
+        actual = closure_of_graph(lex_product(outer, complete(r)))
+        oracle = oracles.schemes_isomorphic(actual, wreath)
+        if report.iso.kind != oracle.kind:
+            failures.append(f"case {i}: verdict {report.iso.kind}, oracle {oracle.kind}")
     counter = verify_wreath_theorem(3, complete(2))
     if not counter.fusion_holds:
         failures.append("K_2[K_3]: fusion should hold")

@@ -28,7 +28,7 @@ from arcschemes.graphs import (
     from_edges,
     lex_product,
 )
-from arcschemes.schemes import is_association, rank2_scheme
+from arcschemes.schemes import CoherentConfiguration, is_association, rank2_scheme, wreath_product
 
 
 def assert_labels_witness(g, n, k, labels):
@@ -314,6 +314,36 @@ class TestWreathTheorem:
     def test_size_limit(self):
         with pytest.raises(ValueError, match="limit"):
             verify_wreath_theorem(3, cycle(5), size_limit=10)
+
+    def test_verdicts_agree_with_oracle(self):
+        rng = random.Random(5)
+        cases = [(3, complete(2))]
+        cases += [(rng.randint(1, 3), oracles.random_graph(rng, rng.randint(2, 8)))
+                  for _ in range(40)]
+        kinds = set()
+        for r, outer in cases:
+            report = verify_wreath_theorem(r, outer)
+            actual = closure_of_graph(lex_product(outer, complete(r)))
+            wreath = CoherentConfiguration(oracles.wreath_product_oracle(
+                closure_of_graph(complete(r)), closure_of_graph(outer)))
+            oracle = oracles.schemes_isomorphic(actual, wreath)
+            assert report.iso.kind == oracle.kind, (r, outer.edges())
+            if report.iso.is_iso:
+                assert report.iso.witness == tuple(range(actual.n))
+            kinds.add(oracle.kind)
+        assert kinds == {"iso", "not-iso"}
+
+    def test_equal_rank_but_unequal_scheme_is_a_bug(self, monkeypatch):
+        # the closure is a fusion of the wreath product on the same points,
+        # so equal ranks force equal schemes; a relabeled wreath breaks that
+        def relabeled(inner, outer):
+            w = wreath_product(inner, outer)
+            perm = list(range(1, w.n)) + [0]
+            return CoherentConfiguration(w.colors[perm][:, perm])
+
+        monkeypatch.setattr("arcschemes.characterize.wreath_product", relabeled)
+        with pytest.raises(AssertionError, match="outer graph on 5 vertices"):
+            verify_wreath_theorem(2, cycle(5))
 
 
 class TestPredictedAutOrder:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from arcschemes import suites
 from arcschemes.arcs import ArcFunction, model_from_text, write_model
 from arcschemes.cli import main
 from arcschemes.graphs import (
@@ -16,7 +17,7 @@ from arcschemes.graphs import (
     lex_product,
     write_graph,
 )
-from arcschemes.schemes import dihedral_scheme, read_scheme
+from arcschemes.schemes import CoherentConfiguration, dihedral_scheme, read_scheme
 
 import oracles
 
@@ -304,6 +305,55 @@ class TestVerify:
             monkeypatch.setenv("CAW_LIMIT", env)
         assert main(flag + ["--format", "machine", "--no-timing", "verify", "dihedral"]) == 0
         assert len(json.loads(capsys.readouterr().out)["dihedral"]) == 2
+
+    @pytest.mark.parametrize("argv, env", [
+        (["verify", "wreath", "1"], None),
+        (["verify", "wreath", "0"], None),
+        (["verify", "all", "1"], None),
+        (["verify", "aut", "1"], None),
+        (["verify", "dihedral", "-3"], None),
+        (["--limit", "0", "verify", "wreath"], None),
+        (["--limit", "0", "verify", "all"], None),
+        (["verify", "wreath"], "1"),
+    ], ids=["wreath-1", "wreath-0", "all-1", "aut-1", "dihedral-neg", "flag-wreath",
+            "flag-all", "env-wreath"])
+    def test_bound_below_two_is_usage_error(self, argv, env, capsys, monkeypatch):
+        # no random wreath case fits a bound below 2, so the sweep could never fill
+        if env is not None:
+            monkeypatch.setenv("CAW_LIMIT", env)
+        assert main(["--no-timing"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: verify bound must be at least 2" in err
+
+    def test_wreath_suite_rejects_bound_below_two(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            suites.run_wreath_suite(1)
+
+    def test_dihedral_forty_is_iso_under_identity(self, capsys):
+        assert main(["--format", "machine", "--no-timing", "verify", "dihedral", "40"]) == 0
+        rows = json.loads(capsys.readouterr().out)["dihedral"]
+        assert len(rows) == 342
+        assert all(r["status"] == "pass" and r["detail"].endswith(" iso=iso") for r in rows)
+
+    @pytest.mark.parametrize("suite, bound", [("dihedral", 30), ("wreath", 24)])
+    def test_built_in_bounds(self, suite, bound, capsys, monkeypatch):
+        monkeypatch.delenv("CAW_LIMIT", raising=False)
+        assert main(["--format", "machine", "--no-timing", "verify", suite]) == 0
+        rows = json.loads(capsys.readouterr().out)[suite]
+        runner = {"dihedral": suites.run_dihedral_suite, "wreath": suites.run_wreath_suite}
+        assert rows == runner[suite](bound)[0]
+
+    def test_dihedral_mismatch_is_a_bug(self, monkeypatch):
+        # the closure of C_{n,k} is a fusion of the dihedral scheme on the
+        # same points, so at the dihedral rank it must equal it
+        def swapped(n):
+            d = dihedral_scheme(n)
+            perm = [1, 0] + list(range(2, n))
+            return CoherentConfiguration(d.colors[perm][:, perm])
+
+        monkeypatch.setattr("arcschemes.suites.dihedral_scheme", swapped)
+        with pytest.raises(AssertionError, match=r"closure of C_\{5,1\}"):
+            suites.run_dihedral_suite(5)
 
     def test_all_machine(self, capsys):
         assert main(["--format", "machine", "--no-timing", "--seed", "3",

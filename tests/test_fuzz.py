@@ -1,5 +1,6 @@
 """Malformed input stays inside the error contract: the readers raise
-ValueError and nothing else, and the CLI exits 0, 1 or 2 on any file."""
+ValueError and nothing else, and the CLI exits 0, 1 or 2 on any file
+and on any verify bound."""
 
 import contextlib
 import io
@@ -39,3 +40,18 @@ def test_cli_exit_code_contract(tmp_path_factory, data):
         argv = ["--no-timing", command[0], str(path)] + command[1:]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2), argv
+
+
+# `verify aut` counts automorphisms by brute force, 8.5 s at bound 16 on
+# 2 CPUs, so its bounds stop at 14; `all` runs aut at 12 at most
+verify_args = st.sampled_from(["dihedral", "wreath", "aut", "all"]).flatmap(
+    lambda suite: st.tuples(st.just(suite), st.integers(-3, 14 if suite == "aut" else 16)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(args=verify_args)
+def test_verify_bound_exit_code_contract(args):
+    suite, bound = args
+    argv = ["--no-timing", "verify", suite, str(bound)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2), argv

@@ -5,7 +5,6 @@ import oracles
 from arcschemes.closure import closure_of_graph
 from arcschemes.graphs import elementary_caw
 from arcschemes.schemes import (
-    ALGEBRAIC_ONLY,
     ISO,
     NOT_ISO,
     CoherentConfiguration,
@@ -22,7 +21,6 @@ from arcschemes.schemes import (
     restriction,
     scheme_from_text,
     scheme_to_text,
-    schemes_isomorphic,
     verify,
     wreath_product,
 )
@@ -65,8 +63,11 @@ class TestVerify:
         assert c1 != c2
         assert mat[p1] == mat[p2] == t
 
-    def test_dihedral_passes(self):
-        assert verify(dihedral_scheme(5)).ok
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_dihedral_passes(self, n):
+        # dihedral_scheme does not verify itself; its callers compare it
+        # with a closure, and this pins that it is coherent on its own
+        assert verify(dihedral_scheme(n)).ok
 
     def test_diagonal_violation(self):
         mat = [[0, 0], [1, 0]]
@@ -308,15 +309,17 @@ class TestRestrictionQuotient:
             pytest.skip("outside sweep bound")
         w = wreath_product(a, b)
         restr = restriction(w, list(range(a.n)))
-        assert schemes_isomorphic(restr, a).kind == ISO
+        assert oracles.schemes_isomorphic(restr, a).kind == ISO
         fiber = next(
             e for e in equivalences(w)
             if e.classes == tuple(tuple(range(i * a.n, (i + 1) * a.n)) for i in range(b.n))
         )
-        assert schemes_isomorphic(quotient(w, fiber), b).kind == ISO
+        assert oracles.schemes_isomorphic(quotient(w, fiber), b).kind == ISO
 
 
 class TestIsomorphism:
+    """The search oracle that the library's search-free verdicts are checked against."""
+
     def test_dihedral_relabeled(self):
         d = dihedral_scheme(5)
         perm = [2 * i % 5 for i in range(5)]
@@ -324,27 +327,22 @@ class TestIsomorphism:
         for u in range(5):
             for v in range(5):
                 mat[perm[u], perm[v]] = d.colors[u, v]
-        verdict = schemes_isomorphic(d, CoherentConfiguration.from_matrix(mat))
+        verdict = oracles.schemes_isomorphic(d, CoherentConfiguration.from_matrix(mat))
         assert verdict.kind == ISO
         assert verdict.witness is not None
 
     def test_rank_mismatch(self):
-        assert schemes_isomorphic(rank2_scheme(4), dihedral_scheme(4)).kind == NOT_ISO
+        assert oracles.schemes_isomorphic(rank2_scheme(4), dihedral_scheme(4)).kind == NOT_ISO
 
     def test_wreath_vs_closure_of_matching_complement(self):
         w = wreath_product(rank2_scheme(2), rank2_scheme(3))
         cc = closure_of_graph(elementary_caw(6, 2))
-        assert schemes_isomorphic(w, cc).kind == ISO
-
-    def test_algebraic_only_beyond_limit(self):
-        d = dihedral_scheme(13)
-        assert schemes_isomorphic(d, d, point_limit=12).kind == ALGEBRAIC_ONLY
-        assert schemes_isomorphic(d, d, point_limit=13).kind == ISO
+        assert oracles.schemes_isomorphic(w, cc).kind == ISO
 
     def test_witness_is_color_preserving(self):
         a = closure_of_graph(elementary_caw(7, 2))
         b = dihedral_scheme(7)
-        verdict = schemes_isomorphic(a, b)
+        verdict = oracles.schemes_isomorphic(a, b)
         assert verdict.kind == ISO
         perm = verdict.witness
         mapping = {}
@@ -367,7 +365,7 @@ class TestIsomorphism:
                 for v in range(a.n):
                     mat[perm[u], perm[v]] = a.colors[u, v]
             b = CoherentConfiguration.from_matrix(mat)
-            assert schemes_isomorphic(a, b).kind == ISO
+            assert oracles.schemes_isomorphic(a, b).kind == ISO
 
 
 class TestIO:
