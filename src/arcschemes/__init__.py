@@ -46,18 +46,13 @@ from .graphs import (
 from .schemes import (
     CoherentConfiguration,
     IsoVerdict,
-    SchemeEquivalence,
     VerifyReport,
     dihedral_scheme,
-    equivalence_from_colors,
-    equivalences,
     intersection_number,
     is_association,
     is_fusion_of,
     point_scheme,
-    quotient,
     rank2_scheme,
-    restriction,
     verify,
     wreath_product,
 )
@@ -74,7 +69,6 @@ __all__ = [
     "ReducedArcFunction",
     "RelationSet",
     "SchemeDecomposition",
-    "SchemeEquivalence",
     "VertexPartition",
     "VerifyReport",
     "check_neighborhood_condition",
@@ -89,8 +83,6 @@ __all__ = [
     "edge_level_partition",
     "elementary_caw",
     "empty_graph",
-    "equivalence_from_colors",
-    "equivalences",
     "from_edges",
     "intersection_graph",
     "intersection_number",
@@ -102,11 +94,9 @@ __all__ = [
     "point_scheme",
     "predicted_aut_order",
     "predicted_scheme",
-    "quotient",
     "quotient_graph",
     "rank2_scheme",
     "reduce",
-    "restriction",
     "scheme_decomposition",
     "standard_model",
     "twin_relation",

@@ -262,15 +262,7 @@ def cmd_verify(args) -> int:
     if bound < 2:
         raise ValueError(f"verify bound must be at least 2, got {bound}")
     start = time.perf_counter()
-    if args.suite == "dihedral":
-        tables = {"dihedral": suites.run_dihedral_suite(bound)}
-    elif args.suite == "wreath":
-        tables = {"wreath": suites.run_wreath_suite(bound, seed=seed)}
-    elif args.suite == "aut":
-        tables = {"aut": suites.run_aut_suite(bound)}
-    else:
-        named, _ = suites.run_all(bound, seed=seed)
-        tables = {k: (rows, all(r["status"] == "pass" for r in rows)) for k, rows in named.items()}
+    tables = suites.run(args.suite, bound, seed=seed)
     elapsed = (time.perf_counter() - start) * 1000
     ok_all = True
     if args.format == "machine":
@@ -338,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,26 +20,28 @@ NOT_ISO = "not-iso"
 
 
 def _canonical_relabel(mat: np.ndarray) -> np.ndarray:
-    """Relabel colors by first appearance in a row-major scan."""
-    flat = mat.ravel()
-    _, first = np.unique(flat, return_index=True)
-    order = flat[np.sort(first)]
-    remap = np.empty(int(flat.max()) + 1, dtype=np.int64)
-    remap[order] = np.arange(len(order), dtype=np.int64)
-    return remap[flat].reshape(mat.shape)
+    """Number colors by first appearance in a row-major scan.
+
+    Works on the distinct values only, so memory does not depend on how
+    large the color values are.
+    """
+    _, first, inverse = np.unique(mat.ravel(), return_index=True, return_inverse=True)
+    # the new id of each distinct value is the rank of its first index
+    return np.argsort(np.argsort(first))[inverse].reshape(mat.shape)
 
 
 class CoherentConfiguration:
-    """Partition of V x V given by a color matrix, plus derived structure.
+    """Partition of V x V given by its canonical color matrix.
 
-    The constructor computes the diagonal colors and a best-effort pairing
-    map; whether they satisfy the scheme axioms is decided by verify(),
-    which reports the first violation instead of raising.
+    The constructor only canonicalizes the colors and records the diagonal
+    colors; sizes and pairing are computed from the matrix on access.
+    Whether the partition satisfies the scheme axioms is decided by
+    verify(), which reports the first violation instead of raising.
     """
 
-    __slots__ = ("n", "colors", "rank", "pairing", "diagonal_colors", "sizes", "_first")
+    __slots__ = ("n", "colors", "rank", "diagonal_colors")
 
-    def __init__(self, colors: np.ndarray):
+    def __init__(self, colors):
         colors = np.ascontiguousarray(colors, dtype=np.int64)
         if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
             raise ValueError("color matrix must be square")
@@ -49,21 +51,21 @@ class CoherentConfiguration:
             raise ValueError("colors must be non-negative integers")
         colors = _canonical_relabel(colors)
         colors.flags.writeable = False
-        n = colors.shape[0]
-        self.n = n
+        self.n = colors.shape[0]
         self.colors = colors
         self.rank = int(colors.max()) + 1
-        flat = colors.ravel()
-        self.sizes = tuple(int(x) for x in np.bincount(flat, minlength=self.rank))
-        _, first = np.unique(flat, return_index=True)
-        firsts = np.sort(first)
-        self._first = tuple((int(i) // n, int(i) % n) for i in firsts)
-        self.diagonal_colors = frozenset(int(c) for c in np.diagonal(colors))
-        self.pairing = tuple(int(colors[v, u]) for u, v in self._first)
+        self.diagonal_colors = frozenset(np.diagonal(colors).tolist())
 
-    @staticmethod
-    def from_matrix(mat) -> "CoherentConfiguration":
-        return CoherentConfiguration(np.asarray(mat, dtype=np.int64))
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """Number of pairs of each color."""
+        return tuple(np.bincount(self.colors.ravel(), minlength=self.rank).tolist())
+
+    @property
+    def pairing(self) -> tuple[int, ...]:
+        """Color of (v, u) for the representative (u, v) of each color."""
+        _, first = np.unique(self.colors.ravel(), return_index=True)
+        return tuple(self.colors.T.ravel()[first].tolist())
 
     def color(self, u: int, v: int) -> int:
         return int(self.colors[u, v])
@@ -72,7 +74,7 @@ class CoherentConfiguration:
         """First pair (row-major) of color t."""
         if not 0 <= t < self.rank:
             raise ValueError(f"color {t} out of range (rank {self.rank})")
-        return self._first[t]
+        return divmod(int(np.argmax(self.colors.ravel() == t)), self.n)
 
     def __eq__(self, other):
         return (
@@ -115,8 +117,9 @@ def verify(cfg: CoherentConfiguration) -> VerifyReport:
 
     diag = np.diagonal(mat)
     diag_counts = np.bincount(diag, minlength=cfg.rank)
+    sizes = cfg.sizes
     for d in cfg.diagonal_colors:
-        if diag_counts[d] != cfg.sizes[d]:
+        if diag_counts[d] != sizes[d]:
             rows, cols = np.nonzero((mat == d) & ~np.eye(n, dtype=bool))
             witness = (d, (int(rows[0]), int(cols[0])))
             return VerifyReport(
@@ -247,137 +250,15 @@ def wreath_product(
 
 
 def is_fusion_of(coarse: CoherentConfiguration, fine: CoherentConfiguration) -> bool:
-    """True iff every color of coarse is a union of colors of fine."""
+    """True iff every color of coarse is a union of colors of fine.
+
+    That holds exactly when each fine color meets one coarse color, that
+    is when there are fine.rank distinct (fine, coarse) color pairs.
+    """
     if coarse.n != fine.n:
         raise ValueError("point-count mismatch")
-    mf = fine.colors.ravel()
-    mc = coarse.colors.ravel()
-    for c in range(fine.rank):
-        if len(np.unique(mc[mf == c])) > 1:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class SchemeEquivalence:
-    """Equivalence relation on all of V that is a union of colors."""
-
-    scheme: CoherentConfiguration
-    colors: frozenset[int]
-    classes: tuple[tuple[int, ...], ...]
-
-
-def _classes_if_equivalence(cfg, colorset: frozenset[int]):
-    """Classes of the union of colorset, or None if it is not an equivalence."""
-    member = np.isin(cfg.colors, sorted(colorset))
-    n = cfg.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rows, cols = np.nonzero(member)
-    for u, v in zip(rows.tolist(), cols.tolist()):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comps: dict[int, list[int]] = {}
-    for v in range(n):
-        comps.setdefault(find(v), []).append(v)
-    # equivalence iff the relation is exactly the union of class squares
-    if int(member.sum()) != sum(len(c) ** 2 for c in comps.values()):
-        return None
-    return tuple(tuple(c) for c in sorted(comps.values(), key=lambda c: c[0]))
-
-
-def equivalence_from_colors(cfg: CoherentConfiguration, colors) -> SchemeEquivalence:
-    """Build a SchemeEquivalence from a color subset; validates the axioms."""
-    colorset = frozenset(int(c) for c in colors)
-    for c in colorset:
-        if not 0 <= c < cfg.rank:
-            raise ValueError(f"color {c} out of range")
-    if not cfg.diagonal_colors <= colorset:
-        raise ValueError("equivalence must contain all diagonal colors")
-    if any(cfg.pairing[c] not in colorset for c in colorset):
-        raise ValueError("equivalence colors must be closed under pairing")
-    classes = _classes_if_equivalence(cfg, colorset)
-    if classes is None:
-        raise ValueError("union of the given colors is not transitive")
-    return SchemeEquivalence(cfg, colorset, classes)
-
-
-def equivalences(cfg: CoherentConfiguration, rank_limit: int = 20) -> list[SchemeEquivalence]:
-    """All full-support equivalence relations of the scheme.
-
-    Searches the color subsets that contain the diagonal colors and are
-    pairing-closed; at most 2^(number of pairing orbits) candidates.  The
-    two trivial equivalences (diagonal and V^2) are always present.
-    """
-    if cfg.rank > rank_limit:
-        raise ValueError(f"rank {cfg.rank} exceeds limit {rank_limit}")
-    nondiag = [c for c in range(cfg.rank) if c not in cfg.diagonal_colors]
-    orbits = []
-    seen = set()
-    for c in nondiag:
-        if c not in seen:
-            orb = frozenset({c, cfg.pairing[c]})
-            orbits.append(orb)
-            seen |= orb
-    out = []
-    for mask in range(1 << len(orbits)):
-        colorset = set(cfg.diagonal_colors)
-        for i, orb in enumerate(orbits):
-            if mask >> i & 1:
-                colorset |= orb
-        classes = _classes_if_equivalence(cfg, frozenset(colorset))
-        if classes is not None:
-            out.append(SchemeEquivalence(cfg, frozenset(colorset), classes))
-    return out
-
-
-def restriction(cfg: CoherentConfiguration, cls) -> CoherentConfiguration:
-    """Restrict the scheme to one class of one of its equivalences."""
-    points = sorted(set(int(v) for v in cls))
-    if not points or points[0] < 0 or points[-1] >= cfg.n:
-        raise ValueError("class must be a nonempty subset of the points")
-    block = cfg.colors[np.ix_(points, points)]
-    colorset = frozenset(int(c) for c in np.unique(block)) | cfg.diagonal_colors
-    classes = _classes_if_equivalence(cfg, colorset)
-    if classes is None or tuple(points) not in classes:
-        raise ValueError("given point set is not an equivalence class of the scheme")
-    sub = CoherentConfiguration(block)
-    report = verify(sub)
-    if not report:
-        raise AssertionError(f"restriction failed verification: {report.message}")
-    return sub
-
-
-def quotient(cfg: CoherentConfiguration, e: SchemeEquivalence) -> CoherentConfiguration:
-    """Quotient modulo an equivalence; classes become points.
-
-    The color of a class pair (X, Y) is the set of original colors meeting
-    X x Y; distinct sets become distinct colors.  Classes are ordered by
-    smallest member.  The result is re-verified because deduplicating the
-    color sets is only guaranteed coherent for a genuine scheme equivalence.
-    """
-    if e.scheme != cfg:
-        raise ValueError("equivalence does not belong to this scheme")
-    classes = e.classes
-    q = len(classes)
-    ids: dict[frozenset, int] = {}
-    mat = np.empty((q, q), dtype=np.int64)
-    for i, X in enumerate(classes):
-        for j, Y in enumerate(classes):
-            sig = frozenset(int(c) for c in np.unique(cfg.colors[np.ix_(X, Y)]))
-            mat[i, j] = ids.setdefault(sig, len(ids))
-    out = CoherentConfiguration(mat)
-    report = verify(out)
-    if not report:
-        raise ValueError(f"quotient is not coherent: {report.message}")
-    return out
+    pairs = fine.colors.ravel() * coarse.rank + coarse.colors.ravel()
+    return len(np.unique(pairs)) == fine.rank
 
 
 @dataclass(frozen=True)
@@ -440,7 +321,7 @@ def scheme_from_text(text: str) -> CoherentConfiguration:
         for c in values:
             if not 0 <= c < rank:
                 raise ValueError(f"line {lineno}: color {c} outside 0..{rank - 1}")
-    cfg = CoherentConfiguration.from_matrix([values for _, values in rows])
+    cfg = CoherentConfiguration([values for _, values in rows])
     if cfg.rank != rank:
         raise ValueError(f"header declares rank {rank} but matrix uses {cfg.rank} colors")
     return cfg

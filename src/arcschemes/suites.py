@@ -140,15 +140,24 @@ def run_aut_suite(bound: int) -> tuple[list[dict], bool]:
     return rows, ok_all
 
 
-def run_all(bound: int, seed: int = 0) -> tuple[dict[str, list[dict]], bool]:
-    tables = {}
-    ok_all = True
-    for name, runner in (
-        ("dihedral", lambda: run_dihedral_suite(bound)),
-        ("wreath", lambda: run_wreath_suite(bound, seed=seed)),
-        ("aut", lambda: run_aut_suite(min(bound, 12))),
-    ):
-        rows, ok = runner()
-        tables[name] = rows
-        ok_all &= ok
-    return tables, ok_all
+# suite name -> runner(bound, seed); the lambdas look the runners up at
+# call time, so a wrapper bound to the module attribute sees every call
+_SUITES = {
+    "dihedral": lambda bound, seed: run_dihedral_suite(bound),
+    "wreath": lambda bound, seed: run_wreath_suite(bound, seed=seed),
+    "aut": lambda bound, seed: run_aut_suite(bound),
+}
+
+
+def run(suite: str, bound: int, seed: int = 0) -> dict[str, tuple[list[dict], bool]]:
+    """{name: (rows, ok)} for one suite, or for every suite when suite is "all".
+
+    Under "all" the aut suite runs at min(bound, 12), because
+    count_automorphisms is a backtracking search.
+    """
+    if suite != "all":
+        return {suite: _SUITES[suite](bound, seed)}
+    return {
+        name: runner(min(bound, 12) if name == "aut" else bound, seed)
+        for name, runner in _SUITES.items()
+    }

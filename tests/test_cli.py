@@ -361,3 +361,19 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
         assert set(doc) >= {"dihedral", "wreath", "aut", "ok"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "cycle", "5"],
+    ["closure", "{graph}"],
+    ["arcs", "{model}", "graph"],
+    ["arcs", "{model}", "reduce"],
+], ids=["gen", "closure", "arcs-graph", "arcs-reduce"])
+def test_unwritable_output_is_usage_error(argv, c5_file, tmp_path, capsys):
+    model = tmp_path / "c4.arcs"
+    write_model(ArcFunction(8, [(0, 4), (2, 4), (4, 4), (6, 4)]), model)
+    out = tmp_path / "missing" / "out.txt"
+    argv = [a.format(graph=c5_file, model=model) for a in argv]
+    assert main(["--no-timing", *argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
