@@ -28,7 +28,7 @@ from .characterize import (
     scheme_decomposition,
     verify_wreath_theorem,
 )
-from .closure import RelationSet, closure_of_graph, coherent_closure
+from .closure import closure_of_graph, coherent_closure
 from .graphs import (
     Graph,
     VertexPartition,
@@ -67,7 +67,6 @@ __all__ = [
     "Graph",
     "IsoVerdict",
     "ReducedArcFunction",
-    "RelationSet",
     "SchemeDecomposition",
     "VertexPartition",
     "VerifyReport",

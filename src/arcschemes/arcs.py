@@ -19,7 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .graphs import Graph, build_by_line, from_edges, int_records, twin_relation
+import numpy as np
+
+from .graphs import Graph, build_by_line, common_neighbors, int_records, twin_relation
 
 
 class ArcFunction:
@@ -102,20 +104,15 @@ def require_valid(f: ArcFunction) -> None:
         raise ValueError(failures[0])
 
 
-def _arcs_intersect(f: ArcFunction, u: int, v: int) -> bool:
-    su, lu = f.arcs[u]
-    sv, lv = f.arcs[v]
-    return (sv - su) % f.m < lu or (su - sv) % f.m < lv
-
-
 def intersection_graph(f: ArcFunction) -> Graph:
     """Graph on the vertices of f; u ~ v iff their arcs share a point."""
     require_valid(f)
-    n = f.n_vertices
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if _arcs_intersect(f, u, v)
-    ]
-    return from_edges(n, edges)
+    # condition (1) leaves at most 2n points, so m and every start are below 2n
+    start, size = np.array(f.arcs, dtype=np.int64).T
+    offset = (start[None, :] - start[:, None]) % f.m  # start of v seen from u
+    meet = (offset < size[:, None]) | (offset.T < size[None, :])
+    np.fill_diagonal(meet, False)
+    return Graph(meet)
 
 
 def standard_model(n: int, k: int) -> "ReducedArcFunction":
@@ -134,14 +131,14 @@ class NeighborhoodCheck(NamedTuple):
 def check_neighborhood_condition(g: Graph) -> NeighborhoodCheck:
     """For every edge (u, v): N(u) must not be contained in {v} + N(v).
 
-    Returns the first violating ordered edge as witness.
+    Returns the first violating ordered edge, in row-major order, as witness.
     """
-    for u in range(g.n):
-        nu = g.neighbor_mask(u)
-        for v in g.neighbors(u):
-            if nu & ~(g.neighbor_mask(v) | (1 << v)) == 0:
-                return NeighborhoodCheck(False, (u, v))
-    return NeighborhoodCheck(True, None)
+    # for an edge (u, v), N(u) is inside {v} + N(v) iff |N(u) & N(v)| = deg(u) - 1
+    degree = g.adj.sum(axis=1)
+    bad = g.adj & (common_neighbors(g) == degree[:, None] - 1)
+    if not bad.any():
+        return NeighborhoodCheck(True, None)
+    return NeighborhoodCheck(False, divmod(int(bad.argmax()), g.n))
 
 
 class ReducedArcFunction(ArcFunction):

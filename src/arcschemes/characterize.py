@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .closure import closure_of_graph
 from .graphs import (
     Graph,
-    circular_distance,
+    circulant,
     complete,
     edge_level_partition,
     lex_product,
@@ -107,7 +109,8 @@ def is_elementary_caw(g: Graph):
     or None.  Empty graphs are C_{n,0}; a 2k-regular graph on 2k+2
     vertices must be a complete graph minus a perfect matching; beyond
     that the level of edges with exactly 2k-2 common neighbors must form
-    a single Hamiltonian cycle, which fixes the circular order.  The
+    a single Hamiltonian cycle, which fixes the circular order; the walk
+    leaves vertex 0 towards its smaller-numbered cycle neighbor.  The
     recovered labeling is always re-verified edge-exactly, so a wrong
     guess cannot escape.
     """
@@ -124,29 +127,17 @@ def is_elementary_caw(g: Graph):
     k = d // 2
 
     if n == 2 * k + 2:
+        # by regularity every vertex has exactly one non-neighbor, its
+        # partner; the k+1 partner pairs go to labels i and i+k+1
+        partner = (~(g.adj | np.eye(n, dtype=bool))).argmax(axis=1).tolist()
         labels = [-1] * n
-        nxt = 0
-        full = (1 << n) - 1
-        for v in range(n):
-            if labels[v] != -1:
-                continue
-            non = full ^ g.closed_neighbor_mask(v)
-            partner = non.bit_length() - 1
-            if non.bit_count() != 1 or labels[partner] != -1:
-                return None
-            labels[v] = nxt
-            labels[partner] = nxt + k + 1
-            nxt += 1
-        m = n
+        for i, v in enumerate(v for v in range(n) if v < partner[v]):
+            labels[v], labels[partner[v]] = i, i + k + 1
     elif n > 2 * k + 2:
         cyc = edge_level_partition(g).get(2 * k - 2)
-        if cyc is None:
+        if cyc is None or (cyc.sum(axis=1) != 2).any():
             return None
-        succ: dict[int, list[int]] = {v: [] for v in range(n)}
-        for u, v in cyc:
-            succ[u].append(v)
-        if any(len(vs) != 2 for vs in succ.values()):
-            return None
+        succ = np.nonzero(cyc)[1].reshape(n, 2).tolist()  # both cycle neighbors, ascending
         labels = [-1] * n
         labels[0] = 0
         prev, cur = -1, 0
@@ -157,18 +148,12 @@ def is_elementary_caw(g: Graph):
                 return None  # short cycle: relation is not Hamiltonian
             labels[nxt_v] = step
             prev, cur = cur, nxt_v
-        if 0 not in succ[cur]:
-            return None
-        m = n
     else:
         return None  # d = n - 1 would mean a complete graph, never elementary
 
-    for u in range(n):
-        for v in range(u + 1, n):
-            want = 1 <= circular_distance(labels[u], labels[v], m) <= k
-            if g.adjacent(u, v) != want:
-                return None
-    return (m, k, tuple(labels))
+    if not np.array_equal(g.adj, circulant(n, k)[np.ix_(labels, labels)]):
+        return None
+    return (n, k, tuple(labels))
 
 
 def decompose_caw(g: Graph) -> DecomposeOutcome:
@@ -176,7 +161,7 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
 
     Pipeline: the scheme must be association; the twin classes must have a
     common size r; the twin quotient must be elementary.  The assembled
-    relabeling onto C_{m,k}[K_r] is verified edge by edge before the
+    relabeling onto C_{m,k}[K_r] is verified edge-exactly before the
     certificate is returned, so a success is self-certifying.
     """
     cc = closure_of_graph(g)
@@ -199,16 +184,11 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     for ci, cls in enumerate(part.classes):
         for idx, v in enumerate(cls):
             relabeling[v] = (qlabels[ci], idx)
-    for u in range(g.n):
-        au, bu = relabeling[u]
-        for v in range(u + 1, g.n):
-            av, bv = relabeling[v]
-            if au == av:
-                want = bu != bv
-            else:
-                want = 1 <= circular_distance(au, av, m) <= k
-            if g.adjacent(u, v) != want:
-                return DecomposeOutcome(None, STAGE_RELABELING_FAILED, cc)
+    # (a, b) is point a * r + b of C_{m,k}[K_r], as lex_product numbers it
+    member = lex_product(Graph(circulant(m, k)), complete(r))
+    sigma = [a * r + b for a, b in relabeling]
+    if not np.array_equal(g.adj, member.adj[np.ix_(sigma, sigma)]):
+        return DecomposeOutcome(None, STAGE_RELABELING_FAILED, cc)
     return DecomposeOutcome(Decomposition(m, k, r, tuple(relabeling)), None, cc)
 
 

@@ -210,10 +210,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_arcs(args) -> int:
+    limit = _limit(args, DEFAULT_CLOSURE_LIMIT)
     try:
         model = arcmod.read_model(args.model)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if model.n_vertices > limit:
+        print(f"error: model has {model.n_vertices} arcs, limit is {limit}", file=sys.stderr)
         return 2
 
     if args.action == "check":

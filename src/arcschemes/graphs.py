@@ -1,84 +1,61 @@
 """Finite simple graphs and the constructions the package is built on.
 
-Vertices are dense integers ``0..n-1``.  Adjacency is stored as one integer
-bitmask per vertex, which makes the neighborhood algebra used everywhere
-else (twins, common-neighbor counts, automorphism pruning) a couple of
-machine operations.  Every value is immutable after construction and safe
-to share between threads.
+Vertices are dense integers ``0..n-1``.  A graph is its adjacency matrix:
+one read-only n x n boolean numpy array, symmetric with a False diagonal,
+so a graph costs n^2 bytes.  Every graph operation (products, twins,
+quotients, common-neighbor counts) is numpy on that matrix, and every
+value is immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-def circular_distance(i: int, j: int, n: int) -> int:
-    """Distance between i and j on the n-cycle."""
-    d = (j - i) % n
-    return min(d, n - d)
+import numpy as np
 
 
 class Graph:
     """Undirected graph without loops or multiple edges."""
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
-        # Trusted constructor; use from_edges() and the generators below
-        # for validated input.
-        self.n = n
-        self._adj = adj
+    def __init__(self, adj):
+        # Trusted constructor: adj must be a symmetric 0/1 matrix with a
+        # zero diagonal.  Use from_edges() and the generators below for
+        # validated input.
+        adj = np.array(adj, dtype=bool)
+        adj.flags.writeable = False
+        self.n = adj.shape[0]
+        self.adj = adj
 
     def adjacent(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        m = self._adj[v]
-        return tuple(u for u in range(self.n) if m >> u & 1)
-
-    def neighbor_mask(self, v: int) -> int:
-        return self._adj[v]
-
-    def closed_neighbor_mask(self, v: int) -> int:
-        return self._adj[v] | (1 << v)
+        return bool(self.adj[u, v])
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
-
-    def common_neighbor_count(self, u: int, v: int) -> int:
-        return (self._adj[u] & self._adj[v]).bit_count()
+        return int(np.count_nonzero(self.adj[v]))
 
     def edges(self) -> list[tuple[int, int]]:
-        """Edges as sorted (u, v) pairs with u < v."""
-        out = []
-        for u in range(self.n):
-            m = self._adj[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    out.append((u, v))
-                m >>= 1
-                v += 1
-        return out
+        """Edges as sorted (u, v) pairs with u < v, in row-major order."""
+        return [tuple(e) for e in np.argwhere(np.triu(self.adj)).tolist()]
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self._adj) // 2
+        return int(np.count_nonzero(self.adj)) // 2
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degree(v) for v in range(self.n)))
+        return tuple(sorted(self.adj.sum(axis=1).tolist()))
 
     def is_regular(self) -> bool:
-        return len({self.degree(v) for v in range(self.n)}) <= 1
+        return len(set(self.adj.sum(axis=1).tolist())) <= 1
 
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self._adj == other._adj
+            and np.array_equal(self.adj, other.adj)
         )
 
     def __hash__(self):
-        return hash((self.n, self._adj))
+        return hash((self.n, self.adj.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
@@ -92,7 +69,6 @@ def from_edges(n: int, edges) -> Graph:
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    adj = [0] * n
     seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -103,26 +79,34 @@ def from_edges(n: int, edges) -> Graph:
         if key in seen:
             raise ValueError(f"duplicate edge ({u}, {v})")
         seen.add(key)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    adj = np.zeros((n, n), dtype=bool)
+    u, v = np.array(list(seen), dtype=np.intp).reshape(-1, 2).T
+    adj[u, v] = adj[v, u] = True
+    return Graph(adj)
 
 
 def empty_graph(n: int) -> Graph:
     return from_edges(n, [])
 
 
+def circulant(m: int, k: int) -> np.ndarray:
+    """Adjacency matrix on Z_m: labels a != b are adjacent iff their
+    circular distance is at most k."""
+    d = np.arange(m)
+    row = (np.minimum(d, m - d) <= k) & (d != 0)  # the neighbors of 0
+    return row[(d[None, :] - d[:, None]) % m]
+
+
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph(circulant(n, n // 2))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(circulant(n, 1))
 
 
 def elementary_caw(n: int, k: int) -> Graph:
@@ -133,34 +117,30 @@ def elementary_caw(n: int, k: int) -> Graph:
     """
     if k < 0 or 2 * k + 1 >= n:
         raise ValueError(f"elementary circular-arc graph needs 0 <= 2k+1 < n, got n={n}, k={k}")
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if 1 <= circular_distance(i, j, n) <= k
-    ]
-    return from_edges(n, edges)
+    return Graph(circulant(n, k))
 
 
 def lex_product(outer: Graph, inner: Graph) -> Graph:
     """Lexicographic product: blow each outer vertex up into a copy of inner.
 
     Vertex (a, b) is encoded as a * inner.n + b.  (a, b) ~ (c, d) iff
-    a ~ c in the outer graph, or a = c and b ~ d in the inner graph.
+    a ~ c in the outer graph, or a = c and b ~ d in the inner graph: the
+    matrix kron(outer, ones) | kron(eye, inner), built as one broadcast
+    over the axes (a, b, c, d).
     """
-    ni = inner.n
-    n = outer.n * ni
-    edges = []
-    for a in range(outer.n):
-        for c in range(a, outer.n):
-            if a == c:
-                for b, d in inner.edges():
-                    edges.append((a * ni + b, a * ni + d))
-            elif outer.adjacent(a, c):
-                for b in range(ni):
-                    for d in range(ni):
-                        edges.append((a * ni + b, c * ni + d))
-    return from_edges(n, edges)
+    m, r = outer.n, inner.n
+    fibers = np.eye(m, dtype=bool)[:, None, :, None] & inner.adj[None, :, None, :]
+    return Graph((outer.adj[:, None, :, None] | fibers).reshape(m * r, m * r))
+
+
+def common_neighbors(g: Graph) -> np.ndarray:
+    """The n x n matrix of |N(u) & N(v)|, as int64.
+
+    The product runs in float64 so that it goes through BLAS; it is exact,
+    because every entry is an integer at most n < 2^53.
+    """
+    adj = g.adj.astype(np.float64)
+    return (adj @ adj).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -200,15 +180,14 @@ def twin_relation(g: Graph) -> VertexPartition:
     """Partition into classes of pairwise twins (adjacent, equal closed
     neighborhoods); vertices without a twin end up in singleton classes.
 
-    Grouping by closed-neighborhood bitmask is equivalent to the pairwise
-    definition: u ~twin~ v forces u and v adjacent, hence N[u] = N[v].
-    Classes are ordered by their smallest vertex.
+    Grouping equal rows of the closed neighborhood matrix is equivalent to
+    the pairwise definition: u ~twin~ v forces u and v adjacent, hence
+    N[u] = N[v].  Classes are ordered by their smallest vertex.
     """
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.closed_neighbor_mask(v), []).append(v)
-    classes = sorted(groups.values(), key=lambda c: c[0])
-    return VertexPartition.from_classes(g.n, classes)
+    groups: dict[bytes, list[int]] = {}
+    for v, row in enumerate(g.adj | np.eye(g.n, dtype=bool)):
+        groups.setdefault(row.tobytes(), []).append(v)
+    return VertexPartition.from_classes(g.n, groups.values())
 
 
 def quotient_graph(g: Graph, p: VertexPartition) -> Graph:
@@ -216,26 +195,23 @@ def quotient_graph(g: Graph, p: VertexPartition) -> Graph:
     if p.n != g.n:
         raise ValueError("partition does not match graph")
     k = len(p.classes)
-    edges = set()
-    for u, v in g.edges():
-        cu, cv = p.class_of[u], p.class_of[v]
-        if cu != cv:
-            edges.add((min(cu, cv), max(cu, cv)))
-    return from_edges(k, sorted(edges))
+    class_of = np.array(p.class_of, dtype=np.intp)
+    u, v = np.nonzero(g.adj)
+    adj = np.zeros((k, k), dtype=bool)
+    adj[class_of[u], class_of[v]] = True
+    np.fill_diagonal(adj, False)
+    return Graph(adj)
 
 
-def edge_level_partition(g: Graph) -> dict[int, frozenset[tuple[int, int]]]:
-    """Split the (ordered) edge relation by number of common neighbors.
+def edge_level_partition(g: Graph) -> dict[int, np.ndarray]:
+    """Split the edge relation by number of common neighbors.
 
-    Level k holds all ordered pairs (u, v) with u ~ v and |N(u) & N(v)| = k.
-    The levels are disjoint, each is symmetric, and their union is the
-    full edge relation.
+    Level k is the boolean matrix of the ordered pairs (u, v) with u ~ v
+    and |N(u) & N(v)| = k.  The levels are disjoint, each is symmetric,
+    and their union is the adjacency matrix.
     """
-    levels: dict[int, set[tuple[int, int]]] = {}
-    for u, v in g.edges():
-        k = g.common_neighbor_count(u, v)
-        levels.setdefault(k, set()).update([(u, v), (v, u)])
-    return {k: frozenset(pairs) for k, pairs in levels.items()}
+    common = common_neighbors(g)
+    return {k: g.adj & (common == k) for k in np.unique(common[g.adj]).tolist()}
 
 
 def count_automorphisms(g: Graph, limit: int = 12) -> int:
@@ -252,7 +228,7 @@ def count_automorphisms(g: Graph, limit: int = 12) -> int:
         raise ValueError(f"graph has {n} vertices, automorphism limit is {limit}")
     if n <= 1:
         return 1
-    adj = g._adj
+    adj = g.adj.tolist()
 
     def exists_automorphism(colors: list[int], src: int, dst: int) -> bool:
         # Any color-preserving automorphism mapping src to dst?
@@ -274,7 +250,7 @@ def count_automorphisms(g: Graph, limit: int = 12) -> int:
                 ok = True
                 for j in range(i):
                     u = order[j]
-                    if (adj[v] >> u & 1) != (adj[w] >> perm[u] & 1):
+                    if adj[v][u] != adj[w][perm[u]]:
                         ok = False
                         break
                 if ok:
@@ -306,8 +282,7 @@ def count_automorphisms(g: Graph, limit: int = 12) -> int:
         stab_colors[pivot] = fresh
         return orbit * group_order(stab_colors, fresh + 1)
 
-    degrees = [g.degree(v) for v in range(n)]
-    return group_order(degrees, n + 1)
+    return group_order(g.adj.sum(axis=1).tolist(), n + 1)
 
 
 # ---------------------------------------------------------------------------

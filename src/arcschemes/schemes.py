@@ -312,6 +312,10 @@ def scheme_from_text(text: str) -> CoherentConfiguration:
     n, rank = values
     if n < 1:
         raise ValueError(f"line {lineno}: a scheme needs at least one point")
+    if rank > n * n:
+        # also keeps every accepted color inside int64
+        raise ValueError(f"line {lineno}: header declares rank {rank} but {n} points "
+                         f"have {n * n} pairs")
     rows = list(records)
     if len(rows) != n:
         raise ValueError(f"header declares {n} rows but file has {len(rows)}")

@@ -17,6 +17,12 @@ from arcschemes.graphs import Graph, from_edges
 from arcschemes.schemes import ISO, NOT_ISO, IsoVerdict
 
 
+def circular_distance(i: int, j: int, n: int) -> int:
+    """Distance between i and j on the n-cycle."""
+    d = (j - i) % n
+    return min(d, n - d)
+
+
 def dihedral_pair_orbits(n: int) -> set[frozenset]:
     """Orbits of the dihedral group D_2n acting on ordered pairs of Z_n."""
     perms = []
@@ -100,19 +106,27 @@ def refine_step_oracle(colors, rank: int):
     return np.array(out, dtype=np.int64), len(ids)
 
 
-def initial_coloring_oracle(rs) -> np.ndarray:
-    """Initial 2-WL coloring of a RelationSet, pair by pair: the key of
-    (u, v) is u == v with the membership of (u, v) and of (v, u) in every
-    relation; ids follow first appearance in a row-major scan."""
-    n = rs.n
+def membership(n: int, pairs) -> np.ndarray:
+    """The n x n boolean membership matrix of a set of ordered pairs."""
+    mat = np.zeros((n, n), dtype=bool)
+    for u, v in pairs:
+        mat[u, v] = True
+    return mat
+
+
+def initial_coloring_oracle(n: int, relations) -> np.ndarray:
+    """Initial 2-WL coloring of n x n membership matrices, pair by pair:
+    the key of (u, v) is u == v with the membership of (u, v) and of
+    (v, u) in every relation; ids follow first appearance in a row-major
+    scan."""
     mat = np.zeros((n, n), dtype=np.int64)
     ids: dict[tuple, int] = {}
     for u in range(n):
         for v in range(n):
             key = (
                 u == v,
-                tuple((u, v) in rel for rel in rs.relations),
-                tuple((v, u) in rel for rel in rs.relations),
+                tuple(bool(rel[u][v]) for rel in relations),
+                tuple(bool(rel[v][u]) for rel in relations),
             )
             mat[u, v] = ids.setdefault(key, len(ids))
     return mat
@@ -227,6 +241,48 @@ def schemes_isomorphic(a, b) -> IsoVerdict:
     if witness is None:
         return IsoVerdict(NOT_ISO)
     return IsoVerdict(ISO, witness)
+
+
+def lex_product_oracle(outer: Graph, inner: Graph) -> Graph:
+    """Lexicographic product edge by edge: (a, b) is a * inner.n + b, and
+    (a, b) ~ (c, d) iff a ~ c, or a = c and b ~ d."""
+    ni = inner.n
+    edges = []
+    for a in range(outer.n):
+        for c in range(a, outer.n):
+            if a == c:
+                for b, d in inner.edges():
+                    edges.append((a * ni + b, a * ni + d))
+            elif outer.adjacent(a, c):
+                for b in range(ni):
+                    for d in range(ni):
+                        edges.append((a * ni + b, c * ni + d))
+    return from_edges(outer.n * ni, edges)
+
+
+def intersection_graph_oracle(f: ArcFunction) -> Graph:
+    """Intersection graph pair by pair: arcs meet iff one starts inside the other."""
+    def meet(u: int, v: int) -> bool:
+        su, lu = f.arcs[u]
+        sv, lv = f.arcs[v]
+        return (sv - su) % f.m < lu or (su - sv) % f.m < lv
+
+    n = f.n_vertices
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if meet(u, v)])
+
+
+def neighborhood_condition_oracle(g: Graph):
+    """The first ordered edge (u, v), row-major, with N(u) inside {v} + N(v),
+    on one Python-int bitmask per vertex; None if there is none."""
+    mask = [0] * g.n
+    for u, v in g.edges():
+        mask[u] |= 1 << v
+        mask[v] |= 1 << u
+    for u in range(g.n):
+        for v in range(g.n):
+            if mask[u] >> v & 1 and mask[u] & ~(mask[v] | 1 << v) == 0:
+                return (u, v)
+    return None
 
 
 def petersen() -> Graph:

@@ -65,6 +65,12 @@ class TestIntersectionGraph:
         with pytest.raises(ValueError, match="condition"):
             intersection_graph(f)
 
+    def test_matches_pairwise_oracle(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            f = oracles.random_arc_function(rng, max_vertices=40)
+            assert intersection_graph(f) == oracles.intersection_graph_oracle(f)
+
 
 class TestStandardModel:
     def test_cycle_model(self):
@@ -104,6 +110,19 @@ class TestNeighborhoodCondition:
 
     def test_complete_fails(self):
         assert not check_neighborhood_condition(complete(4)).ok
+
+    def test_matches_bitset_oracle(self, corpus):
+        rng = random.Random(9)
+        graphs = list(corpus)
+        graphs += [intersection_graph(oracles.random_arc_function(rng, max_vertices=40))
+                   for _ in range(300)]
+        held = 0
+        for g in graphs:
+            check = check_neighborhood_condition(g)
+            assert check.witness == oracles.neighborhood_condition_oracle(g)
+            assert check.ok == (check.witness is None)
+            held += check.ok
+        assert 0 < held < len(graphs)
 
 
 class TestReduce:

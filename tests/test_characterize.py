@@ -19,7 +19,6 @@ from arcschemes.characterize import (
 )
 from arcschemes.closure import closure_of_graph
 from arcschemes.graphs import (
-    circular_distance,
     complete,
     count_automorphisms,
     cycle,
@@ -35,7 +34,7 @@ def assert_labels_witness(g, n, k, labels):
     assert sorted(labels) == list(range(n))
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            want = 1 <= circular_distance(labels[u], labels[v], n) <= k
+            want = 1 <= oracles.circular_distance(labels[u], labels[v], n) <= k
             assert g.adjacent(u, v) == want
 
 
@@ -50,7 +49,7 @@ def assert_certificate_witness(g, cert):
             if au == av:
                 want = bu != bv
             else:
-                want = 1 <= circular_distance(au, av, cert.m) <= cert.k
+                want = 1 <= oracles.circular_distance(au, av, cert.m) <= cert.k
             assert g.adjacent(u, v) == want
     assert len(seen) == g.n == cert.m * cert.r
 
@@ -217,6 +216,21 @@ class TestDecompose:
                     out = decompose_caw(h)
                     assert out.ok, (m, k, r, perm)
                     assert (out.certificate.k, out.certificate.r) == (k, r)
+
+    @pytest.mark.parametrize("m, k", [(7, 1), (9, 2), (13, 4), (40, 3)])
+    def test_walk_leaves_vertex_zero_towards_smaller_neighbor(self, m, k):
+        # r = 1 and m > 2k+2: label 1 goes to the smaller-numbered of the
+        # two vertices next to vertex 0 on the recovered cycle
+        rng = random.Random(m * 100 + k)
+        for _ in range(10):
+            perm = list(range(m))
+            rng.shuffle(perm)
+            g = from_edges(m, [(perm[u], perm[v]) for u, v in elementary_caw(m, k).edges()])
+            cert = decompose_caw(g).certificate
+            assert_certificate_witness(g, cert)
+            at = perm.index(0)
+            beside = min(perm[(at + 1) % m], perm[(at - 1) % m])
+            assert cert.relabeling[0] == (0, 0) and cert.relabeling[beside] == (1, 0)
 
     def test_soundness_on_corpus(self, corpus):
         for g in corpus:

@@ -89,7 +89,8 @@ class TestGen:
 
         if env is not None:
             monkeypatch.setenv("CAW_LIMIT", env)
-        monkeypatch.setattr("arcschemes.graphs.from_edges", refuse)
+        # every generator, product and reader builds its graph through Graph()
+        monkeypatch.setattr("arcschemes.graphs.Graph.__init__", refuse)
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: graph has {n} vertices, limit is {limit}\n"
 
@@ -144,7 +145,7 @@ class TestClosure:
 
     @pytest.mark.parametrize("command", ["closure", "decompose"])
     def test_edges_of_huge_graph_allocate_nothing_per_vertex(self, command, tmp_path, capsys):
-        # a neighbor bitmask of vertex 1999999 takes 250 KB; a short file must not build any
+        # the adjacency matrix of 2000000 vertices takes 4 TB; a short file must not build it
         huge = tmp_path / "huge.graph"
         huge.write_text("2000000 8\n" + "".join(f"{i} {1999999 - i}\n" for i in range(8)))
         tracemalloc.start()
@@ -271,6 +272,24 @@ class TestArcs:
         path = tmp_path / "bad.arcs"
         path.write_text("4 3\n0 1\n1 2\n2 2\n")
         assert main(["arcs", str(path), "graph"]) == 2
+
+    @pytest.mark.parametrize("action", ["graph", "reduce", "check"])
+    def test_arc_count_limit_checked_before_graph_is_built(self, action, tmp_path, capsys,
+                                                           monkeypatch):
+        from arcschemes.arcs import standard_model
+
+        path = tmp_path / "big.arcs"
+        write_model(standard_model(201, 2), path)
+
+        def refuse(*args):
+            raise AssertionError("graph built before the arc limit was checked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("arcschemes.graphs.Graph.__init__", refuse)
+            assert main(["arcs", str(path), action]) == 2
+        assert capsys.readouterr().err == "error: model has 201 arcs, limit is 200\n"
+        assert main(["--limit", "300", "arcs", str(path), action]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_check_on_huge_circle_allocates_nothing_per_point(self, tmp_path, capsys):
         # condition (1) forces m <= 2n, so a huge m must fail without a list of m entries

@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from arcschemes.arcs import check_neighborhood_condition
+from arcschemes.characterize import is_elementary_caw
 from arcschemes.graphs import (
     VertexPartition,
     complete,
@@ -118,6 +121,12 @@ class TestLexProduct:
         g = lex_product(empty_graph(3), complete(2))
         assert g.edges() == [(0, 1), (2, 3), (4, 5)]
 
+    def test_matches_loop_oracle(self, corpus):
+        inners = [empty_graph(0), complete(1), complete(2), empty_graph(2), oracles.path(3)]
+        for outer in corpus + [empty_graph(0)]:
+            for inner in inners:
+                assert lex_product(outer, inner) == oracles.lex_product_oracle(outer, inner)
+
 
 class TestTwins:
     def test_complete_one_class(self):
@@ -173,9 +182,14 @@ class TestQuotient:
             VertexPartition.from_classes(4, [(0, 1)])
 
 
+def level_pairs(levels):
+    """Edge levels as frozensets of ordered pairs."""
+    return {k: frozenset(map(tuple, np.argwhere(m).tolist())) for k, m in levels.items()}
+
+
 class TestEdgeLevels:
     def test_triangle(self):
-        levels = edge_level_partition(complete(3))
+        levels = level_pairs(edge_level_partition(complete(3)))
         assert set(levels) == {1}
         assert levels[1] == frozenset(
             {(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)}
@@ -183,7 +197,7 @@ class TestEdgeLevels:
 
     def test_c72_levels_by_distance(self):
         g = elementary_caw(7, 2)
-        levels = edge_level_partition(g)
+        levels = level_pairs(edge_level_partition(g))
         dist1 = frozenset(
             (i, j) for i in range(7) for j in range(7)
             if (j - i) % 7 in (1, 6)
@@ -200,13 +214,43 @@ class TestEdgeLevels:
     @settings(max_examples=40, deadline=None)
     @given(graphs())
     def test_levels_partition_the_edge_relation(self, g):
-        levels = edge_level_partition(g)
+        levels = level_pairs(edge_level_partition(g))
         seen = set()
         for pairs in levels.values():
             assert not (seen & pairs)
             seen |= pairs
         expected = {(u, v) for u, v in g.edges()} | {(v, u) for u, v in g.edges()}
         assert seen == expected
+
+
+@pytest.mark.parametrize("g", [
+    empty_graph(0),
+    empty_graph(1),
+    complete(1),
+    lex_product(empty_graph(0), complete(3)),
+    lex_product(cycle(5), empty_graph(0)),
+    lex_product(complete(1), complete(1)),
+], ids=["empty-0", "empty-1", "complete-1", "lex-empty-outer", "lex-empty-inner", "lex-1-1"])
+def test_zero_and_one_vertex_graphs(g):
+    n = g.n
+    assert n <= 1 and g.adj.shape == (n, n)
+    assert g.edges() == [] and g.edge_count() == 0
+    assert g.degree_sequence() == (0,) * n and g.is_regular()
+    assert g == from_edges(n, []) and hash(g) == hash(from_edges(n, []))
+    part = twin_relation(g)
+    assert part.classes == tuple((v,) for v in range(n))
+    assert quotient_graph(g, part) == g
+    assert edge_level_partition(g) == {}
+    assert count_automorphisms(g) == 1
+    assert graph_from_text(graph_to_text(g)) == g
+    assert check_neighborhood_condition(g).ok
+    assert is_elementary_caw(g) == (None if n == 0 else (1, 0, (0,)))
+    assert lex_product(g, complete(2)).n == lex_product(complete(2), g).n == 2 * n
+
+
+def test_edge_level_keys_are_python_ints():
+    levels = edge_level_partition(oracles.petersen())
+    assert list(levels) == [0] and type(next(iter(levels))) is int
 
 
 class TestAutomorphisms:

@@ -302,6 +302,13 @@ class TestIO:
         with pytest.raises(ValueError, match=f"^line {line}: a scheme needs at least one point$"):
             scheme_from_text(text)
 
+    def test_rank_above_pair_count_rejected_at_header(self):
+        # colors below such a rank could overflow the int64 color matrix
+        with pytest.raises(ValueError, match="^line 1: header declares rank 10{23} but 1 points"):
+            scheme_from_text("1 100000000000000000000000\n99999999999999999999999\n")
+        with pytest.raises(ValueError, match="^line 2: header declares rank 5 but 2 points"):
+            scheme_from_text("# c\n2 5\n0 1\n2 3\n")
+
     def test_non_canonical_input_is_canonicalized(self):
         # swapped color ids on input; write-then-read is stable afterwards
         cfg = scheme_from_text("2 2\n1 0\n0 1\n")
