@@ -92,7 +92,7 @@ def refine_step_oracle(colors, rank: int):
     color(u, w) * rank + color(w, v) over all w; new ids follow first
     appearance in a row-major scan.  Returns (new color matrix, new rank).
     """
-    rows = [list(r) for r in np.asarray(colors)]
+    rows = np.asarray(colors).tolist()  # Python ints: no overflow at any rank
     n = len(rows)
     cols = [tuple(rows[w][v] for w in range(n)) for v in range(n)]
     ids: dict[tuple, int] = {}

@@ -52,11 +52,43 @@ class TestParity:
                 rank = new_rank
             assert np.array_equal(mat, closure_of_graph(g).colors)
 
+    # each side of the int16, int32 and int64 limits of rank * (rank + 1):
+    # 180 * 181 = 32580 <= 32767 < 181 * 182, 46340 * 46341 <= 2**31 - 1 <
+    # 46341 * 46342, and 3037000499 is the largest rank int64 holds
+    @pytest.mark.parametrize("rank", [180, 181, 182, 46340, 46341, 46342, 50000, 3037000499])
+    def test_ranks_at_the_type_limits(self, rank):
+        rng = random.Random(rank)
+        palette = [0, 1, rank // 2, rank - 2, rank - 1]
+        for n in range(1, 10):
+            for _ in range(4):
+                # a small palette with the largest colors makes signatures
+                # collide; a full-range draw makes them mostly distinct
+                mat = np.array([[rng.choice(palette) for _ in range(n)] for _ in range(n)],
+                               dtype=np.int64)
+                assert_same_round(mat, rank)
+                mat = np.array([[rng.randrange(rank) for _ in range(n)] for _ in range(n)],
+                               dtype=np.int64)
+                mat[rng.randrange(n), rng.randrange(n)] = rank - 1
+                assert_same_round(mat, rank)
+
     def test_idempotent_on_stable_input(self):
         cc = closure_of_graph(elementary_caw(8, 2))
         out, rank = refine_step(cc.colors, cc.rank)
         assert rank == cc.rank
         assert np.array_equal(out, cc.colors)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [-1, 3, 10**12])
+    def test_color_outside_rank_raises(self, bad):
+        mat = np.array([[0, 1], [2, 0]], dtype=np.int64)
+        mat[1, 1] = bad
+        with pytest.raises(ValueError, match=r"colors must lie in \[0, 3\)"):
+            refine_step(mat, 3)
+
+    def test_rank_beyond_int64_raises(self):
+        with pytest.raises(ValueError, match="too large"):
+            refine_step(np.zeros((2, 2), dtype=np.int64), 3037000500)
 
 
 class TestInitialColoring:
