@@ -31,7 +31,6 @@ from .characterize import (
 from .closure import closure_of_graph, coherent_closure
 from .graphs import (
     Graph,
-    VertexPartition,
     complete,
     count_automorphisms,
     cycle,
@@ -68,7 +67,6 @@ __all__ = [
     "IsoVerdict",
     "ReducedArcFunction",
     "SchemeDecomposition",
-    "VertexPartition",
     "VerifyReport",
     "check_neighborhood_condition",
     "closure_of_graph",

@@ -12,11 +12,16 @@ to exactly one point per vertex while preserving the intersection graph;
 the result satisfies (i) no arc contains another, (ii) circle length
 equals vertex count, (iii) every point is an end-point of exactly two
 arcs.  These labels are the ones the `arcs check` CLI report uses.
+
+Every check is numpy on the arrays of arc starts and sizes: (i) on the
+n x n containment matrix, (1) and (iii) on end-point counts of the first
+2n + 1 points at most, so nothing is allocated per circle point at any m.  reduce groups the equal
+rows of the m x n point-membership matrix, which condition (1) keeps at
+most 2n x n.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -49,19 +54,6 @@ class ArcFunction:
     def n_vertices(self) -> int:
         return len(self.arcs)
 
-    def points(self, v: int) -> tuple[int, ...]:
-        """The elements of arc v in circular order."""
-        start, size = self.arcs[v]
-        return tuple((start + i) % self.m for i in range(size))
-
-    def endpoints(self, v: int) -> tuple[int, int]:
-        start, size = self.arcs[v]
-        return (start, (start + size - 1) % self.m)
-
-    def contains(self, v: int, point: int) -> bool:
-        start, size = self.arcs[v]
-        return (point - start) % self.m < size
-
     def __eq__(self, other):
         return (
             isinstance(other, ArcFunction)
@@ -76,24 +68,37 @@ class ArcFunction:
         return f"{type(self).__name__}(m={self.m}, n={self.n_vertices})"
 
 
-def _endpoint_counts(f: ArcFunction) -> Counter:
-    """Number of arcs each point is an end-point of.  Points that are no
-    end-point are absent, so there are at most 2n keys whatever m is."""
-    return Counter(p for v in range(f.n_vertices) for p in set(f.endpoints(v)))
+def _columns(f: ArcFunction) -> np.ndarray:
+    """The 2 x n array of the arc starts and sizes.  int64 holds start +
+    size exactly while m < 2^62; a larger circle gets an array of Python
+    ints, so every check stays exact at any m."""
+    dtype = np.int64 if f.m < 1 << 62 else object
+    return np.array(f.arcs, dtype=dtype).reshape(-1, 2).T
+
+
+def _end_point_counts(m: int, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The number of arcs each of the points 0 .. min(m, 2n + 1) - 1 is an
+    end-point of.  The n arcs have at most 2n end-points, so if m > 2n + 1
+    a point in that range is none: the first point of Z_m violating (1) or
+    (iii) always lies in it, and nothing here grows with m."""
+    end = (start + size - 1) % m
+    # an arc of one point has a single end-point
+    points = np.concatenate([start, end[size > 1]])
+    top = min(m, 2 * len(start) + 1)
+    return np.bincount(points[points < top].astype(np.int64), minlength=top)
 
 
 def condition_failures(f: ArcFunction) -> list[str]:
     """Violations of conditions (1) and (2), as human-readable strings."""
     failures = []
-    counts = _endpoint_counts(f)
-    if len(counts) < f.m:
-        # at most 2n points are covered, so this scan stops within 2n+1 steps
-        uncovered = next(i for i in range(f.m) if i not in counts)
+    start, size = _columns(f)
+    uncovered = np.flatnonzero(_end_point_counts(f.m, start, size) == 0)
+    if uncovered.size:
         failures.append(
-            f"condition (1): point {uncovered} of Z_{f.m} is not an end-point of any arc"
+            f"condition (1): point {uncovered[0]} of Z_{f.m} is not an end-point of any arc"
         )
-    small = [v for v in range(f.n_vertices) if f.arcs[v][1] < 2]
-    if small:
+    small = np.flatnonzero(size < 2)
+    if small.size:
         failures.append(f"condition (2): arc of vertex {small[0]} has fewer than two points")
     return failures
 
@@ -107,8 +112,7 @@ def require_valid(f: ArcFunction) -> None:
 def intersection_graph(f: ArcFunction) -> Graph:
     """Graph on the vertices of f; u ~ v iff their arcs share a point."""
     require_valid(f)
-    # condition (1) leaves at most 2n points, so m and every start are below 2n
-    start, size = np.array(f.arcs, dtype=np.int64).T
+    start, size = _columns(f)  # int64: condition (1) leaves at most 2n points
     offset = (start[None, :] - start[:, None]) % f.m  # start of v seen from u
     meet = (offset < size[:, None]) | (offset.T < size[None, :])
     np.fill_diagonal(meet, False)
@@ -158,30 +162,25 @@ class ReducedArcFunction(ArcFunction):
 
 
 def reduction_failures(f: ArcFunction) -> list[str]:
-    """Violations of the reduced-model invariants (i), (ii), (iii)."""
+    """Violations of the reduced-model invariants (i), (ii), (iii); each
+    names the first violation, for (i) in row-major order of (u, v)."""
     failures = []
     n = f.n_vertices
-    for u in range(n):
-        for v in range(n):
-            if u != v and _arc_contains(f, v, u):
-                failures.append(f"(i): arc of vertex {u} is contained in arc of vertex {v}")
-                break
-        else:
-            continue
-        break
+    start, size = _columns(f)
+    # inside[u, v]: arc u lies in arc v, that is it is no longer and starts
+    # at most |f(v)| - |f(u)| points after the start of arc v
+    inside = (size[:, None] <= size) & ((start[:, None] - start) % f.m <= size - size[:, None])
+    np.fill_diagonal(inside, False)
+    if inside.any():
+        u, v = divmod(int(inside.argmax()), n)
+        failures.append(f"(i): arc of vertex {u} is contained in arc of vertex {v}")
     if f.m != n:
         failures.append(f"(ii): circle length {f.m} differs from vertex count {n}")
-    counts = _endpoint_counts(f)
-    bad = next((i for i in range(f.m) if counts[i] != 2), None)
-    if bad is not None:
-        failures.append(f"(iii): point {bad} is an end-point of {counts[bad]} arcs, not 2")
+    counts = _end_point_counts(f.m, start, size)
+    bad = np.flatnonzero(counts != 2)
+    if bad.size:
+        failures.append(f"(iii): point {bad[0]} is an end-point of {counts[bad[0]]} arcs, not 2")
     return failures
-
-
-def _arc_contains(f: ArcFunction, outer: int, inner: int) -> bool:
-    so, lo = f.arcs[outer]
-    si, li = f.arcs[inner]
-    return li <= lo and (si - so) % f.m <= lo - li
 
 
 def reduce(f: ArcFunction) -> ReducedArcFunction:
@@ -203,56 +202,37 @@ def reduce(f: ArcFunction) -> ReducedArcFunction:
             f"in the closed neighborhood of {check.witness[1]}"
         )
 
-    m, n = f.m, f.n_vertices
-    pattern = [0] * m
-    for v in range(n):
-        for p in f.points(v):
-            pattern[p] |= 1 << v
+    start, size = _columns(f)
+    # the m x n point-membership matrix; m <= 2n by condition (1)
+    member = (np.arange(f.m)[:, None] - start) % f.m < size
+    patterns, class_of = np.unique(member, axis=0, return_inverse=True)
+    class_of = class_of.reshape(-1)  # numpy 2.0.0 returns another shape
     # ~ classes: points with equal membership pattern; each must be a
     # proper circular interval, otherwise the input was inconsistent
-    classes: dict[int, list[int]] = {}
-    for p in range(m):
-        classes.setdefault(pattern[p], []).append(p)
-    if len(classes) < 2:
+    if len(patterns) < 2:
         raise ValueError("membership classes cover the whole circle; input inconsistent")
-    starts = {}
-    for pat, pts in classes.items():
-        members = set(pts)
-        heads = [p for p in pts if (p - 1) % m not in members]
-        if len(heads) != 1:
-            raise ValueError(
-                "membership class is not a circular interval; input inconsistent"
-            )
-        starts[pat] = heads[0]
-    ordered = sorted(classes, key=lambda pat: starts[pat])
-    index_of = {pat: i for i, pat in enumerate(ordered)}
-    new_m = len(ordered)
-
-    new_arcs = []
-    for v in range(n):
-        start, _ = f.arcs[v]
-        new_start = index_of[pattern[start]]
-        new_size = len({index_of[pattern[p]] for p in f.points(v)})
-        new_arcs.append((new_start, new_size))
-    reduced = ReducedArcFunction(new_m, new_arcs)
+    # a head is a point whose predecessor is in another class; with two or
+    # more classes each class has a head, and an interval has exactly one
+    heads = np.flatnonzero(class_of != np.roll(class_of, 1))
+    if len(heads) != len(patterns):
+        raise ValueError("membership class is not a circular interval; input inconsistent")
+    # new point i is the class of the i-th head around the circle, and an
+    # arc, a union of classes, keeps the classes it holds
+    index_of = np.empty(len(patterns), dtype=np.int64)
+    index_of[class_of[heads]] = np.arange(len(heads))
+    new_start = index_of[class_of[start]]
+    reduced = ReducedArcFunction(len(heads), zip(new_start.tolist(),
+                                                 patterns.sum(axis=0).tolist()))
     if intersection_graph(reduced) != g:
         raise AssertionError("reduction changed the intersection graph")
     return reduced
 
 
 def degree_check(rf: ReducedArcFunction) -> bool:
-    """Degree formula for reduced models: deg(v) = 2|f(v)| - 2; when the
-    graph is d-regular every arc must have (d + 2) / 2 points."""
-    g = intersection_graph(rf)
-    for v in range(rf.n_vertices):
-        if g.degree(v) != 2 * rf.arcs[v][1] - 2:
-            return False
-    degrees = {g.degree(v) for v in range(g.n)}
-    if len(degrees) == 1:
-        d = degrees.pop()
-        if any(2 * size != d + 2 for _, size in rf.arcs):
-            return False
-    return True
+    """Degree formula for reduced models: deg(v) = 2|f(v)| - 2.  On a
+    d-regular graph it makes every arc (d + 2) / 2 points long."""
+    _, size = _columns(rf)
+    return np.array_equal(intersection_graph(rf).adj.sum(axis=1), 2 * size - 2)
 
 
 def is_regular_equivalent(g: Graph) -> bool:
@@ -261,7 +241,7 @@ def is_regular_equivalent(g: Graph) -> bool:
     whether the graph is regular."""
     if g.edge_count() == 0:
         raise ValueError("equivalence requires a non-empty graph")
-    if any(len(c) > 1 for c in twin_relation(g).classes):
+    if not np.array_equal(twin_relation(g), np.arange(g.n)):
         raise ValueError("equivalence requires a twin-free graph")
     regular = g.is_regular()
     condition = check_neighborhood_condition(g).ok

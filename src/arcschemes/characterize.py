@@ -168,28 +168,31 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     if not is_association(cc):
         return DecomposeOutcome(None, STAGE_NON_ASSOCIATION, cc)
 
-    part = twin_relation(g)
-    sizes = {len(c) for c in part.classes}
-    if len(sizes) != 1:
+    labels = twin_relation(g)
+    sizes = np.bincount(labels)
+    if (sizes != sizes[0]).any():
         return DecomposeOutcome(None, STAGE_UNEQUAL_TWIN_CLASSES, cc)
-    r = sizes.pop()
+    r = int(sizes[0])
 
-    quot = quotient_graph(g, part)
+    quot = quotient_graph(g, labels)
     recognized = is_elementary_caw(quot)
     if recognized is None:
         return DecomposeOutcome(None, STAGE_QUOTIENT_NOT_ELEMENTARY, cc)
     m, k, qlabels = recognized
 
-    relabeling = [(0, 0)] * g.n
-    for ci, cls in enumerate(part.classes):
-        for idx, v in enumerate(cls):
-            relabeling[v] = (qlabels[ci], idx)
+    # v goes to (a, b): a is the position of its class on Z_m, and b its
+    # rank inside the class, read off a stable sort of the labels, which
+    # puts each class's r vertices next to each other in ascending order
+    a = np.asarray(qlabels)[labels]
+    b = np.empty(g.n, dtype=np.int64)
+    b[np.argsort(labels, kind="stable")] = np.arange(g.n) % r
     # (a, b) is point a * r + b of C_{m,k}[K_r], as lex_product numbers it
     member = lex_product(Graph(circulant(m, k)), complete(r))
-    sigma = [a * r + b for a, b in relabeling]
+    sigma = a * r + b
     if not np.array_equal(g.adj, member.adj[np.ix_(sigma, sigma)]):
         return DecomposeOutcome(None, STAGE_RELABELING_FAILED, cc)
-    return DecomposeOutcome(Decomposition(m, k, r, tuple(relabeling)), None, cc)
+    relabeling = tuple(zip(a.tolist(), b.tolist()))
+    return DecomposeOutcome(Decomposition(m, k, r, relabeling), None, cc)
 
 
 def _scheme_of_complete(r: int) -> CoherentConfiguration:
@@ -262,7 +265,7 @@ def verify_wreath_theorem(
     outer_scheme = closure_of_graph(outer)
     wreath = wreath_product(_scheme_of_complete(r), outer_scheme)
     fusion = is_fusion_of(actual, wreath)
-    twin_free = all(len(c) == 1 for c in twin_relation(outer).classes)
+    twin_free = np.array_equal(twin_relation(outer), np.arange(outer.n))
     asserted = twin_free and is_association(outer_scheme)
     case = f"outer graph on {outer.n} vertices with edges {outer.edges()}, r={r}"
     verdict = identity_verdict(actual, wreath, case)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _canonical_relabel
 from .kernels import refine_step
-from .schemes import CoherentConfiguration, _canonical_relabel
+from .schemes import CoherentConfiguration
 
 
 def _initial_coloring(n: int, relations) -> np.ndarray:

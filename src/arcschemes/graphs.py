@@ -5,11 +5,11 @@ one read-only n x n boolean numpy array, symmetric with a False diagonal,
 so a graph costs n^2 bytes.  Every graph operation (products, twins,
 quotients, common-neighbor counts) is numpy on that matrix, and every
 value is immutable after construction and safe to share between threads.
+A vertex partition, such as the twin classes, is a vector of one int
+label per vertex, with classes numbered by their smallest vertex.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,62 +144,48 @@ def common_neighbors(g: Graph) -> np.ndarray:
     return (adj @ adj).astype(np.int32)
 
 
-@dataclass(frozen=True)
-class VertexPartition:
-    """Partition of 0..n-1 into disjoint nonempty classes."""
+def _canonical_relabel(mat: np.ndarray) -> np.ndarray:
+    """Number the values of an array by first appearance in a row-major
+    scan.
 
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...] = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.class_of)
-
-    @staticmethod
-    def from_classes(n: int, classes) -> "VertexPartition":
-        norm = tuple(tuple(sorted(c)) for c in classes)
-        class_of = [-1] * n
-        for i, cls in enumerate(norm):
-            if not cls:
-                raise ValueError("empty partition class")
-            for v in cls:
-                if not 0 <= v < n:
-                    raise ValueError(f"vertex {v} out of range")
-                if class_of[v] != -1:
-                    raise ValueError(f"vertex {v} in two classes")
-                class_of[v] = i
-        if -1 in class_of:
-            raise ValueError("partition does not cover all vertices")
-        return VertexPartition(norm, tuple(class_of))
-
-    @staticmethod
-    def singletons(n: int) -> "VertexPartition":
-        return VertexPartition(tuple((v,) for v in range(n)), tuple(range(n)))
-
-
-def twin_relation(g: Graph) -> VertexPartition:
-    """Partition into classes of pairwise twins (adjacent, equal closed
-    neighborhoods); vertices without a twin end up in singleton classes.
-
-    Grouping equal rows of the closed neighborhood matrix is equivalent to
-    the pairwise definition: u ~twin~ v forces u and v adjacent, hence
-    N[u] = N[v].  Classes are ordered by their smallest vertex.
+    Works on the distinct values only, so memory does not depend on how
+    large the values are.
     """
-    groups: dict[bytes, list[int]] = {}
-    for v, row in enumerate(g.adj | np.eye(g.n, dtype=bool)):
-        groups.setdefault(row.tobytes(), []).append(v)
-    return VertexPartition.from_classes(g.n, groups.values())
+    _, first, inverse = np.unique(mat.ravel(), return_index=True, return_inverse=True)
+    # the new id of each distinct value is the rank of its first index
+    return np.argsort(np.argsort(first))[inverse].reshape(mat.shape)
 
 
-def quotient_graph(g: Graph, p: VertexPartition) -> Graph:
-    """Graph on the classes of p; X ~ Y iff some x in X is adjacent to some y in Y."""
-    if p.n != g.n:
-        raise ValueError("partition does not match graph")
-    k = len(p.classes)
-    class_of = np.array(p.class_of, dtype=np.intp)
+def twin_relation(g: Graph) -> np.ndarray:
+    """One label per vertex naming its class of pairwise twins (adjacent,
+    equal closed neighborhoods); a vertex without a twin is alone in its
+    class.  Classes are numbered 0, 1, ... by their smallest vertex.
+
+    Equal closed neighborhoods are the pairwise definition: u ~twin~ v
+    forces u and v adjacent, hence N[u] = N[v].  N[u] = N[v] exactly when
+    |N[u] & N[v]| equals both sizes, so one float32 product (exact, as in
+    common_neighbors) gives every vertex's smallest twin.
+    """
+    closed = (g.adj | np.eye(g.n, dtype=bool)).astype(np.float32)
+    overlap = closed @ closed
+    size = np.diagonal(overlap)
+    twins = (overlap == size[:, None]) & (overlap == size)
+    # each vertex's smallest twin; initial lets a graph of no vertices through
+    smallest = np.where(twins, np.arange(g.n), g.n).min(axis=1, initial=g.n)
+    return _canonical_relabel(smallest)
+
+
+def quotient_graph(g: Graph, labels) -> Graph:
+    """Graph on the classes of a vertex labeling whose labels are 0..k-1,
+    as twin_relation gives them; X ~ Y iff some x in X is adjacent to some
+    y in Y."""
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (g.n,) or (labels < 0).any():
+        raise ValueError(f"expected one non-negative label for each of {g.n} vertices")
+    k = int(labels.max()) + 1 if g.n else 0
     u, v = np.nonzero(g.adj)
     adj = np.zeros((k, k), dtype=bool)
-    adj[class_of[u], class_of[v]] = True
+    adj[labels[u], labels[v]] = True
     np.fill_diagonal(adj, False)
     return Graph(adj)
 

@@ -12,22 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import int_records
+from .graphs import _canonical_relabel, int_records
 from .kernels import refine_step
 
 ISO = "iso"
 NOT_ISO = "not-iso"
-
-
-def _canonical_relabel(mat: np.ndarray) -> np.ndarray:
-    """Number colors by first appearance in a row-major scan.
-
-    Works on the distinct values only, so memory does not depend on how
-    large the color values are.
-    """
-    _, first, inverse = np.unique(mat.ravel(), return_index=True, return_inverse=True)
-    # the new id of each distinct value is the rank of its first index
-    return np.argsort(np.argsort(first))[inverse].reshape(mat.shape)
 
 
 class CoherentConfiguration:
@@ -109,23 +98,24 @@ def verify(cfg: CoherentConfiguration) -> VerifyReport:
     Checks, in order: diagonal colors contain no off-diagonal pair; the
     transpose map is a well-defined involution on colors; and the
     intersection numbers c_rs^t are independent of the representative of
-    t.  For the last check an intersection-number violation is reported
-    as (r, s, t, (v, u), (v', u')) with differing counts.
+    t.  Each witness is the first violation: the smallest bad diagonal
+    color with its first off-diagonal pair in row-major order; the first
+    pair whose transpose breaks the pairing; and for the last check
+    (r, s, t, (v, u), (v', u')), where (v', u') is the first pair whose
+    refined color differs from that of (v, u), the first pair of its
+    color t, and (r, s) the smallest key whose counts differ.
     """
     mat = cfg.colors
     n = cfg.n
 
-    diag = np.diagonal(mat)
-    diag_counts = np.bincount(diag, minlength=cfg.rank)
-    sizes = cfg.sizes
-    for d in cfg.diagonal_colors:
-        if diag_counts[d] != sizes[d]:
-            rows, cols = np.nonzero((mat == d) & ~np.eye(n, dtype=bool))
-            witness = (d, (int(rows[0]), int(cols[0])))
-            return VerifyReport(
-                False, "diagonal", witness,
-                f"diagonal color {d} contains off-diagonal pair {witness[1]}",
-            )
+    stray = ~np.eye(n, dtype=bool) & np.isin(mat, np.diagonal(mat))
+    if stray.any():
+        d = int(mat[stray].min())
+        witness = (d, divmod(int(np.argmax(stray & (mat == d))), n))
+        return VerifyReport(
+            False, "diagonal", witness,
+            f"diagonal color {d} contains off-diagonal pair {witness[1]}",
+        )
 
     p = np.array(cfg.pairing, dtype=np.int64)
     if not np.array_equal(p[mat], mat.T):
@@ -139,43 +129,37 @@ def verify(cfg: CoherentConfiguration) -> VerifyReport:
 
     refined, new_rank = refine_step(mat, cfg.rank)
     if new_rank != cfg.rank:
-        rep_pair: dict[int, tuple[int, int]] = {}
-        rep_new: dict[int, int] = {}
-        for u in range(n):
-            for v in range(n):
-                t = int(mat[u, v])
-                if t not in rep_pair:
-                    rep_pair[t] = (u, v)
-                    rep_new[t] = int(refined[u, v])
-                elif int(refined[u, v]) != rep_new[t]:
-                    first = rep_pair[t]
-                    second = (u, v)
-                    c1 = _pair_counts(mat, cfg.rank, first)
-                    c2 = _pair_counts(mat, cfg.rank, second)
-                    for rs in sorted(set(c1) | set(c2)):
-                        if c1.get(rs, 0) != c2.get(rs, 0):
-                            r, s = rs
-                            return VerifyReport(
-                                False, "intersection", (r, s, t, first, second),
-                                f"c_{{{r},{s}}}^{{{t}}} differs between pairs "
-                                f"{first} ({c1.get(rs, 0)}) and {second} ({c2.get(rs, 0)})",
-                            )
-        return VerifyReport(False, "intersection", None,
-                            "refinement split a color but no witness found")
+        # the signature keeps the old color, so a split color has a pair
+        # whose refined color differs from that of the color's first pair,
+        # and the two pairs differ in the count of some (r, s)
+        colors, refined = mat.ravel(), refined.ravel()
+        _, first = np.unique(colors, return_index=True)
+        second = int(np.argmax(refined != refined[first[colors]]))
+        t = int(colors[second])
+        pairs = [divmod(int(first[t]), n), divmod(second, n)]
+        keys, counts = _pair_counts(mat, pairs)
+        i = int(np.argmax(counts[0] != counts[1]))
+        r, s = keys[i].tolist()
+        c1, c2 = counts[:, i].tolist()
+        return VerifyReport(
+            False, "intersection", (r, s, t, *pairs),
+            f"c_{{{r},{s}}}^{{{t}}} differs between pairs "
+            f"{pairs[0]} ({c1}) and {pairs[1]} ({c2})",
+        )
 
     return VerifyReport(True)
 
 
-def _pair_counts(mat: np.ndarray, rank: int, pair: tuple[int, int]) -> dict:
-    """Counts {(r, s): #w with color(x, w) = r and color(w, y) = s}."""
-    x, y = pair
-    counts: dict[tuple[int, int], int] = {}
-    row = mat[x]
-    col = mat[:, y]
-    for w in range(mat.shape[0]):
-        key = (int(row[w]), int(col[w]))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _pair_counts(mat: np.ndarray, pairs):
+    """The keys (r, s), ascending, that some pair (x, y) of pairs has as
+    (color(x, w), color(w, y)) for a point w, as a k x 2 array, and the
+    len(pairs) x k array of how many points w give each key at each pair.
+    Counted with np.unique, so memory grows with n, never with the rank."""
+    x, y = np.array(pairs).T
+    keys = np.stack([mat[x], mat[:, y].T], axis=2).reshape(-1, 2)
+    keys, which = np.unique(keys, axis=0, return_inverse=True)
+    cell = np.repeat(np.arange(len(pairs)), mat.shape[0]) * len(keys) + which.reshape(-1)
+    return keys, np.bincount(cell, minlength=len(pairs) * len(keys)).reshape(len(pairs), -1)
 
 
 def intersection_number(cfg: CoherentConfiguration, r: int, s: int, t: int) -> int:
@@ -189,7 +173,8 @@ def intersection_number(cfg: CoherentConfiguration, r: int, s: int, t: int) -> i
 
 def intersection_numbers_for(cfg: CoherentConfiguration, t: int) -> dict:
     """All nonzero c_rs^t for a fixed t, as {(r, s): count}."""
-    return _pair_counts(cfg.colors, cfg.rank, cfg.representative(t))
+    keys, counts = _pair_counts(cfg.colors, [cfg.representative(t)])
+    return dict(zip(map(tuple, keys.tolist()), counts[0].tolist()))
 
 
 def is_association(cfg: CoherentConfiguration) -> bool:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 
 from arcschemes.arcs import ArcFunction, condition_failures
 from arcschemes.graphs import Graph, from_edges
-from arcschemes.schemes import ISO, NOT_ISO, IsoVerdict
+from arcschemes.schemes import ISO, NOT_ISO, IsoVerdict, VerifyReport
 
 
 def circular_distance(i: int, j: int, n: int) -> int:
@@ -285,6 +286,187 @@ def neighborhood_condition_oracle(g: Graph):
     return None
 
 
+def _arc_points(f: ArcFunction, v: int) -> list[int]:
+    start, size = f.arcs[v]
+    return [(start + i) % f.m for i in range(size)]
+
+
+def _endpoint_counts(f: ArcFunction) -> Counter:
+    """Number of arcs each point is an end-point of; points that are no
+    end-point are absent, so there are at most 2n keys whatever m is."""
+    return Counter(p for start, size in f.arcs for p in {start, (start + size - 1) % f.m})
+
+
+def condition_failures_oracle(f: ArcFunction) -> list[str]:
+    """Conditions (1) and (2), scanning circle points and vertices in order."""
+    failures = []
+    counts = _endpoint_counts(f)
+    if len(counts) < f.m:
+        # at most 2n points are covered, so this scan stops within 2n+1 steps
+        uncovered = next(i for i in range(f.m) if i not in counts)
+        failures.append(
+            f"condition (1): point {uncovered} of Z_{f.m} is not an end-point of any arc"
+        )
+    small = [v for v in range(f.n_vertices) if f.arcs[v][1] < 2]
+    if small:
+        failures.append(f"condition (2): arc of vertex {small[0]} has fewer than two points")
+    return failures
+
+
+def reduction_failures_oracle(f: ArcFunction) -> list[str]:
+    """Invariants (i), (ii), (iii), pair by pair and point by point."""
+    failures = []
+    n = f.n_vertices
+
+    def contains(outer: int, inner: int) -> bool:
+        so, lo = f.arcs[outer]
+        si, li = f.arcs[inner]
+        return li <= lo and (si - so) % f.m <= lo - li
+
+    inside = next(((u, v) for u in range(n) for v in range(n) if u != v and contains(v, u)),
+                  None)
+    if inside is not None:
+        failures.append(f"(i): arc of vertex {inside[0]} is contained in arc of vertex "
+                        f"{inside[1]}")
+    if f.m != n:
+        failures.append(f"(ii): circle length {f.m} differs from vertex count {n}")
+    counts = _endpoint_counts(f)
+    # every point past the 2n end-points has count 0, so this stops early
+    bad = next((i for i in range(f.m) if counts[i] != 2), None)
+    if bad is not None:
+        failures.append(f"(iii): point {bad} is an end-point of {counts[bad]} arcs, not 2")
+    return failures
+
+
+def reduce_oracle(f: ArcFunction) -> ArcFunction:
+    """Reduction on one Python-int membership bitmask per circle point.
+
+    Raises the library's ValueError texts for the same inputs; the
+    hypotheses (conditions (1), (2), a non-empty graph, (3.1)) and the
+    invariants of the result are checked with the oracles above.
+    """
+    failures = condition_failures_oracle(f)
+    if failures:
+        raise ValueError(failures[0])
+    g = intersection_graph_oracle(f)
+    if g.edge_count() == 0:
+        raise ValueError("reduction needs a non-empty intersection graph")
+    witness = neighborhood_condition_oracle(g)
+    if witness is not None:
+        raise ValueError(
+            f"condition (3.1) violated: neighborhood of {witness[0]} is contained "
+            f"in the closed neighborhood of {witness[1]}"
+        )
+    m, n = f.m, f.n_vertices
+    pattern = [0] * m
+    for v in range(n):
+        for p in _arc_points(f, v):
+            pattern[p] |= 1 << v
+    classes: dict[int, list[int]] = {}
+    for p in range(m):
+        classes.setdefault(pattern[p], []).append(p)
+    if len(classes) < 2:
+        raise ValueError("membership classes cover the whole circle; input inconsistent")
+    starts = {}
+    for pat, pts in classes.items():
+        members = set(pts)
+        heads = [p for p in pts if (p - 1) % m not in members]
+        if len(heads) != 1:
+            raise ValueError("membership class is not a circular interval; input inconsistent")
+        starts[pat] = heads[0]
+    index_of = {pat: i for i, pat in enumerate(sorted(classes, key=starts.get))}
+    new_arcs = [
+        (index_of[pattern[f.arcs[v][0]]], len({index_of[pattern[p]] for p in _arc_points(f, v)}))
+        for v in range(n)
+    ]
+    reduced = ArcFunction(len(index_of), new_arcs)
+    problems = condition_failures_oracle(reduced) + reduction_failures_oracle(reduced)
+    if problems:
+        raise ValueError(problems[0])
+    return reduced
+
+
+def degree_check_oracle(rf: ArcFunction) -> bool:
+    """deg(v) = 2|f(v)| - 2 vertex by vertex, and on a d-regular graph
+    2|f(v)| = d + 2 for every arc, checked separately."""
+    g = intersection_graph_oracle(rf)
+    if any(g.degree(v) != 2 * size - 2 for v, (_, size) in enumerate(rf.arcs)):
+        return False
+    degrees = {g.degree(v) for v in range(g.n)}
+    return len(degrees) != 1 or all(2 * size == min(degrees) + 2 for _, size in rf.arcs)
+
+
+def twin_labels_oracle(g: Graph) -> list[int]:
+    """Twin classes pair by pair: u and v are twins iff u = v, or they are
+    adjacent and agree on every other vertex.  A vertex is labeled by its
+    smallest twin, and the labels are then numbered by first appearance."""
+    n = g.n
+
+    def twins(u: int, v: int) -> bool:
+        return u == v or g.adjacent(u, v) and all(
+            g.adjacent(u, w) == g.adjacent(v, w) for w in range(n) if w not in (u, v))
+
+    smallest = [next(v for v in range(n) if twins(u, v)) for u in range(n)]
+    ids: dict[int, int] = {}
+    return [ids.setdefault(v, len(ids)) for v in smallest]
+
+
+def _pair_counts_oracle(mat: np.ndarray, pair) -> dict:
+    """{(r, s): #w with color(x, w) = r and color(w, y) = s}, point by point."""
+    x, y = pair
+    counts: dict[tuple[int, int], int] = {}
+    for w in range(mat.shape[0]):
+        key = (int(mat[x, w]), int(mat[w, y]))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def verify_oracle(cfg) -> VerifyReport:
+    """The scheme axioms with loops over colors and pairs: diagonal colors
+    in ascending order, then the pairing of each pair, then one
+    refine_step_oracle round and a row-major scan for the first pair whose
+    refined color differs from that of its color's first pair."""
+    mat = cfg.colors
+    n, rank = cfg.n, cfg.rank
+    for d in sorted(cfg.diagonal_colors):
+        pair = next(((u, v) for u in range(n) for v in range(n)
+                     if u != v and mat[u, v] == d), None)
+        if pair is not None:
+            return VerifyReport(False, "diagonal", (d, pair),
+                                f"diagonal color {d} contains off-diagonal pair {pair}")
+    transpose: dict[int, int] = {}
+    for u in range(n):
+        for v in range(n):
+            transpose.setdefault(int(mat[u, v]), int(mat[v, u]))
+    for u in range(n):
+        for v in range(n):
+            if transpose[int(mat[u, v])] != mat[v, u]:
+                return VerifyReport(
+                    False, "pairing", ((u, v), int(mat[u, v]), int(mat[v, u])),
+                    f"transpose of color {int(mat[u, v])} is not a single color "
+                    f"(witness pair ({u}, {v}))",
+                )
+    refined, new_rank = refine_step_oracle(mat, rank)
+    if new_rank == rank:
+        return VerifyReport(True)
+    rep_pair: dict[int, tuple[int, int]] = {}
+    for u in range(n):
+        for v in range(n):
+            t = int(mat[u, v])
+            first = rep_pair.setdefault(t, (u, v))
+            if refined[u, v] != refined[first]:
+                c1 = _pair_counts_oracle(mat, first)
+                c2 = _pair_counts_oracle(mat, (u, v))
+                r, s = next(rs for rs in sorted(set(c1) | set(c2))
+                            if c1.get(rs, 0) != c2.get(rs, 0))
+                return VerifyReport(
+                    False, "intersection", (r, s, t, first, (u, v)),
+                    f"c_{{{r},{s}}}^{{{t}}} differs between pairs "
+                    f"{first} ({c1.get((r, s), 0)}) and {(u, v)} ({c2.get((r, s), 0)})",
+                )
+    raise AssertionError("refinement split a color but no pair differs")
+
+
 def petersen() -> Graph:
     edges = []
     for i in range(5):
@@ -329,6 +511,22 @@ def star(leaves: int) -> Graph:
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edges(n, edges)
+
+
+def doubled_points(rng: random.Random, f: ArcFunction) -> ArcFunction:
+    """f with some points doubled.  A point that starts one arc and ends
+    another may become two points: the first starts those arcs, the second
+    ends them.  Every arc keeps the points it held, so the conditions and
+    the intersection graph stay those of f, and reduce merges each pair
+    again.  Random models rarely have points to merge (m > n); these do."""
+    starts = {start for start, _ in f.arcs}
+    ends = {(start + size - 1) % f.m for start, size in f.arcs}
+    copies = [1 + (p in starts and p in ends and rng.random() < 0.5) for p in range(f.m)]
+    first = list(itertools.accumulate([0] + copies))  # new index of each point's first copy
+    return ArcFunction(first[-1], [
+        (first[start], sum(copies[(start + i) % f.m] for i in range(size)))
+        for start, size in f.arcs
+    ])
 
 
 def random_arc_function(rng: random.Random, max_vertices: int = 10) -> ArcFunction:

@@ -9,7 +9,6 @@ import oracles
 from arcschemes.arcs import check_neighborhood_condition
 from arcschemes.characterize import is_elementary_caw
 from arcschemes.graphs import (
-    VertexPartition,
     complete,
     count_automorphisms,
     cycle,
@@ -104,7 +103,7 @@ class TestElementary:
     def test_regular_and_twin_free(self, n, k):
         g = elementary_caw(n, k)
         assert all(g.degree(v) == 2 * k for v in range(n))
-        assert all(len(c) == 1 for c in twin_relation(g).classes)
+        assert twin_relation(g).tolist() == list(range(n))
 
 
 class TestLexProduct:
@@ -130,26 +129,35 @@ class TestLexProduct:
 
 class TestTwins:
     def test_complete_one_class(self):
-        assert twin_relation(complete(4)).classes == ((0, 1, 2, 3),)
+        assert twin_relation(complete(4)).tolist() == [0, 0, 0, 0]
 
     def test_cycle_all_singletons(self):
-        assert all(len(c) == 1 for c in twin_relation(elementary_caw(5, 1)).classes)
+        assert twin_relation(elementary_caw(5, 1)).tolist() == [0, 1, 2, 3, 4]
 
     def test_lex_fibers(self):
-        part = twin_relation(lex_product(cycle(5), complete(2)))
-        assert part.classes == tuple((2 * i, 2 * i + 1) for i in range(5))
+        labels = twin_relation(lex_product(cycle(5), complete(2)))
+        assert labels.tolist() == [v // 2 for v in range(10)]
+
+    def test_matches_pairwise_oracle(self, corpus):
+        # the corpus, and blown up so that every class has 2 or 3 twins
+        graphs = corpus + [lex_product(g, complete(r)) for g in corpus for r in (2, 3)]
+        graphs += [lex_product(cycle(5), oracles.random_graph(random.Random(r), 4))
+                   for r in range(5)]
+        for g in graphs:
+            assert twin_relation(g).tolist() == oracles.twin_labels_oracle(g)
 
     @settings(max_examples=40, deadline=None)
     @given(graphs())
     def test_classes_are_cliques_with_uniform_cross_adjacency(self, g):
-        part = twin_relation(g)
-        for cls in part.classes:
+        labels = twin_relation(g).tolist()
+        classes = [[v for v in range(g.n) if labels[v] == c] for c in range(max(labels) + 1)]
+        for cls in classes:
             for u in cls:
                 for v in cls:
                     if u != v:
                         assert g.adjacent(u, v)
-        for a in part.classes:
-            for b in part.classes:
+        for a in classes:
+            for b in classes:
                 if a is b:
                     continue
                 links = {g.adjacent(u, v) for u in a for v in b}
@@ -159,7 +167,7 @@ class TestTwins:
     @given(graphs())
     def test_twin_quotient_is_twin_free(self, g):
         q = quotient_graph(g, twin_relation(g))
-        assert all(len(c) == 1 for c in twin_relation(q).classes)
+        assert twin_relation(q).tolist() == list(range(q.n))
 
 
 class TestQuotient:
@@ -173,13 +181,14 @@ class TestQuotient:
 
     def test_singleton_quotient_is_identity(self):
         g = cycle(6)
-        assert quotient_graph(g, VertexPartition.singletons(6)) == g
+        assert quotient_graph(g, np.arange(6)) == g
 
     def test_malformed_partition(self):
-        with pytest.raises(ValueError):
-            VertexPartition.from_classes(4, [(0, 1), (1, 2, 3)])
-        with pytest.raises(ValueError):
-            VertexPartition.from_classes(4, [(0, 1)])
+        g = cycle(6)
+        with pytest.raises(ValueError, match="label"):
+            quotient_graph(g, np.arange(5))
+        with pytest.raises(ValueError, match="label"):
+            quotient_graph(g, [0, 0, 1, 1, 2, -1])
 
 
 def level_pairs(levels):
@@ -237,9 +246,9 @@ def test_zero_and_one_vertex_graphs(g):
     assert g.edges() == [] and g.edge_count() == 0
     assert g.degree_sequence() == (0,) * n and g.is_regular()
     assert g == from_edges(n, []) and hash(g) == hash(from_edges(n, []))
-    part = twin_relation(g)
-    assert part.classes == tuple((v,) for v in range(n))
-    assert quotient_graph(g, part) == g
+    labels = twin_relation(g)
+    assert labels.tolist() == list(range(n))
+    assert quotient_graph(g, labels) == g
     assert edge_level_partition(g) == {}
     assert count_automorphisms(g) == 1
     assert graph_from_text(graph_to_text(g)) == g

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,55 @@ class TestVerify:
         mat = [[0, 1, 1], [2, 0, 2], [1, 2, 0]]
         report = verify(CoherentConfiguration(mat))
         assert not report.ok and report.problem == "pairing"
+
+    def test_diagonal_witness_is_the_smallest_color(self):
+        # diagonal colors {0, 5, 8}; 5 and 8 both hold off-diagonal pairs
+        cfg = CoherentConfiguration([[0, 1, 2, 3], [3, 0, 4, 5], [4, 6, 5, 7], [7, 8, 7, 8]])
+        report = verify(cfg)
+        assert report.witness == (5, (1, 3))
+        assert report.message == "diagonal color 5 contains off-diagonal pair (1, 3)"
+
+
+def random_coloring(rng: random.Random) -> CoherentConfiguration:
+    """A random color matrix: any matrix; or one whose diagonal colors
+    stay on the diagonal, symmetric (so it fails, if at all, at the
+    intersection numbers) or not (mostly failing at the pairing); or the
+    closure of a random graph."""
+    n = rng.randint(1, 7)
+    kind = rng.random()
+    if kind < 0.3:
+        return CoherentConfiguration([[rng.randrange(4) for _ in range(n)] for _ in range(n)])
+    if kind < 0.85:
+        cells = rng.randint(1, 2)
+        symmetric = rng.random() < 0.7
+        mat = np.zeros((n, n), dtype=np.int64)
+        for u in range(n):
+            mat[u, u] = rng.randrange(cells)
+            for v in range(u):
+                mat[u, v] = cells + rng.randrange(3)
+                mat[v, u] = mat[u, v] if symmetric else cells + rng.randrange(3)
+        return CoherentConfiguration(mat)
+    return closure_of_graph(oracles.random_graph(rng, n))
+
+
+class TestVerifyOracleParity:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_colorings(self, seed):
+        rng = random.Random(seed)
+        problems = set()
+        for _ in range(300):
+            cfg = random_coloring(rng)
+            report = verify(cfg)
+            # repr also tells a numpy integer in the witness from a Python int
+            assert repr(report) == repr(oracles.verify_oracle(cfg))
+            problems.add(report.problem)
+        assert problems == {None, "diagonal", "pairing", "intersection"}
+
+    def test_intersection_numbers_for(self, scheme_corpus):
+        for cfg in scheme_corpus:
+            for t in range(cfg.rank):
+                expected = oracles._pair_counts_oracle(cfg.colors, cfg.representative(t))
+                assert intersection_numbers_for(cfg, t) == expected
 
 
 class TestIntersectionNumbers:
