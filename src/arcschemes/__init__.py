@@ -24,6 +24,7 @@ from .characterize import (
     decompose_caw,
     is_elementary_caw,
     predicted_aut_order,
+    predicted_rank,
     predicted_scheme,
     scheme_decomposition,
     verify_wreath_theorem,
@@ -90,6 +91,7 @@ __all__ = [
     "lex_product",
     "point_scheme",
     "predicted_aut_order",
+    "predicted_rank",
     "predicted_scheme",
     "quotient_graph",
     "rank2_scheme",

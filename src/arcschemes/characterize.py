@@ -3,7 +3,8 @@
 The characterized class consists exactly of the lexicographic products of
 an elementary circular-arc graph with a complete graph.  decompose_caw
 recovers such a product structure (or a named reason why none exists)
-from one closure; scheme_decomposition checks, through its relabeling, that
+and computes one closure, which for a member stops at the predicted rank
+(predicted_rank); scheme_decomposition checks, through its relabeling, that
 the closure is rank2(r) wreathed with a rank-2 / matching-forestal / dihedral scheme;
 predicted_aut_order evaluates the closed-form automorphism group order.
 """
@@ -156,28 +157,20 @@ def is_elementary_caw(g: Graph):
     return (n, k, tuple(labels))
 
 
-def decompose_caw(g: Graph) -> DecomposeOutcome:
-    """Decide membership in the characterized class, with certificate.
-
-    Pipeline: the scheme must be association; the twin classes must have a
-    common size r; the twin quotient must be elementary.  The assembled
-    relabeling onto C_{m,k}[K_r] is verified edge-exactly before the
-    certificate is returned, so a success is self-certifying.
-    """
-    cc = closure_of_graph(g)
-    if not is_association(cc):
-        return DecomposeOutcome(None, STAGE_NON_ASSOCIATION, cc)
-
+def _recognize(g: Graph):
+    """(certificate, None) for a member of the class, else (None, the first
+    recognition stage that fails).  The assembled relabeling onto
+    C_{m,k}[K_r] is verified edge-exactly before a certificate is made."""
     labels = twin_relation(g)
     sizes = np.bincount(labels)
-    if (sizes != sizes[0]).any():
-        return DecomposeOutcome(None, STAGE_UNEQUAL_TWIN_CLASSES, cc)
+    if g.n == 0 or (sizes != sizes[0]).any():  # closure_of_graph rejects n = 0
+        return None, STAGE_UNEQUAL_TWIN_CLASSES
     r = int(sizes[0])
 
     quot = quotient_graph(g, labels)
     recognized = is_elementary_caw(quot)
     if recognized is None:
-        return DecomposeOutcome(None, STAGE_QUOTIENT_NOT_ELEMENTARY, cc)
+        return None, STAGE_QUOTIENT_NOT_ELEMENTARY
     m, k, qlabels = recognized
 
     # v goes to (a, b): a is the position of its class on Z_m, and b its
@@ -190,9 +183,41 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     member = lex_product(Graph(circulant(m, k)), complete(r))
     sigma = a * r + b
     if not np.array_equal(g.adj, member.adj[np.ix_(sigma, sigma)]):
-        return DecomposeOutcome(None, STAGE_RELABELING_FAILED, cc)
-    relabeling = tuple(zip(a.tolist(), b.tolist()))
-    return DecomposeOutcome(Decomposition(m, k, r, relabeling), None, cc)
+        return None, STAGE_RELABELING_FAILED
+    return Decomposition(m, k, r, tuple(zip(a.tolist(), b.tolist()))), None
+
+
+def decompose_caw(g: Graph) -> DecomposeOutcome:
+    """Decide membership in the characterized class, with certificate.
+
+    The graph must have an association scheme, its twin classes a common
+    size r, and its twin quotient must be elementary; a failure is
+    reported at the first of these stages that fails.  Recognition comes
+    first, as it needs no closure.  A non-member then gets the full
+    closure, and non-association is reported before any recognition
+    stage.  A member gets a closure that stops at predicted_rank(m, k, r)
+    colors, without the round that would only confirm it is stable; its
+    scheme is the association scheme P below, so the association stage
+    cannot fail for it.
+
+    Why the stop is exact.  Let W_i be the partition after round i, C the
+    closure, and P the predicted scheme pulled back through the verified
+    relabeling.  W_i is coarser than C, because refinement is monotone
+    and C is stable.  C is coarser than P, because P is coherent and the
+    edge relation, pulled back from C_{m,k}[K_r], is a union of its
+    colors.  So rank(W_i) <= rank(C) <= rank(P), and once the ranks are
+    equal, W_i = C = P: the canonical matrix is the one the full closure
+    gives.  scheme_decomposition compares the closure with the pulled-back
+    prediction independently.
+    """
+    cert, stage = _recognize(g)
+    if cert is not None:
+        cc = closure_of_graph(g, predicted_rank(cert.m, cert.k, cert.r))
+        return DecomposeOutcome(cert, None, cc)
+    cc = closure_of_graph(g)
+    if not is_association(cc):
+        stage = STAGE_NON_ASSOCIATION
+    return DecomposeOutcome(None, stage, cc)
 
 
 def _scheme_of_complete(r: int) -> CoherentConfiguration:
@@ -227,18 +252,19 @@ def scheme_decomposition(outcome: DecomposeOutcome) -> SchemeDecomposition | Non
         return None
     cert = outcome.certificate
     m, k, r = cert.m, cert.k, cert.r
-    relabeling = cert.relabeling
+    a, b = np.asarray(cert.relabeling, dtype=np.int64).T
     if k == 0:
         kind = OUTER_RANK2
     elif m == 2 * k + 2:
         kind = OUTER_FORESTAL_MATCHING
-        relabeling = [(a % (k + 1) * 2 + a // (k + 1), b) for a, b in relabeling]
+        a = a % (k + 1) * 2 + a // (k + 1)
     else:
         kind = OUTER_DIHEDRAL
-    sigma = [a * r + b for a, b in relabeling]
-    if CoherentConfiguration(predicted_scheme(m, k, r).colors[sigma][:, sigma]) != outcome.scheme:
+    sigma = a * r + b
+    predicted = predicted_scheme(m, k, r).colors[np.ix_(sigma, sigma)]
+    if CoherentConfiguration(predicted) != outcome.scheme:
         raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] differs from prediction")
-    return SchemeDecomposition(r, kind, m, IsoVerdict(ISO, tuple(sigma)))
+    return SchemeDecomposition(r, kind, m, IsoVerdict(ISO, tuple(sigma.tolist())))
 
 
 def verify_wreath_theorem(
@@ -270,6 +296,26 @@ def verify_wreath_theorem(
     case = f"outer graph on {outer.n} vertices with edges {outer.edges()}, r={r}"
     verdict = identity_verdict(actual, wreath, case)
     return WreathTheoremReport(fusion, asserted, verdict)
+
+
+def predicted_rank(m: int, k: int, r: int) -> int:
+    """Rank of predicted_scheme(m, k, r), in closed form: rank(inner) +
+    rank(outer) - 1, as for every wreath product of association schemes.
+    The outer scheme has rank 1 on one point, 2 for k = 0, 3 for the
+    matching case rank2(2) wr rank2(k+1), and m // 2 + 1 for the
+    dihedral scheme."""
+    if r < 1 or m < 1 or k < 0:
+        raise ValueError(f"invalid parameters m={m}, k={k}, r={r}")
+    inner = 1 if r == 1 else 2
+    if k == 0:
+        outer = 1 if m == 1 else 2
+    elif m == 2 * k + 2:
+        outer = 3
+    elif m > 2 * k + 2:
+        outer = m // 2 + 1
+    else:
+        raise ValueError(f"invalid parameters m={m}, k={k}")
+    return inner + outer - 1
 
 
 def predicted_aut_order(m: int, k: int, r: int) -> int:

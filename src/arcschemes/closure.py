@@ -8,6 +8,14 @@ arcschemes.kernels.refine_step then replaces the color with the sorted
 multiset of color pairs over all intermediate points, until the partition
 stabilizes.  The stable partition is a coherent configuration in which
 every generator is a union of colors.
+
+A caller that knows the rank of the closure C in advance can pass it as
+stop_rank.  Refinement then returns the first partition W_i of that rank
+and skips the last round, which would only confirm that nothing splits.
+This is exact: refinement is monotone and C is stable, so every W_i is
+coarser than C, and a partition coarser than C with rank(C) colors is C.
+decompose_caw (arcschemes.characterize) takes the rank from a verified
+certificate.
 """
 
 from __future__ import annotations
@@ -37,22 +45,34 @@ def _initial_coloring(n: int, relations) -> np.ndarray:
     return _canonical_relabel(mat)
 
 
-def coherent_closure(n: int, relations) -> CoherentConfiguration:
+def coherent_closure(n: int, relations, stop_rank: int | None = None) -> CoherentConfiguration:
     """Smallest scheme on n points in which every generator is a union of
     basic relations.  Each generator is an n x n membership matrix, read
-    through bool; any other shape raises ValueError."""
+    through bool; any other shape raises ValueError.
+
+    With stop_rank, refinement returns the first partition with exactly
+    stop_rank colors, so stop_rank must be the rank of the closure.  A
+    partition that is stable below stop_rank, or one that has more colors,
+    shows that it is not: AssertionError.
+    """
     mat = _initial_coloring(n, relations)
     rank = int(mat.max()) + 1
-    while True:
+    while rank != stop_rank:
+        if stop_rank is not None and rank > stop_rank:
+            raise AssertionError(f"refinement reached rank {rank}, past the stop rank {stop_rank}")
         mat, new_rank = refine_step(mat, rank)
         if new_rank == rank:
+            if stop_rank is not None:
+                raise AssertionError(f"refinement is stable at rank {rank}, "
+                                     f"below the stop rank {stop_rank}")
             break
         rank = new_rank
     return CoherentConfiguration(mat)
 
 
-def closure_of_graph(g: Graph) -> CoherentConfiguration:
-    """Scheme of a graph: coherent closure of its (symmetric) edge relation."""
+def closure_of_graph(g: Graph, stop_rank: int | None = None) -> CoherentConfiguration:
+    """Scheme of a graph: coherent closure of its (symmetric) edge relation,
+    stopped at stop_rank colors if given (see coherent_closure)."""
     if g.n < 1:
         raise ValueError("closure needs a graph with at least one vertex")
-    return coherent_closure(g.n, [g.adj])
+    return coherent_closure(g.n, [g.adj], stop_rank)

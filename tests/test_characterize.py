@@ -9,14 +9,19 @@ from arcschemes.characterize import (
     OUTER_RANK2,
     STAGE_NON_ASSOCIATION,
     STAGE_QUOTIENT_NOT_ELEMENTARY,
+    STAGE_UNEQUAL_TWIN_CLASSES,
     Decomposition,
+    _recognize,
     decompose_caw,
     is_elementary_caw,
     predicted_aut_order,
+    predicted_rank,
     predicted_scheme,
     scheme_decomposition,
     verify_wreath_theorem,
 )
+import arcschemes.closure as closure_module
+from arcschemes.cli import main
 from arcschemes.closure import closure_of_graph
 from arcschemes.graphs import (
     complete,
@@ -25,9 +30,16 @@ from arcschemes.graphs import (
     elementary_caw,
     empty_graph,
     from_edges,
+    graph_to_text,
     lex_product,
 )
-from arcschemes.schemes import CoherentConfiguration, is_association, rank2_scheme, wreath_product
+from arcschemes.schemes import (
+    CoherentConfiguration,
+    is_association,
+    rank2_scheme,
+    verify,
+    wreath_product,
+)
 
 
 def assert_labels_witness(g, n, k, labels):
@@ -52,6 +64,27 @@ def assert_certificate_witness(g, cert):
                 want = 1 <= oracles.circular_distance(au, av, cert.m) <= cert.k
             assert g.adjacent(u, v) == want
     assert len(seen) == g.n == cert.m * cert.r
+
+
+def permuted_member(m, k, r, seed):
+    """C_{m,k}[K_r] (K_r itself for m = 1) with randomly permuted labels."""
+    g = complete(r) if m == 1 else lex_product(elementary_caw(m, k), complete(r))
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+# every certificate (m, k, r) on at most 60 points, m = 1 being K_r
+MEMBER_GRID = [(m, k, r) for m in range(1, 61) for k in range(m) for r in range(1, 60 // m + 1)
+               if 2 * k + 1 < m or (m, k) == (1, 0)]
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name to record its calls; returns the call list."""
+    original = getattr(module, name)
+    calls = []
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
+    return calls
 
 
 class TestIsElementary:
@@ -306,6 +339,108 @@ class TestSchemeDecomposition:
         assert predicted_scheme(6, 2, 1).rank == 3
         assert predicted_scheme(3, 0, 2).rank == 3
         assert predicted_scheme(1, 0, 6).rank == 2
+
+
+class TestRecognizeFirst:
+    # a member's closure stops at predicted_rank; these check that the
+    # stopped partition is the full closure, and that the stages of a
+    # non-member are reported as they were with the full closure first
+
+    @pytest.mark.parametrize("kind", ["rank2", "matching", "dihedral"])
+    def test_stopped_closure_equals_full_closure(self, kind):
+        grid = [(m, k, r) for m, k, r in MEMBER_GRID
+                if kind == ("rank2" if k == 0 else "matching" if m == 2 * k + 2 else "dihedral")]
+        assert len(grid) > 50
+        if kind == "rank2":  # complete graphs K_r, K_1 among them
+            assert {(1, 0, 1), (1, 0, 60)} <= set(grid)
+        for m, k, r in grid:
+            g = permuted_member(m, k, r, seed=m * 3600 + k * 60 + r)
+            out = decompose_caw(g)
+            assert out.ok, (m, k, r)
+            assert (out.certificate.m, out.certificate.k, out.certificate.r) == (m, k, r)
+            assert out.scheme == closure_of_graph(g), (m, k, r)
+
+    def test_predicted_scheme_is_coherent_of_predicted_rank(self):
+        for m, k, r in MEMBER_GRID:
+            predicted = predicted_scheme(m, k, r)
+            assert verify(predicted).ok, (m, k, r)
+            assert predicted.rank == predicted_rank(m, k, r), (m, k, r)
+
+    def test_predicted_rank_invalid(self):
+        for m, k, r in [(0, 0, 1), (5, 1, 0), (5, -1, 1), (4, 2, 1), (3, 1, 2)]:
+            with pytest.raises(ValueError):
+                predicted_rank(m, k, r)
+
+    @pytest.mark.parametrize("name,builder,stage", [
+        ("P4", lambda: oracles.path(4), STAGE_QUOTIENT_NOT_ELEMENTARY),
+        ("K_{1,3}", lambda: oracles.star(3), STAGE_QUOTIENT_NOT_ELEMENTARY),
+        ("K_2 + K_1", lambda: from_edges(3, [(0, 1)]), STAGE_UNEQUAL_TWIN_CLASSES),
+    ])
+    def test_non_association_reported_before_recognition(self, name, builder, stage):
+        g = builder()
+        assert not is_association(closure_of_graph(g)), name
+        assert _recognize(g) == (None, stage)
+        out = decompose_caw(g)
+        assert not out.ok and out.failure_stage == STAGE_NON_ASSOCIATION
+        assert out.scheme == closure_of_graph(g)
+
+    @pytest.mark.parametrize("name,builder", [("petersen", oracles.petersen),
+                                              ("hypercube", oracles.hypercube3)])
+    def test_association_non_member_reports_recognition_stage(self, name, builder):
+        g = builder()
+        assert is_association(closure_of_graph(g)), name
+        out = decompose_caw(g)
+        assert not out.ok and out.failure_stage == STAGE_QUOTIENT_NOT_ELEMENTARY
+        assert out.scheme == closure_of_graph(g)
+
+    @pytest.mark.parametrize("m, r", [(1, 1), (1, 5), (6, 1), (4, 3), (9, 6)])
+    def test_k0_member_needs_no_round(self, m, r, monkeypatch):
+        # the initial coloring of a k = 0 member already has the predicted rank
+        g = permuted_member(m, 0, r, seed=m + r)
+        closures = count_calls(monkeypatch, closure_module, "coherent_closure")
+        rounds = count_calls(monkeypatch, closure_module, "refine_step")
+        out = decompose_caw(g)
+        assert out.ok and out.scheme.rank == predicted_rank(m, 0, r)
+        assert (len(closures), len(rounds)) == (1, 0)
+
+    @pytest.mark.parametrize("m, k, r", [(8, 3, 5), (12, 3, 3), (40, 3, 1), (18, 4, 4),
+                                         (12, 5, 6), (30, 3, 3)])
+    def test_member_skips_only_the_confirming_round(self, m, k, r, monkeypatch):
+        g = permuted_member(m, k, r, seed=7)
+        rounds = count_calls(monkeypatch, closure_module, "refine_step")
+        full = closure_of_graph(g)
+        full_rounds = len(rounds)
+        closures = count_calls(monkeypatch, closure_module, "coherent_closure")
+        out = decompose_caw(g)
+        assert out.scheme == full
+        assert len(closures) == 1
+        assert len(rounds) - full_rounds == full_rounds - 1
+
+    @pytest.mark.parametrize("m, k, r", [(1, 0, 1), (1, 0, 5), (6, 0, 1), (5, 0, 3), (6, 2, 1),
+                                         (8, 3, 2), (7, 1, 1), (9, 2, 3), (12, 3, 1)])
+    def test_stop_above_true_rank_is_a_bug(self, m, k, r, monkeypatch):
+        # refinement is stable below the stop: decompose_caw raises itself
+        monkeypatch.setattr("arcschemes.characterize.predicted_rank",
+                            lambda m, k, r: predicted_rank(m, k, r) + 1)
+        with pytest.raises(AssertionError):
+            decompose_caw(permuted_member(m, k, r, seed=11))
+
+    @pytest.mark.parametrize("m, k, r", [(1, 0, 1), (1, 0, 5), (6, 0, 1), (5, 0, 3), (6, 2, 1),
+                                         (8, 3, 2), (7, 1, 1), (9, 2, 3), (12, 3, 1)])
+    def test_stop_below_true_rank_is_a_bug(self, m, k, r, monkeypatch, tmp_path, capsys):
+        # decompose_caw raises when refinement passes the stop; a round that
+        # lands on it leaves a partition coarser than the prediction, which
+        # scheme_decomposition rejects.  No certificate is ever reported.
+        monkeypatch.setattr("arcschemes.characterize.predicted_rank",
+                            lambda m, k, r: predicted_rank(m, k, r) - 1)
+        g = permuted_member(m, k, r, seed=13)
+        with pytest.raises(AssertionError):
+            scheme_decomposition(decompose_caw(g))
+        path = tmp_path / "member.graph"
+        path.write_text(graph_to_text(g))
+        with pytest.raises(AssertionError):
+            main(["--no-timing", "decompose", str(path)])
+        assert capsys.readouterr().out == ""
 
 
 class TestWreathTheorem:

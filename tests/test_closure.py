@@ -155,3 +155,20 @@ class TestRelationSet:
     def test_needs_a_point(self):
         with pytest.raises(ValueError):
             coherent_closure(0, [])
+
+
+class TestStopRank:
+    def test_stop_at_closure_rank_gives_the_closure(self, corpus):
+        for g in corpus:
+            full = closure_of_graph(g)
+            assert closure_of_graph(g, full.rank) == full
+
+    def test_stop_above_closure_rank_raises(self, corpus):
+        for g in corpus:
+            with pytest.raises(AssertionError, match="stable"):
+                closure_of_graph(g, closure_of_graph(g).rank + 1)
+
+    def test_stop_below_initial_rank_raises(self):
+        # cycle(7) starts with 3 colors: diagonal, edges, non-edges
+        with pytest.raises(AssertionError, match="past the stop rank"):
+            coherent_closure(7, [cycle(7).adj], 2)
