@@ -6,8 +6,8 @@ one source tree: the minimum CPU time (time.process_time, all threads of
 the process) over --repeats calls, the number of refinement rounds
 (refine_step calls) of one further call, the closure's n and rank, and
 the CPU count and git revision the numbers were taken with.  The ten
-shapes are those of the perfbench members-decompose workload, with
-labels permuted by --seed.
+shapes are those of the perfbench members-decompose workload (imported
+from its deck), with labels permuted by a fixed seed.
 
     python3 benchmarks/layer_times.py --repeats 1 --out layer_times.json
     python3 benchmarks/layer_times.py --src parent=../parent/src --src change=src \\
@@ -33,15 +33,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = "arcschemes"
+sys.path.insert(0, str(ROOT))
+from perfbench.workloads import MEMBERS  # noqa: E402  (m, k, r) of each member
 
-# (m, k, r) of perfbench's members-decompose deck: a cheap, a middle and a
-# heavy tier, each with dihedral, lex-product, matching and k = 0 members
-SHAPES = (
-    (8, 3, 5), (12, 3, 3), (9, 0, 6), (40, 3, 1),
-    (56, 10, 1), (18, 4, 4), (12, 5, 6), (15, 0, 6),
-    (84, 20, 1), (30, 3, 3),
-)
+PACKAGE = "arcschemes"
+SEED = 1  # of the label permutations
 FUNCTIONS = ("closure_of_graph", "decompose_caw")
 
 
@@ -72,10 +68,10 @@ def load_tree(src: Path) -> dict:
     return mods
 
 
-def permuted_member(graphs, m: int, k: int, r: int, seed: int):
+def permuted_member(graphs, m: int, k: int, r: int):
     g = graphs.lex_product(graphs.elementary_caw(m, k), graphs.complete(r))
     perm = list(range(g.n))
-    random.Random(f"{seed}/{m}/{k}/{r}").shuffle(perm)
+    random.Random(f"{SEED}/{m}/{k}/{r}").shuffle(perm)
     return graphs.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
@@ -91,11 +87,11 @@ def count_rounds(closure_mod, fn) -> int:
     return len(calls)
 
 
-def measure(trees: dict, repeats: int, seed: int) -> list[dict]:
+def measure(trees: dict, repeats: int) -> list[dict]:
     cases = {}  # (label, shape, function) -> zero-argument call
     for label, mods in trees.items():
-        for shape in SHAPES:
-            g = permuted_member(mods["graphs"], *shape, seed)
+        for shape in MEMBERS:
+            g = permuted_member(mods["graphs"], *shape)
             cases[label, shape, "closure_of_graph"] = (
                 lambda c=mods["closure"], g=g: c.closure_of_graph(g))
             cases[label, shape, "decompose_caw"] = (
@@ -104,7 +100,7 @@ def measure(trees: dict, repeats: int, seed: int) -> list[dict]:
     labels = list(trees)
     for rep in range(repeats):
         for label in labels if rep % 2 == 0 else labels[::-1]:
-            for shape in SHAPES:
+            for shape in MEMBERS:
                 for name in FUNCTIONS:
                     start = time.process_time()
                     cases[label, shape, name]()
@@ -114,11 +110,11 @@ def measure(trees: dict, repeats: int, seed: int) -> list[dict]:
     records = []
     for (label, (m, k, r), name), fn in cases.items():
         mods = trees[label]
-        closure = mods["closure"].closure_of_graph(permuted_member(mods["graphs"], m, k, r, seed))
+        closure = mods["closure"].closure_of_graph(permuted_member(mods["graphs"], m, k, r))
         records.append({
             "label": label, "revision": mods["revision"], "cpu_count": cpu_count,
             "graph": f"C_{{{m},{k}}}[K_{r}]", "m": m, "k": k, "r": r, "n": closure.n,
-            "rank": closure.rank, "function": name, "repeats": repeats, "seed": seed,
+            "rank": closure.rank, "function": name, "repeats": repeats, "seed": SEED,
             "cpu_ms": round(best[label, (m, k, r), name] * 1000, 4),
             "rounds": count_rounds(mods["closure"], fn),
         })
@@ -137,7 +133,6 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=parse_src, action="append", default=None,
                         metavar="LABEL=DIR", help="a source tree to measure (repeatable)")
     parser.add_argument("--repeats", type=int, default=5, help="calls per timing (min taken)")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the label permutations")
     parser.add_argument("--out", type=Path, default=None, help="JSON output (default: stdout)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
@@ -151,11 +146,10 @@ def main(argv=None) -> int:
         "what": "CPU ms (min of repeats, trees interleaved) of closure_of_graph and "
                 "decompose_caw on permuted members; rounds are refine_step calls per call",
         "command": "python3 benchmarks/layer_times.py " + " ".join(
-            f"--src {label}=DIR" for label in sources) + f" --repeats {args.repeats}"
-            f" --seed {args.seed}",
+            f"--src {label}=DIR" for label in sources) + f" --repeats {args.repeats}",
         "python": platform.python_version(),
         "numpy": sys.modules["numpy"].__version__,
-        "records": measure(trees, args.repeats, args.seed),
+        "records": measure(trees, args.repeats),
     }
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is None:
