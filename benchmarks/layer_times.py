@@ -1,17 +1,25 @@
 #!/usr/bin/env python3
-"""CPU time of closure_of_graph and decompose_caw on the members-decompose shapes.
+"""CPU time of the closure, decompose and automorphism-order layers on members.
 
 Each record is one function on one permuted member of C_{m,k}[K_r] for
 one source tree: the minimum CPU time (time.process_time, all threads of
 the process) over --repeats calls, the number of refinement rounds
 (refine_step calls) of one further call, the closure's n and rank, and
-the CPU count and git revision the numbers were taken with.  The ten
-shapes are those of the perfbench members-decompose workload (imported
-from its deck), with labels permuted by a fixed seed.
+the CPU count and git revision the numbers were taken with.  Labels are
+permuted by a fixed seed.
+
+- closure_of_graph and decompose_caw run on the ten shapes of the
+  perfbench members-decompose workload (imported from its deck).
+- The automorphism-order layer runs on the shapes of the perfbench
+  verify-sweep aut rows, aut_cases(12), plus C_{30,3}[K_3] (n = 90) and
+  C_{100,3}[K_3] (n = 300).  It is group_witness on the member's
+  decompose_caw outcome (computed outside the timing) where the tree
+  has it, and otherwise the backtracking count_automorphisms, which
+  takes at most 12 points, so the two larger members have no record.
 
     python3 benchmarks/layer_times.py --repeats 1 --out layer_times.json
     python3 benchmarks/layer_times.py --src parent=../parent/src --src change=src \\
-        --repeats 15 --out BENCH_recognize_first.json
+        --repeats 15 --out BENCH_group_witness.json
 
 Each --src LABEL=DIR imports the arcschemes package in DIR (default: this
 checkout's src/ as "change").  Several trees are measured in one process,
@@ -34,11 +42,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
-from perfbench.workloads import MEMBERS  # noqa: E402  (m, k, r) of each member
+from perfbench.workloads import MEMBERS, aut_cases  # noqa: E402  (m, k, r) of each member
 
 PACKAGE = "arcschemes"
 SEED = 1  # of the label permutations
-FUNCTIONS = ("closure_of_graph", "decompose_caw")
+AUT_SHAPES = aut_cases(12) + [(30, 3, 3), (100, 3, 3)]
 
 
 def git_revision(src: Path) -> str:
@@ -69,7 +77,8 @@ def load_tree(src: Path) -> dict:
 
 
 def permuted_member(graphs, m: int, k: int, r: int):
-    g = graphs.lex_product(graphs.elementary_caw(m, k), graphs.complete(r))
+    g = (graphs.complete(r) if m == 1
+         else graphs.lex_product(graphs.elementary_caw(m, k), graphs.complete(r)))
     perm = list(range(g.n))
     random.Random(f"{SEED}/{m}/{k}/{r}").shuffle(perm)
     return graphs.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
@@ -87,37 +96,55 @@ def count_rounds(closure_mod, fn) -> int:
     return len(calls)
 
 
+def aut_order_case(mods, g):
+    """(function name, zero-argument call) of the tree's automorphism-order
+    layer on g, or None where the tree cannot run it."""
+    char = mods["characterize"]
+    if hasattr(char, "group_witness"):
+        outcome = char.decompose_caw(g)
+        return "group_witness", lambda: char.group_witness(g, outcome)
+    if g.n <= 12:
+        return "count_automorphisms", lambda: mods["graphs"].count_automorphisms(g)
+    return None
+
+
+def tree_cases(mods) -> dict:
+    """(shape, function) -> zero-argument call, for one tree."""
+    cases = {}
+    for shape in MEMBERS:
+        g = permuted_member(mods["graphs"], *shape)
+        cases[shape, "closure_of_graph"] = lambda c=mods["closure"], g=g: c.closure_of_graph(g)
+        cases[shape, "decompose_caw"] = lambda c=mods["characterize"], g=g: c.decompose_caw(g)
+    for shape in AUT_SHAPES:
+        case = aut_order_case(mods, permuted_member(mods["graphs"], *shape))
+        if case is not None:
+            cases[shape, case[0]] = case[1]
+    return cases
+
+
 def measure(trees: dict, repeats: int) -> list[dict]:
-    cases = {}  # (label, shape, function) -> zero-argument call
-    for label, mods in trees.items():
-        for shape in MEMBERS:
-            g = permuted_member(mods["graphs"], *shape)
-            cases[label, shape, "closure_of_graph"] = (
-                lambda c=mods["closure"], g=g: c.closure_of_graph(g))
-            cases[label, shape, "decompose_caw"] = (
-                lambda c=mods["characterize"], g=g: c.decompose_caw(g))
-    best = dict.fromkeys(cases, float("inf"))
+    cases = {label: tree_cases(mods) for label, mods in trees.items()}
+    best = {label: dict.fromkeys(tree, float("inf")) for label, tree in cases.items()}
     labels = list(trees)
     for rep in range(repeats):
         for label in labels if rep % 2 == 0 else labels[::-1]:
-            for shape in MEMBERS:
-                for name in FUNCTIONS:
-                    start = time.process_time()
-                    cases[label, shape, name]()
-                    best[label, shape, name] = min(best[label, shape, name],
-                                                   time.process_time() - start)
+            for key, fn in cases[label].items():
+                start = time.process_time()
+                fn()
+                best[label][key] = min(best[label][key], time.process_time() - start)
     cpu_count = len(os.sched_getaffinity(0))
     records = []
-    for (label, (m, k, r), name), fn in cases.items():
+    for label, tree in cases.items():
         mods = trees[label]
-        closure = mods["closure"].closure_of_graph(permuted_member(mods["graphs"], m, k, r))
-        records.append({
-            "label": label, "revision": mods["revision"], "cpu_count": cpu_count,
-            "graph": f"C_{{{m},{k}}}[K_{r}]", "m": m, "k": k, "r": r, "n": closure.n,
-            "rank": closure.rank, "function": name, "repeats": repeats, "seed": SEED,
-            "cpu_ms": round(best[label, (m, k, r), name] * 1000, 4),
-            "rounds": count_rounds(mods["closure"], fn),
-        })
+        for ((m, k, r), name), fn in tree.items():
+            closure = mods["closure"].closure_of_graph(permuted_member(mods["graphs"], m, k, r))
+            records.append({
+                "label": label, "revision": mods["revision"], "cpu_count": cpu_count,
+                "graph": f"C_{{{m},{k}}}[K_{r}]", "m": m, "k": k, "r": r, "n": closure.n,
+                "rank": closure.rank, "function": name, "repeats": repeats, "seed": SEED,
+                "cpu_ms": round(best[label][(m, k, r), name] * 1000, 4),
+                "rounds": count_rounds(mods["closure"], fn),
+            })
     return records
 
 
@@ -143,8 +170,10 @@ def main(argv=None) -> int:
     for label, src in sources.items():
         trees[label] = dict(load_tree(src), revision=git_revision(src))
     doc = {
-        "what": "CPU ms (min of repeats, trees interleaved) of closure_of_graph and "
-                "decompose_caw on permuted members; rounds are refine_step calls per call",
+        "what": "CPU ms (min of repeats, trees interleaved) of closure_of_graph, "
+                "decompose_caw and the automorphism-order layer (group_witness or "
+                "count_automorphisms) on permuted members; rounds are refine_step calls "
+                "per call",
         "command": "python3 benchmarks/layer_times.py " + " ".join(
             f"--src {label}=DIR" for label in sources) + f" --repeats {args.repeats}",
         "python": platform.python_version(),

@@ -20,8 +20,10 @@ from .arcs import (
 from .characterize import (
     Decomposition,
     DecomposeOutcome,
+    GroupWitness,
     SchemeDecomposition,
     decompose_caw,
+    group_witness,
     is_elementary_caw,
     predicted_aut_order,
     predicted_rank,
@@ -65,6 +67,7 @@ __all__ = [
     "Decomposition",
     "DecomposeOutcome",
     "Graph",
+    "GroupWitness",
     "IsoVerdict",
     "ReducedArcFunction",
     "SchemeDecomposition",
@@ -82,6 +85,7 @@ __all__ = [
     "elementary_caw",
     "empty_graph",
     "from_edges",
+    "group_witness",
     "intersection_graph",
     "intersection_number",
     "is_association",

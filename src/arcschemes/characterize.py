@@ -94,6 +94,21 @@ class SchemeDecomposition:
 
 
 @dataclass(frozen=True)
+class GroupWitness:
+    """Bounds lower <= |Aut(G)| <= upper and a Schurity check, made from a
+    certificate's automorphisms (see group_witness)."""
+
+    lower: int
+    upper: int
+    schurian: bool
+
+    @property
+    def order(self) -> int | None:
+        """|Aut(G)| when the two bounds meet, else None."""
+        return self.upper if self.lower == self.upper else None
+
+
+@dataclass(frozen=True)
 class WreathTheoremReport:
     """Checked relation between a lexicographic product and the wreath
     product of the factor schemes."""
@@ -210,7 +225,9 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     gives.  scheme_decomposition compares the closure with the pulled-back
     prediction independently.
     """
-    cert, stage = _recognize(g)
+    # the edges of an association scheme are a union of basic relations, each
+    # of constant valency, so an irregular graph has none: skip recognition
+    cert, stage = _recognize(g) if g.is_regular() else (None, STAGE_NON_ASSOCIATION)
     if cert is not None:
         cc = closure_of_graph(g, predicted_rank(cert.m, cert.k, cert.r))
         return DecomposeOutcome(cert, None, cc)
@@ -265,6 +282,147 @@ def scheme_decomposition(outcome: DecomposeOutcome) -> SchemeDecomposition | Non
     if CoherentConfiguration(predicted) != outcome.scheme:
         raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] differs from prediction")
     return SchemeDecomposition(r, kind, m, IsoVerdict(ISO, tuple(sigma.tolist())))
+
+
+def _certificate_generators(m: int, k: int, r: int) -> np.ndarray:
+    """Automorphisms of C_{m,k}[K_r], one permutation of the points a * r + b
+    per row: first the outer group acting on a with b fixed, then the
+    adjacent transpositions (a, b)(a, b + 1) inside every fiber.
+
+    The outer rows are the adjacent fiber swaps (i, i + 1) for k = 0; for
+    m = 2k + 2 the swap i <-> i + k + 1 of each of the k + 1 non-adjacent
+    pairs, then the adjacent pair transpositions (j, j + 1)(j + k + 1,
+    j + k + 2); otherwise the rotation a -> a + 1, then the reflection
+    a -> -a.
+    """
+    ident = np.arange(m)
+
+    def swaps(*pairs):
+        f = ident.copy()
+        for x, y in pairs:
+            f[[x, y]] = y, x
+        return f
+
+    if k == 0:
+        outer = [swaps((i, i + 1)) for i in range(m - 1)]
+    elif m == 2 * k + 2:
+        outer = ([swaps((i, i + k + 1)) for i in range(k + 1)]
+                 + [swaps((j, j + 1), (j + k + 1, j + k + 2)) for j in range(k)])
+    else:
+        outer = [(ident + 1) % m, -ident % m]
+    n = m * r
+    a, b = np.divmod(np.arange(n), r)
+    p = np.flatnonzero(b < r - 1)  # p = (a, b) and p + 1 = (a, b + 1)
+    fiber = np.tile(np.arange(n), (p.size, 1))
+    rows = np.arange(p.size)
+    fiber[rows, p], fiber[rows, p + 1] = p + 1, p
+    return np.concatenate([np.array([f[a] * r + b for f in outer], dtype=np.intp).reshape(-1, n),
+                           fiber])
+
+
+def _group_bounds(g: Graph, scheme: CoherentConfiguration, gens, base) -> GroupWitness:
+    """The bounds and the Schurity check of group_witness, for permutations
+    gens of the vertices (one per row) and base points base that list every
+    vertex.  scheme must be the closure of g.  A row that is not an
+    automorphism of g is a library bug: AssertionError."""
+    n = g.n
+    gens = np.asarray(gens, dtype=np.intp).reshape(-1, n)
+    base = np.asarray(base, dtype=np.intp)
+    ident = np.arange(n)
+    if not (np.sort(gens, axis=1) == ident).all():
+        raise AssertionError("a generator is not a permutation of the vertices")
+    # with adj symmetric, p is an automorphism iff adj[p[u], p] = adj[u] for
+    # every point u that p moves; all (p, u) at once, one row each
+    i, u = np.nonzero(gens != ident)
+    pu = gens[i, u]
+    bad = (g.adj[pu[:, None], gens[i]] != g.adj[u]).any(axis=1)
+    if bad.any():
+        raise AssertionError(f"generator {i[bad][0]} is not an automorphism")
+
+    colors = scheme.colors
+    upper = 1
+    key = np.zeros(n, dtype=np.int64)  # the partition by colors to the base points so far
+    for v in base:
+        upper *= int(np.count_nonzero(key == key[v]))
+        _, key = np.unique(key * scheme.rank + colors[v], return_inverse=True)
+        if key.max() == n - 1:
+            break  # the partition is discrete: every later cell is one point
+
+    # S_{j+1}, the generators that fix base[:j], are those whose first moved
+    # base point comes at j or later.  Their orbits are the components of
+    # the edges u -- p(u); they are joined in a union-find in decreasing j.
+    moves = gens[:, base] != base
+    first = np.where(moves.any(axis=1), moves.argmax(axis=1), n)[i]
+    order = np.argsort(-first, kind="stable")
+    edges = zip(first[order].tolist(), u[order].tolist(), pu[order].tolist())
+    parent, size = list(range(n)), [1] * n
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    lower, schurian = 1, False
+    edge = next(edges, None)
+    for j in range(n - 1, -1, -1):
+        while edge is not None and edge[0] >= j:
+            x, y = find(edge[1]), find(edge[2])
+            if x != y:
+                parent[y] = x
+                size[x] += size[y]
+            edge = next(edges, None)
+        lower *= size[find(base[j])]
+        if j == min(1, n - 1):  # the orbits of S_2 (for n = 1, S_1 = S_2)
+            orbit = [find(x) for x in range(n)]
+            row = colors[base[0]].tolist()
+            schurian = len(set(orbit)) == len(set(row)) == len(set(zip(orbit, row)))
+    schurian &= size[find(base[0])] == n  # transitive
+    return GroupWitness(lower, upper, schurian)
+
+
+def group_witness(g: Graph, outcome: DecomposeOutcome) -> GroupWitness | None:
+    """Prove |Aut(G)| and that the scheme of a member is Schurian, from its
+    certificate and closure; None for non-members.
+
+    Generators.  In the certificate's coordinates (a, b), point a * r + b
+    of C_{m,k}[K_r], the outer group acting on a and the transpositions
+    inside the fibers (_certificate_generators) are automorphisms.  Each is
+    pulled back through the relabeling and checked against g.adj, so
+    H = <gens> is a subgroup of Aut(G) whatever the certificate says.
+
+    Upper bound.  The base points v_1, ..., v_n are the vertices in point
+    order.  Closure colors are Aut(G)-invariant, so an automorphism that
+    fixes v_1, ..., v_{i-1} maps v_i into its cell {w : c(v_j, w) =
+    c(v_j, v_i) for all j < i}.  By orbit-stabilizer along the base,
+    |Aut(G)| <= prod |cell_i|.  Once the cells are single points (the
+    partition is discrete), every later factor is 1.
+
+    Lower bound.  The generators S_i that fix v_1, ..., v_{i-1} lie in the
+    pointwise stabilizer H_(i-1) of those points in H, so the orbit of v_i
+    under <S_i> lies inside its orbit under H_(i-1).  Hence prod |orbit_i|
+    <= |H| <= |Aut(G)|, with no Schreier-Sims.  When lower = upper, the
+    order is proven and Aut(G) = H.
+
+    Schurity.  Say H is transitive, and the orbits of S_2 (the generators
+    fixing v_1) are exactly the color classes of row v_1.  Those classes
+    are unions of orbits of the stabilizer of v_1 in H, which contains
+    <S_2>, so each class is one such orbit.  Any pair (u, w) is moved by H
+    to a pair (v_1, w') of the same color, so every color is a single
+    orbit of H on pairs: the scheme is the 2-orbit scheme of H.
+
+    This is the orbit pruning of McKay & Piperno (arXiv:1301.1493), with
+    the automorphisms taken from the certificate instead of found by a
+    search.  Memory is O(n^2): there are fewer than n generators, and each
+    is checked on the rows it moves.
+    """
+    if not outcome.ok:
+        return None
+    cert = outcome.certificate
+    a, b = np.asarray(cert.relabeling, dtype=np.intp).T
+    sigma = a * cert.r + b  # the point of each vertex
+    base = np.argsort(sigma)  # the vertex at each point
+    gens = base[_certificate_generators(cert.m, cert.k, cert.r)[:, sigma]]
+    return _group_bounds(g, outcome.scheme, gens, base)
 
 
 def verify_wreath_theorem(

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -11,8 +12,11 @@ from arcschemes.characterize import (
     STAGE_QUOTIENT_NOT_ELEMENTARY,
     STAGE_UNEQUAL_TWIN_CLASSES,
     Decomposition,
+    _certificate_generators,
+    _group_bounds,
     _recognize,
     decompose_caw,
+    group_witness,
     is_elementary_caw,
     predicted_aut_order,
     predicted_rank,
@@ -20,6 +24,7 @@ from arcschemes.characterize import (
     scheme_decomposition,
     verify_wreath_theorem,
 )
+import arcschemes.characterize as characterize_module
 import arcschemes.closure as closure_module
 from arcschemes.cli import main
 from arcschemes.closure import closure_of_graph
@@ -40,6 +45,7 @@ from arcschemes.schemes import (
     verify,
     wreath_product,
 )
+from arcschemes.suites import aut_cases, run_aut_suite
 
 
 def assert_labels_witness(g, n, k, labels):
@@ -393,6 +399,23 @@ class TestRecognizeFirst:
         assert not out.ok and out.failure_stage == STAGE_QUOTIENT_NOT_ELEMENTARY
         assert out.scheme == closure_of_graph(g)
 
+    def test_irregular_graph_skips_recognition(self, monkeypatch):
+        # an irregular graph has no association scheme: the stage is the
+        # same as with recognition, and twin_relation is never called
+        rng = random.Random(5)
+        graphs = [oracles.path(4), oracles.star(3), from_edges(3, [(0, 1)])]
+        graphs += [oracles.random_graph(rng, rng.randint(3, 12)) for _ in range(40)]
+        irregular = [g for g in graphs if not g.is_regular()]
+        assert len(irregular) > 30
+        twins = count_calls(monkeypatch, characterize_module, "twin_relation")
+        for g in irregular:
+            out = decompose_caw(g)
+            assert not out.ok and out.failure_stage == STAGE_NON_ASSOCIATION
+            assert out.scheme == closure_of_graph(g)
+        assert twins == []
+        decompose_caw(oracles.petersen())  # regular: recognition runs
+        assert len(twins) == 1
+
     @pytest.mark.parametrize("m, r", [(1, 1), (1, 5), (6, 1), (4, 3), (9, 6)])
     def test_k0_member_needs_no_round(self, m, r, monkeypatch):
         # the initial coloring of a k = 0 member already has the predicted rank
@@ -526,8 +549,80 @@ class TestPredictedAutOrder:
         assert count_automorphisms(g, limit=12) == predicted_aut_order(m, k, r)
 
     def test_full_sweep_to_twelve_points(self):
-        from arcschemes.suites import run_aut_suite
-
         rows, ok = run_aut_suite(12)
         assert ok, [r for r in rows if r["status"] != "pass"]
         assert len(rows) > 30
+
+
+class TestGroupWitness:
+    def test_equals_the_counters_on_every_aut_case(self):
+        # permutation_aut_count tries all n! permutations: up to 8 points
+        for m, k, r in aut_cases(12):
+            g = permuted_member(m, k, r, seed=m * 100 + k * 10 + r)
+            witness = group_witness(g, decompose_caw(g))
+            assert witness.lower == witness.upper, (m, k, r)
+            assert witness.order == count_automorphisms(g) == predicted_aut_order(m, k, r)
+            assert witness.schurian, (m, k, r)
+            if g.n <= 8:
+                assert witness.order == oracles.permutation_aut_count(g), (m, k, r)
+
+    @pytest.mark.parametrize("m, k, r", [(30, 3, 3), (100, 3, 3), (12, 0, 7), (60, 0, 5),
+                                         (10, 4, 6), (30, 14, 10), (1, 0, 40)])
+    def test_proven_and_schurian_on_large_permuted_members(self, m, k, r):
+        g = permuted_member(m, k, r, seed=m + k + r)
+        witness = group_witness(g, decompose_caw(g))
+        assert witness.order == predicted_aut_order(m, k, r)
+        assert witness.schurian
+
+    def test_none_for_non_members(self):
+        g = oracles.petersen()
+        assert group_witness(g, decompose_caw(g)) is None
+
+    def test_aut_suite_to_thirty_points(self):
+        rows, ok = run_aut_suite(30)
+        assert ok and len(rows) == len(aut_cases(30))
+        for (m, k, r), row in zip(aut_cases(30), rows):
+            order = predicted_aut_order(m, k, r)
+            assert row["detail"] == (f"counted={order} predicted={order} "
+                                     "certified=True schurian=True")
+
+    def test_missing_reflection_fails_the_row(self, monkeypatch):
+        def without_reflection(m, k, r):
+            gens = _certificate_generators(m, k, r)
+            dihedral = k > 0 and m > 2 * k + 2
+            return np.delete(gens, 1, axis=0) if dihedral else gens  # row 1: the reflection
+
+        monkeypatch.setattr(characterize_module, "_certificate_generators", without_reflection)
+        rows, ok = run_aut_suite(10)
+        assert not ok
+        for (m, k, r), row in zip(aut_cases(10), rows):
+            if k > 0 and m > 2 * k + 2:
+                # the rotations and the fibers' groups: half of Aut(G)
+                order = predicted_aut_order(m, k, r)
+                assert row["status"] == "FAIL"
+                assert row["detail"].startswith(f"lower={order // 2} upper={order} ")
+                assert row["detail"].endswith("schurian=False")
+            else:
+                assert row["status"] == "pass"
+
+    def test_non_automorphism_is_rejected(self, monkeypatch):
+        def with_bad_swap(m, k, r):
+            gens = _certificate_generators(m, k, r)
+            swap = np.arange(m * r)
+            swap[[0, r]] = r, 0  # (0, 0) <-> (1, 0): not twins
+            return np.vstack([gens, swap])
+
+        g = permuted_member(7, 2, 2, seed=3)
+        outcome = decompose_caw(g)
+        assert group_witness(g, outcome).order == predicted_aut_order(7, 2, 2)
+        monkeypatch.setattr(characterize_module, "_certificate_generators", with_bad_swap)
+        with pytest.raises(AssertionError, match="not an automorphism"):
+            group_witness(g, outcome)
+
+    def test_non_permutation_is_rejected(self):
+        g = cycle(5)
+        base = np.arange(5)
+        with pytest.raises(AssertionError, match="not a permutation"):
+            _group_bounds(g, closure_of_graph(g), [[1, 2, 3, 4, 1]], base)
+        witness = _group_bounds(g, closure_of_graph(g), [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]], base)
+        assert (witness.order, witness.schurian) == (10, True)
