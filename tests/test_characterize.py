@@ -586,24 +586,26 @@ class TestGroupWitness:
             assert row["detail"] == (f"counted={order} predicted={order} "
                                      "certified=True schurian=True")
 
-    def test_missing_reflection_fails_the_row(self, monkeypatch):
-        def without_reflection(m, k, r):
+    @pytest.mark.parametrize("row, lost", [(0, "rotation"), (1, "reflection")])
+    def test_missing_dihedral_generator_fails_the_row(self, row, lost, monkeypatch):
+        def without(m, k, r):
             gens = _certificate_generators(m, k, r)
-            dihedral = k > 0 and m > 2 * k + 2
-            return np.delete(gens, 1, axis=0) if dihedral else gens  # row 1: the reflection
+            return np.delete(gens, row, axis=0) if k > 0 and m > 2 * k + 2 else gens
 
-        monkeypatch.setattr(characterize_module, "_certificate_generators", without_reflection)
+        monkeypatch.setattr(characterize_module, "_certificate_generators", without)
         rows, ok = run_aut_suite(10)
         assert not ok
-        for (m, k, r), row in zip(aut_cases(10), rows):
+        for (m, k, r), got in zip(aut_cases(10), rows):
             if k > 0 and m > 2 * k + 2:
-                # the rotations and the fibers' groups: half of Aut(G)
+                # without the rotation H is intransitive, of order |Aut(G)| / m;
+                # without the reflection it is half of Aut(G)
                 order = predicted_aut_order(m, k, r)
-                assert row["status"] == "FAIL"
-                assert row["detail"].startswith(f"lower={order // 2} upper={order} ")
-                assert row["detail"].endswith("schurian=False")
+                lower = order // m if lost == "rotation" else order // 2
+                assert got["status"] == "FAIL"
+                assert got["detail"].startswith(f"lower={lower} upper={order} ")
+                assert got["detail"].endswith("schurian=False")
             else:
-                assert row["status"] == "pass"
+                assert got["status"] == "pass"
 
     def test_non_automorphism_is_rejected(self, monkeypatch):
         def with_bad_swap(m, k, r):
