@@ -42,8 +42,8 @@ def test_cli_exit_code_contract(tmp_path_factory, data):
             assert main(argv) in (0, 1, 2), argv
 
 
-# `all` runs aut at 12 at most, where perfbench's verify-sweep workload
-# expects aut_cases(min(bound, 12)) rows; `verify aut` alone takes any bound
+# `all` runs aut at 12 at most, because perfbench's verify-sweep check
+# counts aut_cases(min(bound, 12)) rows; `verify aut` alone goes to 20 here
 verify_args = st.sampled_from(["dihedral", "wreath", "aut", "all"]).flatmap(
     lambda suite: st.tuples(st.just(suite), st.integers(-3, 20 if suite == "aut" else 16)))
 
