@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""CPU time of the closure, decompose and automorphism-order layers on members.
+"""CPU time of the reader, kernel, closure, decompose and automorphism-order layers.
 
-Each record is one function on one permuted member of C_{m,k}[K_r] for
-one source tree: the minimum CPU time (time.process_time, all threads of
-the process) over --repeats calls, the number of refinement rounds
-(refine_step calls) of one further call, the closure's n and rank, and
-the CPU count and git revision the numbers were taken with.  Labels are
-permuted by a fixed seed.
+Each record is one function on one graph for one source tree: the
+minimum CPU time (time.process_time, all threads of the process) over
+--repeats calls, the number of refinement rounds (refine_step calls) of
+one call, the closure's n and rank, and the CPU count and git revision
+the numbers were taken with.  Member labels are permuted by a fixed seed.
 
+- read_graph reads the ten graph files of the perfbench members-decompose
+  deck (seed 1, written to a temporary directory).
+- refine_step runs every round of a closure, each from the round's own
+  input, one after another: on the members-decompose shapes; on the
+  verify-sweep sizes, the aut_cases(12) members and C_{n,k} for
+  n = 13 .. 24; and on the 35 arc-model graphs of the arcs-nonmembers
+  deck (seed 1), whose rounds run at a rank of about n^2 / 2.
 - closure_of_graph and decompose_caw run on the ten shapes of the
   perfbench members-decompose workload (imported from its deck).
 - The automorphism-order layer runs on the shapes of the perfbench
@@ -19,7 +25,7 @@ permuted by a fixed seed.
 
     python3 benchmarks/layer_times.py --repeats 1 --out layer_times.json
     python3 benchmarks/layer_times.py --src parent=../parent/src --src change=src \\
-        --repeats 15 --out BENCH_group_witness.json
+        --repeats 15 --out BENCH_half_rounds.json
 
 Each --src LABEL=DIR imports the arcschemes package in DIR (default: this
 checkout's src/ as "change").  Several trees are measured in one process,
@@ -37,16 +43,21 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
-from perfbench.workloads import MEMBERS, aut_cases  # noqa: E402  (m, k, r) of each member
+from perfbench.workloads import (  # noqa: E402  (m, k, r) of each member, and the decks
+    MEMBERS, ArcsNonmembers, MembersDecompose, aut_cases,
+)
 
 PACKAGE = "arcschemes"
 SEED = 1  # of the label permutations
 AUT_SHAPES = aut_cases(12) + [(30, 3, 3), (100, 3, 3)]
+# members at the verify-sweep sizes: the aut rows and C_{n,k} up to 24 points
+SMALL_SHAPES = aut_cases(12) + [(n, k, 1) for n in range(13, 25) for k in (1, 2, 5) if 2 * k + 1 < n]
 
 
 def git_revision(src: Path) -> str:
@@ -67,7 +78,7 @@ def load_tree(src: Path) -> dict:
     sys.path.insert(0, str(src))
     try:
         mods = {name: importlib.import_module(f"{PACKAGE}.{name}")
-                for name in ("graphs", "closure", "characterize")}
+                for name in ("graphs", "kernels", "closure", "characterize")}
     finally:
         sys.path.remove(str(src))
     where = Path(mods["graphs"].__file__).resolve()
@@ -96,6 +107,19 @@ def count_rounds(closure_mod, fn) -> int:
     return len(calls)
 
 
+def closure_rounds(mods, g) -> list:
+    """The input (colors, rank) of every round of the closure of g."""
+    mat = mods["closure"]._initial_coloring(g.n, [g.adj])
+    rank = int(mat.max()) + 1
+    rounds = []
+    while True:
+        rounds.append((mat, rank))
+        mat, new_rank = mods["kernels"].refine_step(mat, rank)
+        if new_rank == rank:
+            return rounds
+        rank = new_rank
+
+
 def aut_order_case(mods, g):
     """(function name, zero-argument call) of the tree's automorphism-order
     layer on g, or None where the tree cannot run it."""
@@ -108,44 +132,80 @@ def aut_order_case(mods, g):
     return None
 
 
-def tree_cases(mods) -> dict:
-    """(shape, function) -> zero-argument call, for one tree."""
+def member_label(m: int, k: int, r: int) -> dict:
+    return {"graph": f"C_{{{m},{k}}}[K_{r}]", "m": m, "k": k, "r": r}
+
+
+def tree_cases(mods, decks) -> dict:
+    """(graph label, function) -> (zero-argument call, graph, label fields),
+    for one tree."""
+    graphs, kernels = mods["graphs"], mods["kernels"]
     cases = {}
+
+    def kernel_case(label, g):
+        rounds = closure_rounds(mods, g)
+        cases[label["graph"], "refine_step"] = (
+            lambda: [kernels.refine_step(*args) for args in rounds], g, label)
+
+    for i, path in enumerate(decks["members"]):
+        label = dict(member_label(*MEMBERS[i]), file=path.name)
+        cases[label["graph"], "read_graph"] = (
+            lambda p=path: graphs.read_graph(p, 200), graphs.read_graph(path, 200), label)
+    for shape in list(MEMBERS) + SMALL_SHAPES:
+        kernel_case(member_label(*shape), permuted_member(graphs, *shape))
+    for n, m, edges in decks["arcs"]:
+        kernel_case({"graph": f"arcs n={n} m={m}"}, graphs.from_edges(n, edges))
     for shape in MEMBERS:
-        g = permuted_member(mods["graphs"], *shape)
-        cases[shape, "closure_of_graph"] = lambda c=mods["closure"], g=g: c.closure_of_graph(g)
-        cases[shape, "decompose_caw"] = lambda c=mods["characterize"], g=g: c.decompose_caw(g)
+        g = permuted_member(graphs, *shape)
+        char = mods["characterize"]
+        cases[member_label(*shape)["graph"], "closure_of_graph"] = (
+            lambda g=g: mods["closure"].closure_of_graph(g), g, member_label(*shape))
+        cases[member_label(*shape)["graph"], "decompose_caw"] = (
+            lambda g=g: char.decompose_caw(g), g, member_label(*shape))
     for shape in AUT_SHAPES:
-        case = aut_order_case(mods, permuted_member(mods["graphs"], *shape))
+        g = permuted_member(graphs, *shape)
+        case = aut_order_case(mods, g)
         if case is not None:
-            cases[shape, case[0]] = case[1]
+            cases[member_label(*shape)["graph"], case[0]] = (case[1], g, member_label(*shape))
     return cases
 
 
+def build_decks(workdir: Path) -> dict:
+    """The members-decompose graph files and the arcs-nonmembers graphs
+    (n, m, sorted edges) of the perfbench decks, seed 1."""
+    members = [Path(q.data["path"]) for q in MembersDecompose().build(SEED, workdir)]
+    arcs = [(q.n, q.data["m"], sorted(q.data["edges"]))
+            for q in ArcsNonmembers().build(SEED, workdir)]
+    return {"members": members, "arcs": arcs}
+
+
 def measure(trees: dict, repeats: int) -> list[dict]:
-    cases = {label: tree_cases(mods) for label, mods in trees.items()}
-    best = {label: dict.fromkeys(tree, float("inf")) for label, tree in cases.items()}
-    labels = list(trees)
-    for rep in range(repeats):
-        for label in labels if rep % 2 == 0 else labels[::-1]:
-            for key, fn in cases[label].items():
-                start = time.process_time()
-                fn()
-                best[label][key] = min(best[label][key], time.process_time() - start)
-    cpu_count = len(os.sched_getaffinity(0))
-    records = []
-    for label, tree in cases.items():
-        mods = trees[label]
-        for ((m, k, r), name), fn in tree.items():
-            closure = mods["closure"].closure_of_graph(permuted_member(mods["graphs"], m, k, r))
-            records.append({
-                "label": label, "revision": mods["revision"], "cpu_count": cpu_count,
-                "graph": f"C_{{{m},{k}}}[K_{r}]", "m": m, "k": k, "r": r, "n": closure.n,
-                "rank": closure.rank, "function": name, "repeats": repeats, "seed": SEED,
-                "cpu_ms": round(best[label][(m, k, r), name] * 1000, 4),
-                "rounds": count_rounds(mods["closure"], fn),
-            })
-    return records
+    with tempfile.TemporaryDirectory() as workdir:  # read_graph reads its files to the end
+        decks = build_decks(Path(workdir))
+        cases = {label: tree_cases(mods, decks) for label, mods in trees.items()}
+        best = {label: dict.fromkeys(tree, float("inf")) for label, tree in cases.items()}
+        labels = list(trees)
+        for rep in range(repeats):
+            for label in labels if rep % 2 == 0 else labels[::-1]:
+                for key, (fn, _, _) in cases[label].items():
+                    start = time.process_time()
+                    fn()
+                    best[label][key] = min(best[label][key], time.process_time() - start)
+        return [record(trees[label], label, key, case, best[label][key], repeats)
+                for label, tree in cases.items() for key, case in tree.items()]
+
+
+def record(mods, label: str, key, case, seconds: float, repeats: int) -> dict:
+    (_, name), (fn, g, fields) = key, case
+    closure = mods["closure"].closure_of_graph(g)
+    rounds = (len(closure_rounds(mods, g)) if name == "refine_step"
+              else count_rounds(mods["closure"], fn))
+    return {
+        "label": label, "revision": mods["revision"],
+        "cpu_count": len(os.sched_getaffinity(0)), **fields, "n": closure.n,
+        "rank": closure.rank, "function": name, "repeats": repeats, "seed": SEED,
+        "cpu_ms": round(seconds * 1000, 4), "rounds": rounds,
+    }
 
 
 def parse_src(text: str) -> tuple[str, Path]:
@@ -170,9 +230,10 @@ def main(argv=None) -> int:
     for label, src in sources.items():
         trees[label] = dict(load_tree(src), revision=git_revision(src))
     doc = {
-        "what": "CPU ms (min of repeats, trees interleaved) of closure_of_graph, "
-                "decompose_caw and the automorphism-order layer (group_witness or "
-                "count_automorphisms) on permuted members; rounds are refine_step calls "
+        "what": "CPU ms (min of repeats, trees interleaved) of read_graph on the "
+                "members-decompose deck files, refine_step over all rounds of a closure, "
+                "closure_of_graph, decompose_caw and the automorphism-order layer "
+                "(group_witness or count_automorphisms); rounds are refine_step calls "
                 "per call",
         "command": "python3 benchmarks/layer_times.py " + " ".join(
             f"--src {label}=DIR" for label in sources) + f" --repeats {args.repeats}",

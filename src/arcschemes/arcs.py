@@ -110,8 +110,16 @@ def require_valid(f: ArcFunction) -> None:
 
 
 def intersection_graph(f: ArcFunction) -> Graph:
-    """Graph on the vertices of f; u ~ v iff their arcs share a point."""
-    require_valid(f)
+    """Graph on the vertices of f; u ~ v iff their arcs share a point.
+    A model violating (1) or (2) raises ValueError; a ReducedArcFunction
+    was checked when it was built, and is not checked again."""
+    if not isinstance(f, ReducedArcFunction):
+        require_valid(f)
+    return _intersection_graph(f)
+
+
+def _intersection_graph(f: ArcFunction) -> Graph:
+    """intersection_graph of a model that already passed require_valid."""
     start, size = _columns(f)  # int64: condition (1) leaves at most 2n points
     offset = (start[None, :] - start[:, None]) % f.m  # start of v seen from u
     meet = (offset < size[:, None]) | (offset.T < size[None, :])
@@ -192,7 +200,7 @@ def reduce(f: ArcFunction) -> ReducedArcFunction:
     intersection graph, both of which are re-checked before returning.
     """
     require_valid(f)
-    g = intersection_graph(f)
+    g = _intersection_graph(f)
     if g.edge_count() == 0:
         raise ValueError("reduction needs a non-empty intersection graph")
     check = check_neighborhood_condition(g)

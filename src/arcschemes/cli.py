@@ -228,9 +228,8 @@ def cmd_arcs(args) -> int:
             msg = next((f for f in failures if f.startswith(label)), None)
             rows.append({"case": label, "status": "pass" if msg is None else "FAIL",
                          "detail": msg or ""})
-        ok_graph = not failures
-        if ok_graph:
-            g = arcmod.intersection_graph(model)
+        if not failures:
+            g = arcmod._intersection_graph(model)  # the conditions were just checked
             check = arcmod.check_neighborhood_condition(g)
             rows.append({"case": "condition (3.1)", "status": "pass" if check.ok else "FAIL",
                          "detail": "" if check.ok else f"witness edge {check.witness}"})

@@ -69,18 +69,53 @@ def from_edges(n: int, edges) -> Graph:
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    seen = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"vertex out of range in edge ({u}, {v})")
-        if u == v:
-            raise ValueError(f"loop edge ({u}, {v}) not allowed")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
+    edges = list(edges)
+    try:
+        uv = np.array(edges, dtype=np.int64)
+    except OverflowError:  # exact Python ints for endpoints beyond int64
+        uv = np.array(edges, dtype=object)
+    if uv.size == 0:
+        uv = uv.reshape(0, 2)
+    if uv.ndim != 2 or uv.shape[1] != 2:
+        raise ValueError("an edge is a pair of vertices")
+    bad = _first_bad_edge(n, uv)
+    if bad is not None:
+        raise ValueError(bad[1])
+    return _graph_of_edges(n, uv)
+
+
+def _first_bad_edge(n: int, uv: np.ndarray):
+    """The index and the message of the first edge of the E x 2 array uv
+    that has an endpoint outside 0..n-1, is a loop, or repeats an earlier
+    edge in either orientation, checked in that order; None if none does.
+
+    Exact for endpoints of any size: uv holds int64 or Python ints."""
+    if n > np.iinfo(np.int64).max:
+        uv = uv.astype(object)
+    u, v = uv[:, 0], uv[:, 1]
+    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    loop = u == v
+    low, high = np.minimum(u, v), np.maximum(u, v)
+    # lexsort is stable, so each repeat sorts after the edges it repeats
+    order = np.lexsort((high, low))
+    repeat = np.zeros(len(uv), dtype=bool)
+    repeat[order[1:]] = (low[order[1:]] == low[order[:-1]]) & (high[order[1:]] == high[order[:-1]])
+    bad = outside | loop | repeat
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    a, b = uv[i].tolist()
+    if outside[i]:
+        return i, f"vertex out of range in edge ({a}, {b})"
+    if loop[i]:
+        return i, f"loop edge ({a}, {b}) not allowed"
+    return i, f"duplicate edge ({a}, {b})"
+
+
+def _graph_of_edges(n: int, uv: np.ndarray) -> Graph:
+    """The graph of an E x 2 edge array that _first_bad_edge accepts."""
     adj = np.zeros((n, n), dtype=bool)
-    u, v = np.array(list(seen), dtype=np.intp).reshape(-1, 2).T
+    u, v = uv.astype(np.intp).T
     adj[u, v] = adj[v, u] = True
     return Graph(adj)
 
@@ -331,18 +366,40 @@ class VertexLimitError(ValueError):
 def graph_from_text(text: str, max_vertices: int | None = None) -> Graph:
     """Parse a graph file.  One declaring more than max_vertices vertices
     raises VertexLimitError before its edges are checked or the graph is
-    built, so up to then memory grows with the file's length only."""
-    records = list(int_records(text, "two integers", 2))
-    if not records:
+    built, so up to then memory grows with the file's length only.
+
+    Each line is split once; the integers are converted in one numpy call
+    (int() semantics) and the edges are checked on arrays.  A file that
+    numpy cannot read as n x 2 int64 goes through int_records, which names
+    the first malformed line or returns the exact Python ints."""
+    tokens = [line.split() for line in text.splitlines()]
+    if "#" in text or not all(tokens):  # skip blank and comment lines
+        kept = [i for i, words in enumerate(tokens) if words and words[0][0] != "#"]
+        tokens = [tokens[i] for i in kept]
+    else:
+        kept = range(len(tokens))
+    if not kept:
         raise ValueError("empty graph file (missing 'n e' header)")
-    (lineno, (n, e)), edges = records[0], records[1:]
+    try:
+        values = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        values = None
+    if values is None or values.shape != (len(kept), 2):
+        values = np.array([row for _, row in int_records(text, "two integers", 2)], dtype=object)
+    (n, e), edges = values[0].tolist(), values[1:]
     if n < 0 or e < 0:
-        raise ValueError(f"line {lineno}: negative count in header")
+        raise ValueError(f"line {kept[0] + 1}: negative count in header")
     if len(edges) != e:
         raise ValueError(f"header declares {e} edges but file has {len(edges)}")
     if max_vertices is not None and n > max_vertices:
         raise VertexLimitError(n, max_vertices)
-    return build_by_line(lineno, edges, lambda pairs: from_edges(n, pairs))
+    bad = _first_bad_edge(n, edges)
+    if bad is not None:
+        raise ValueError(f"line {kept[bad[0] + 1] + 1}: {bad[1]}")
+    try:
+        return _graph_of_edges(n, edges)
+    except ValueError as exc:  # numpy refuses an n x n matrix this large
+        raise ValueError(f"line {kept[-1] + 1}: {exc}") from None
 
 
 def read_graph(path, max_vertices: int | None = None) -> Graph:

@@ -5,37 +5,135 @@ multiset of color(u, w) * rank + color(w, v) over all points w.  New
 color ids are assigned by first appearance of a signature in a row-major
 scan of the pair matrix, so equal partitions give equal matrices.
 
-Signatures are built and sorted in numpy, a block of rows at a time, and
+Signatures are built and sorted in numpy, a block of pairs at a time, and
 each one is read as a single bytes key.  Two keys are equal exactly when
 the signatures are, so the round is exact: no hashing, no randomness.
 
+Half of the pairs suffice.  The coloring must be transpose-closed: a map
+t on colors gives color(v, u) = t(color(u, v)) for every pair (the
+initial coloring of a closure is, and refine_step checks it in one pass
+through a table of t).  The signature of (v, u) is then t(color(u, v))
+with the multiset of t(color(w, v)) * rank + t(color(u, w)) over all w,
+a function tau of the signature of (u, v).  So the new color of (v, u) is
+tau of the new color of (u, v), and the new coloring is transpose-closed
+again.  A half round signs the pairs u <= v.  Then, for the lower
+triangle:
+
+- while the upper pairs hold fewer new colors than there are lower pairs,
+  it signs (v, u) at one pair (u, v) of each new color, which gives tau
+  (any pair of the color gives the same key), and fills the lower
+  triangle through tau;
+- otherwise tau would cost more signatures than the lower pairs
+  themselves, and it signs those directly.
+
+Either way it renumbers the colors by first appearance in the full
+row-major scan, so the result is the full round's, bit for bit.
+
+The half round has a fixed cost (index gathers, the renumbering) that
+small or high-rank rounds do not earn back.  A round on fewer than
+HALF_ROUND_MIN_N points, or at a rank of at least n^2 / 8, signs all n^2
+pairs in row-major order, which numbers them directly.  Both limits come
+from the kernel records of benchmarks/layer_times.py: at low rank the
+half round breaks even at about 20-24 points, and from rank n^2 / 8 on,
+the upper triangle of the arc-model graphs holds about half of the lower
+pairs' count in colors or more, so tau saves few signatures.
+
 Sorting and keying scale with the item size, so a signature is held in
-the narrowest of int16, int32 and int64 that holds rank * (rank + 1).
-No entry can wrap: colors lie in [0, rank), so the old color is below
-rank and every product entry is at most (rank - 1) * rank + rank - 1 =
+the narrowest of uint16, uint32 and uint64 that holds rank**2 - 1.  No
+entry can wrap: colors lie in [0, rank), so the old color is below rank
+and every product entry is at most (rank - 1) * rank + rank - 1 =
 rank**2 - 1.  A key compares the whole signature in any type, so the
 numbering is the same in all three.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-# target size of the signature block built at once, in bytes: a row of
-# the block is itemsize * n * (n + 1) bytes, and a block holds as many
-# rows as fit, but never fewer than one (one row of 0.64 MB for an int32
-# round at n = 400)
+# target size of the signature block built at once, in bytes: a pair's
+# signature is itemsize * (n + 1) bytes, and a block holds as many pairs
+# as fit, but never fewer than one
 _BLOCK_BYTES = 1 << 17
 
 # the signature types, narrowest first, with their largest value
-_SIGNATURE_TYPES = [(t, int(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64)]
+_SIGNATURE_TYPES = [(t, int(np.iinfo(t).max)) for t in (np.uint16, np.uint32, np.uint64)]
+
+# the smallest n whose rounds sign half of the pairs (see the module
+# docstring); from the kernel records of benchmarks/layer_times.py
+HALF_ROUND_MIN_N = 32
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(n: int):
+    """The index arrays of a half round on n points: the upper pairs
+    u <= v in row-major order, which of them lie off the diagonal, and the
+    lower pairs (v, u), u < v, in the order of their upper pairs."""
+    first, second = np.triu_indices(n)
+    below = first != second
+    return first, second, below, second[below], first[below]
+
+
+def _transpose_closed(c: np.ndarray, rank: int) -> bool:
+    """Whether color(v, u) is a function of color(u, v)."""
+    if rank > c.size:  # renumber, so the table below has at most n^2 entries
+        c = np.unique(c, return_inverse=True)[1].reshape(c.shape)
+        rank = c.size
+    colors, transposed = c.ravel(), c.T.ravel()
+    transpose = np.empty(rank, dtype=c.dtype)
+    transpose[colors] = transposed
+    return bool((transpose[colors] == transposed).all())
+
+
+def _row_blocks(c: np.ndarray, scale):
+    """The signatures of all pairs in row-major order, a block of rows at
+    a time, as (pairs, n + 1) arrays."""
+    n = len(c)
+    width = n + 1
+    rows = max(1, _BLOCK_BYTES // max(1, c.itemsize * n * width))
+    for start in range(0, n, rows):
+        cu = c[start:start + rows]
+        # block[u, v] = [c[u, v], c[u, w] * rank + c[w, v] for every w]
+        block = np.empty((len(cu), n, width), dtype=c.dtype)
+        block[:, :, 0] = cu
+        np.add((cu * scale)[:, None, :], c.T, out=block[:, :, 1:])
+        yield block.reshape(-1, width)
+
+
+def _pair_blocks(c: np.ndarray, scaled: np.ndarray, transposed: np.ndarray, first, second):
+    """The signatures of the pairs (first[i], second[i]), a block of pairs
+    at a time; scaled is c * rank and transposed is c.T, contiguous."""
+    width = len(c) + 1
+    step = max(1, _BLOCK_BYTES // (c.itemsize * width))
+    for start in range(0, len(first), step):
+        u, v = first[start:start + step], second[start:start + step]
+        block = np.empty((len(u), width), dtype=c.dtype)
+        block[:, 0] = c[u, v]
+        np.add(scaled[u], transposed[v], out=block[:, 1:])
+        yield block
+
+
+def _number(ids: dict, blocks, size: int) -> np.ndarray:
+    """The ids of the size signatures in blocks, each numbered in ids by
+    first appearance."""
+    out = np.empty(size, dtype=np.int64)
+    start = 0
+    for block in blocks:
+        block[:, 1:].sort(axis=1)
+        keys = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
+        out[start:start + len(keys)] = np.fromiter(
+            (ids.setdefault(key, len(ids)) for key in keys), dtype=np.int64, count=len(keys))
+        start += len(keys)
+    return out
 
 
 def refine_step(colors, rank: int):
     """One refinement round.  Returns (new color matrix, new rank).
 
-    Every color must lie in [0, rank), and rank * (rank + 1) must fit in
-    int64; otherwise ValueError.  The returned matrix is int64.
+    Every color must lie in [0, rank), rank**2 - 1 must fit in uint64,
+    and the coloring must be transpose-closed; otherwise ValueError.  The
+    returned matrix is int64.
     """
     c = np.asarray(colors, dtype=np.int64)
     n = c.shape[0]
@@ -43,24 +141,38 @@ def refine_step(colors, rank: int):
     if c.size and int(c.view(np.uint64).max()) >= rank:
         raise ValueError(f"colors must lie in [0, {rank}), "
                          f"found {int(c.min())}..{int(c.max())}")
-    dt = next((t for t, top in _SIGNATURE_TYPES if rank * (rank + 1) <= top), None)
+    dt = next((t for t, top in _SIGNATURE_TYPES if rank * rank - 1 <= top), None)
     if dt is None:
-        raise ValueError(f"rank {rank} is too large for int64 signatures")
-    c = c.astype(dt, copy=False)
+        raise ValueError(f"rank {rank} is too large for uint64 signatures")
+    if not _transpose_closed(c, rank):
+        raise ValueError("coloring is not transpose-closed: "
+                         "color(v, u) is not a function of color(u, v)")
+    c = c.astype(dt)
     # rank as a dt scalar, so that numpy 1.x and 2.x keep the product in dt
     scale = dt(rank)
-    width = n + 1
-    rows = max(1, _BLOCK_BYTES // max(1, c.itemsize * n * width))
-    key_type = np.dtype((np.void, c.itemsize * width))
     ids: dict[bytes, int] = {}
-    out: list[int] = []
-    for start in range(0, n, rows):
-        cu = c[start:start + rows]
-        # block[u, v] = [c[u, v], c[u, w] * rank + c[w, v] for every w]
-        block = np.empty((len(cu), n, width), dtype=dt)
-        block[:, :, 0] = cu
-        np.add((cu * scale)[:, None, :], c.T, out=block[:, :, 1:])
-        block[:, :, 1:].sort(axis=2)
-        out.extend(ids.setdefault(key, len(ids))
-                   for key in block.view(key_type).ravel().tolist())
-    return np.array(out, dtype=np.int64).reshape(n, n), len(ids)
+    if n < HALF_ROUND_MIN_N or rank * 8 >= n * n:
+        return _number(ids, _row_blocks(c, scale), n * n).reshape(n, n), len(ids)
+    first, second, below, rows, cols = _layout(n)
+    scaled, transposed = c * scale, np.ascontiguousarray(c.T)
+
+    def signed(u, v):
+        return _number(ids, _pair_blocks(c, scaled, transposed, u, v), len(u))
+
+    upper = signed(first, second)
+    if len(ids) < len(rows):
+        # tau, from the transpose of any one pair of each color
+        rep = np.empty(len(ids), dtype=np.intp)
+        rep[upper] = np.arange(len(upper))
+        lower = signed(second[rep], first[rep])[upper[below]]
+    else:
+        lower = signed(rows, cols)
+    out = np.empty((n, n), dtype=np.int64)
+    out[first, second] = upper
+    out[rows, cols] = lower
+    # renumber by first appearance in the row-major scan
+    seen = np.full(len(ids), n * n)
+    np.minimum.at(seen, out.ravel(), np.arange(n * n))
+    new = np.empty(len(ids), dtype=np.int64)
+    new[np.argsort(seen)] = np.arange(len(ids))
+    return new[out], len(ids)

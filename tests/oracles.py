@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from arcschemes.arcs import ArcFunction, condition_failures
-from arcschemes.graphs import Graph, from_edges
+from arcschemes.graphs import Graph, VertexLimitError, build_by_line, from_edges, int_records
 from arcschemes.schemes import ISO, NOT_ISO, IsoVerdict, VerifyReport
 
 
@@ -105,6 +105,15 @@ def refine_step_oracle(colors, rank: int):
             out_row.append(ids.setdefault((rows[u][v], tuple(sig)), len(ids)))
         out.append(out_row)
     return np.array(out, dtype=np.int64), len(ids)
+
+
+def transpose_closed(colors) -> bool:
+    """Whether color(u, v) = color(u', v') always implies color(v, u) =
+    color(v', u'), pair by pair."""
+    rows = np.asarray(colors).tolist()
+    transpose: dict[int, int] = {}
+    return all(transpose.setdefault(rows[u][v], rows[v][u]) == rows[v][u]
+               for u in range(len(rows)) for v in range(len(rows)))
 
 
 def membership(n: int, pairs) -> np.ndarray:
@@ -242,6 +251,44 @@ def schemes_isomorphic(a, b) -> IsoVerdict:
     if witness is None:
         return IsoVerdict(NOT_ISO)
     return IsoVerdict(ISO, witness)
+
+
+def from_edges_oracle(n: int, edges) -> Graph:
+    """from_edges edge by edge: range, loop and duplicate checks in file
+    order, with a set of the edges seen so far."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex out of range in edge ({u}, {v})")
+        if u == v:
+            raise ValueError(f"loop edge ({u}, {v}) not allowed")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+    adj = np.zeros((n, n), dtype=bool)
+    u, v = np.array(list(seen), dtype=np.intp).reshape(-1, 2).T
+    adj[u, v] = adj[v, u] = True
+    return Graph(adj)
+
+
+def graph_from_text_oracle(text: str, max_vertices: int | None = None) -> Graph:
+    """The graph reader line by line: int_records lexes every line first,
+    then the header checks, the vertex limit, and from_edges_oracle with
+    the line of the edge it was reading."""
+    records = list(int_records(text, "two integers", 2))
+    if not records:
+        raise ValueError("empty graph file (missing 'n e' header)")
+    (lineno, (n, e)), edges = records[0], records[1:]
+    if n < 0 or e < 0:
+        raise ValueError(f"line {lineno}: negative count in header")
+    if len(edges) != e:
+        raise ValueError(f"header declares {e} edges but file has {len(edges)}")
+    if max_vertices is not None and n > max_vertices:
+        raise VertexLimitError(n, max_vertices)
+    return build_by_line(lineno, edges, lambda pairs: from_edges_oracle(n, pairs))
 
 
 def lex_product_oracle(outer: Graph, inner: Graph) -> Graph:

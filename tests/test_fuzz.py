@@ -7,6 +7,7 @@ import io
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from arcschemes.arcs import model_from_text
 from arcschemes.cli import main
 from arcschemes.graphs import graph_from_text
@@ -29,6 +30,14 @@ def test_readers_raise_only_value_error(text):
             reader(text)
         except ValueError:
             pass
+    # the graph reader also gives the line-by-line reference's result or message
+    outcomes = []
+    for reader in (graph_from_text, oracles.graph_from_text_oracle):
+        try:
+            outcomes.append(reader(text))
+        except ValueError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

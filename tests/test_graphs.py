@@ -21,6 +21,7 @@ from arcschemes.graphs import (
     lex_product,
     quotient_graph,
     twin_relation,
+    VertexLimitError,
 )
 
 
@@ -321,3 +322,114 @@ class TestIO:
     def test_header_mismatch(self):
         with pytest.raises(ValueError, match="declares"):
             graph_from_text("3 2\n0 1\n")
+
+
+def read_outcome(reader, text, limit=None):
+    """A reader's graph, or the type and message of what it raised."""
+    try:
+        return reader(text, limit)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_reads_like_oracle(text, limit=None):
+    got = read_outcome(graph_from_text, text, limit)
+    assert got == read_outcome(oracles.graph_from_text_oracle, text, limit), text
+
+
+def edge_file(g, rng, newline="\n"):
+    """g as a graph file with its edges shuffled and randomly reversed."""
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+    rng.shuffle(edges)
+    return newline.join([f"{g.n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]) + newline
+
+
+class TestReaderParity:
+    """graph_from_text against the line-by-line reader in oracles."""
+
+    # (m, k, r) of the members-decompose benchmark deck
+    MEMBERS = [(8, 3, 5), (12, 3, 3), (9, 0, 6), (40, 3, 1), (56, 10, 1),
+               (18, 4, 4), (12, 5, 6), (15, 0, 6), (84, 20, 1), (30, 3, 3)]
+
+    @pytest.mark.parametrize("m, k, r", MEMBERS)
+    def test_member_files(self, m, k, r):
+        rng = random.Random(m * 100 + k * 10 + r)
+        g = lex_product(elementary_caw(m, k), complete(r)) if m > 1 else complete(r)
+        text = edge_file(g, rng)
+        assert graph_from_text(text, 200) == oracles.graph_from_text_oracle(text, 200) == g
+
+    def test_random_graphs_with_comments_blanks_and_crlf(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            g = oracles.random_graph(rng, rng.randint(1, 30), rng.random())
+            lines = edge_file(g, rng, rng.choice(["\n", "\r\n"])).splitlines()
+            for _ in range(rng.randint(0, 4)):
+                lines.insert(rng.randint(0, len(lines)), rng.choice(["", "  ", "# note", "\t# x y"]))
+            text = rng.choice(["\n", "\r\n", "\r"]).join(lines)
+            assert graph_from_text(text) == oracles.graph_from_text_oracle(text) == g
+
+    @pytest.mark.parametrize("text", [
+        # width and tokens
+        "3 1\n0 1 2\n", "3\n", "3 1\n0\n", "3 1\n0 x\n", "3 1\n0 1.0\n", "3 1 # c\n0 1\n",
+        "x y\n", "3 1\n\n0 0x1\n",
+        # int() accepts underscores, signs and Unicode digits
+        "1_0 1\n0 +5\n", "+3 0\n", "\u0663 1\n\u0660 \u0661\n", "3 1\n0 1__0\n", "3 1\n0 \u00b2\n",
+        # huge integers in the header and the edges
+        f"{10**30} 0\n", f"3 {10**30}\n", f"3 1\n0 {10**30}\n", f"3 1\n{-10**30} 1\n",
+        f"{10**30} 1\n0 {10**29}\n", f"{10**30} 1\n0 {10**30}\n", f"{2**63} 1\n{2**63 - 1} 7\n",
+        f"{2**63} 2\n{2**63 - 1} 7\n7 {2**63 - 1}\n",
+        # counts
+        "-1 0\n", "3 -1\n", "-1 -1\n", "3 2\n0 1\n", "3 0\n0 1\n", "", "\n\n", "# only\n",
+        "0 0\n", "1 0\n",
+        # edges
+        "3 1\n1 1\n", "3 2\n0 1\n0 1\n", "3 2\n0 1\n1 0\n", "3 3\n0 1\n1 2\n2 1\n",
+        "3 1\n0 3\n", "3 1\n-1 0\n", "3 2\n0 5\n1 1\n", "3 2\n1 1\n0 5\n", "3 3\n0 1\n2 2\n1 0\n",
+    ])
+    def test_malformed_text(self, text):
+        assert_reads_like_oracle(text)
+        assert_reads_like_oracle(text, 200)
+
+    @pytest.mark.parametrize("text", [
+        "300 2\n0 0\n0 0\n", "300 1\n0 999\n", f"{10**30} 1\n0 0\n", "201 0\n",
+    ])
+    def test_vertex_limit_comes_before_edge_checks(self, text):
+        with pytest.raises(VertexLimitError):
+            graph_from_text(text, 200)
+        assert_reads_like_oracle(text, 200)
+
+    def test_mutated_files(self):
+        tokens = ["0", "1", "2", "-1", "x", "1_0", "+2", "#c", "\u0663", str(10**20), ""]
+        rng = random.Random(8)
+        for _ in range(400):
+            lines = edge_file(oracles.random_graph(rng, rng.randint(0, 7)), rng).splitlines()
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(lines))
+                op = rng.randrange(4)
+                if op == 0:
+                    words = lines[i].split() or [""]
+                    words[rng.randrange(len(words))] = rng.choice(tokens)
+                    lines[i] = " ".join(words)
+                elif op == 1 and len(lines) > 1:
+                    del lines[i]
+                elif op == 2:
+                    lines.insert(i, lines[i])
+                else:
+                    lines.insert(i, f"{rng.randint(-1, 7)} {rng.randint(-1, 7)}")
+            text = "\n".join(lines) + "\n"
+            assert_reads_like_oracle(text)
+            assert_reads_like_oracle(text, 5)
+
+    def test_from_edges_matches_oracle(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            edges = [(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 8))]
+            outcomes = []
+            for build in (from_edges, oracles.from_edges_oracle):
+                try:
+                    outcomes.append(build(n, edges))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (n, edges)
+        with pytest.raises(ValueError, match=rf"out of range in edge \(0, {10**30}\)"):
+            from_edges(3, [(0, 10**30)])

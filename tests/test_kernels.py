@@ -4,16 +4,42 @@ import numpy as np
 import pytest
 
 import oracles
+from arcschemes import kernels
 from arcschemes.closure import _initial_coloring, closure_of_graph
 from arcschemes.graphs import elementary_caw
 from arcschemes.kernels import refine_step
 
 
+def involution(rank):
+    """A map t on [0, rank) with t(t(x)) = x.  Counting down from rank - 1,
+    every third color is fixed and the two after it are swapped, so
+    rank - 1 is fixed and rank - 2 and rank - 3 trade places."""
+    def t(x):
+        y = rank - 1 - x
+        if y % 3 == 0 or y % 3 == 1 and x == 0:  # 0 has no partner below it
+            return x
+        return x - 1 if y % 3 == 1 else x + 1
+    return t
+
+
+def closed_coloring(rng, n, rank, draw):
+    """An n x n coloring with colors from draw() that is transpose-closed:
+    color(v, u) = t(color(u, v)) for the involution t of rank.  A diagonal
+    color is moved to the nearest fixed point of t at or above it."""
+    t = involution(rank)
+    mat = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        x = draw()
+        mat[u, u] = x + (rank - 1 - x) % 3
+        for v in range(u + 1, n):
+            x = draw()
+            mat[u, v], mat[v, u] = x, t(x)
+    return mat
+
+
 def random_coloring(rng, n):
     rank = rng.randint(1, max(1, n * n))
-    mat = np.array(
-        [[rng.randrange(rank) for _ in range(n)] for _ in range(n)], dtype=np.int64
-    )
+    mat = closed_coloring(rng, n, rank, lambda: rng.randrange(rank))
     return mat, int(mat.max()) + 1
 
 
@@ -52,24 +78,55 @@ class TestParity:
                 rank = new_rank
             assert np.array_equal(mat, closure_of_graph(g).colors)
 
-    # each side of the int16, int32 and int64 limits of rank * (rank + 1):
-    # 180 * 181 = 32580 <= 32767 < 181 * 182, 46340 * 46341 <= 2**31 - 1 <
-    # 46341 * 46342, and 3037000499 is the largest rank int64 holds
-    @pytest.mark.parametrize("rank", [180, 181, 182, 46340, 46341, 46342, 50000, 3037000499])
+    # each side of the uint16, uint32 and uint64 limits of rank**2 - 1:
+    # 256**2 - 1 = 65535, 65536**2 - 1 = 2**32 - 1 and (2**32)**2 - 1 =
+    # 2**64 - 1, so 4294967296 is the largest rank; the other ranks were the
+    # int16, int32 and int64 limits of rank * (rank + 1) of the signed types
+    @pytest.mark.parametrize("rank", [180, 181, 182, 256, 257, 46340, 46341, 46342, 50000,
+                                      65536, 65537, 3037000499, 4294967296])
     def test_ranks_at_the_type_limits(self, rank):
         rng = random.Random(rank)
-        palette = [0, 1, rank // 2, rank - 2, rank - 1]
+        palette = [0, 1, rank // 2, rank - 3, rank - 2, rank - 1]
         for n in range(1, 10):
             for _ in range(4):
                 # a small palette with the largest colors makes signatures
                 # collide; a full-range draw makes them mostly distinct
-                mat = np.array([[rng.choice(palette) for _ in range(n)] for _ in range(n)],
-                               dtype=np.int64)
+                mat = closed_coloring(rng, n, rank, lambda: rng.choice(palette))
                 assert_same_round(mat, rank)
-                mat = np.array([[rng.randrange(rank) for _ in range(n)] for _ in range(n)],
-                               dtype=np.int64)
-                mat[rng.randrange(n), rng.randrange(n)] = rank - 1
+                mat = closed_coloring(rng, n, rank, lambda: rng.randrange(rank))
+                u, v = rng.randrange(n), rng.randrange(n)
+                mat[u, v] = mat[v, u] = rank - 1  # a fixed point of the involution
                 assert_same_round(mat, rank)
+
+    # half rounds: at n >= HALF_ROUND_MIN_N and a rank below n**2 / 8.  A
+    # coloring pulled back from one on 3 points has few colors in the upper
+    # triangle, so the lower one goes through tau; a random one has at
+    # least as many as there are lower pairs, which are then signed directly
+    @pytest.mark.parametrize("n, rank", [(32, 3), (32, 127), (40, 199), (46, 256), (46, 257)])
+    def test_half_rounds(self, n, rank):
+        assert n >= kernels.HALF_ROUND_MIN_N and rank * 8 < n * n
+        rng = random.Random(n * rank)
+        palette = [0, 1, rank // 2, rank - 3, rank - 2, rank - 1]
+        small = closed_coloring(rng, 3, rank, lambda: rng.choice(palette))
+        points = np.array([rng.randrange(3) for _ in range(n)])
+        assert_same_round(small[points][:, points], rank)
+        mat = closed_coloring(rng, n, rank, lambda: rng.randrange(rank))
+        mat[0, 1] = mat[1, 0] = rank - 1
+        assert_same_round(mat, rank)
+
+    def test_half_rounds_of_directed_closures(self):
+        # a directed generator makes colors whose transpose is another color
+        rng = random.Random(5)
+        for n in (32, 41):
+            rel = oracles.membership(n, {(rng.randrange(n), rng.randrange(n)) for _ in range(n * n // 3)})
+            mat = _initial_coloring(n, [rel])
+            rank = int(mat.max()) + 1
+            while True:
+                assert_same_round(mat, rank)
+                mat, new_rank = refine_step(mat, rank)
+                if new_rank == rank:
+                    break
+                rank = new_rank
 
     def test_idempotent_on_stable_input(self):
         cc = closure_of_graph(elementary_caw(8, 2))
@@ -87,8 +144,38 @@ class TestInputChecks:
             refine_step(mat, 3)
 
     def test_rank_beyond_int64_raises(self):
-        with pytest.raises(ValueError, match="too large"):
-            refine_step(np.zeros((2, 2), dtype=np.int64), 3037000500)
+        # the uint64 ceiling: rank**2 - 1 >= 2**64 from rank 2**32 + 1 on
+        with pytest.raises(ValueError, match="too large for uint64"):
+            refine_step(np.zeros((2, 2), dtype=np.int64), 2**32 + 1)
+
+    @pytest.mark.parametrize("mat, closed", [
+        ([[0, 1], [2, 0]], True),  # the transpose map swaps 1 and 2
+        ([[0, 1], [1, 2]], True),  # symmetric
+        ([[0, 1], [1, 1]], True),  # 1 is its own transpose, also on the diagonal
+        ([[0, 1, 1], [2, 0, 1], [1, 1, 0]], False),  # 1 has transposes 2 and 1
+        ([[0, 1, 2], [3, 0, 1], [3, 2, 0]], False),  # 3 has transposes 1 and 2
+    ])
+    def test_coloring_must_be_transpose_closed(self, mat, closed):
+        mat = np.array(mat, dtype=np.int64)
+        rank = int(mat.max()) + 1
+        assert oracles.transpose_closed(mat) == closed
+        if closed:
+            assert_same_round(mat, rank)
+        else:
+            with pytest.raises(ValueError, match="not transpose-closed"):
+                refine_step(mat, rank)
+
+    @pytest.mark.parametrize("n", [3, 9, 40])
+    def test_random_colorings_that_are_not_closed_raise(self, n):
+        # the kind of input the parity tests drew before the precondition
+        rng = random.Random(n)
+        mat = np.array([[rng.randrange(n * n) for _ in range(n)] for _ in range(n)],
+                       dtype=np.int64)
+        mat[0, 1], mat[1, 0], mat[0, 2], mat[2, 0] = 1, 2, 1, 3
+        assert not oracles.transpose_closed(mat)
+        for rank in (n * n, 2**31):  # a rank above n**2 renumbers before the check
+            with pytest.raises(ValueError, match="not transpose-closed"):
+                refine_step(mat, rank)
 
 
 class TestInitialColoring:
