@@ -77,6 +77,8 @@ def _layout(n: int):
 
 def _transpose_closed(c: np.ndarray, rank: int) -> bool:
     """Whether color(v, u) is a function of color(u, v)."""
+    if (c == c.T).all():  # the identity, in one cheap pass
+        return True
     if rank > c.size:  # renumber, so the table below has at most n^2 entries
         c = np.unique(c, return_inverse=True)[1].reshape(c.shape)
         rank = c.size
@@ -114,18 +116,16 @@ def _pair_blocks(c: np.ndarray, scaled: np.ndarray, transposed: np.ndarray, firs
         yield block
 
 
-def _number(ids: dict, blocks, size: int) -> np.ndarray:
-    """The ids of the size signatures in blocks, each numbered in ids by
-    first appearance."""
-    out = np.empty(size, dtype=np.int64)
-    start = 0
+def _number(ids: dict, blocks) -> np.ndarray:
+    """The ids of the signatures in blocks, each numbered in ids by first
+    appearance."""
+    parts = []
     for block in blocks:
         block[:, 1:].sort(axis=1)
         keys = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
-        out[start:start + len(keys)] = np.fromiter(
-            (ids.setdefault(key, len(ids)) for key in keys), dtype=np.int64, count=len(keys))
-        start += len(keys)
-    return out
+        parts.append(np.fromiter((ids.setdefault(key, len(ids)) for key in keys),
+                                 dtype=np.int64, count=len(keys)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0, dtype=np.int64)])
 
 
 def refine_step(colors, rank: int):
@@ -141,8 +141,10 @@ def refine_step(colors, rank: int):
     if c.size and int(c.view(np.uint64).max()) >= rank:
         raise ValueError(f"colors must lie in [0, {rank}), "
                          f"found {int(c.min())}..{int(c.max())}")
-    dt = next((t for t, top in _SIGNATURE_TYPES if rank * rank - 1 <= top), None)
-    if dt is None:
+    for dt, top in _SIGNATURE_TYPES:
+        if rank * rank - 1 <= top:
+            break
+    else:
         raise ValueError(f"rank {rank} is too large for uint64 signatures")
     if not _transpose_closed(c, rank):
         raise ValueError("coloring is not transpose-closed: "
@@ -152,12 +154,12 @@ def refine_step(colors, rank: int):
     scale = dt(rank)
     ids: dict[bytes, int] = {}
     if n < HALF_ROUND_MIN_N or rank * 8 >= n * n:
-        return _number(ids, _row_blocks(c, scale), n * n).reshape(n, n), len(ids)
+        return _number(ids, _row_blocks(c, scale)).reshape(n, n), len(ids)
     first, second, below, rows, cols = _layout(n)
     scaled, transposed = c * scale, np.ascontiguousarray(c.T)
 
     def signed(u, v):
-        return _number(ids, _pair_blocks(c, scaled, transposed, u, v), len(u))
+        return _number(ids, _pair_blocks(c, scaled, transposed, u, v))
 
     upper = signed(first, second)
     if len(ids) < len(rows):
