@@ -77,7 +77,7 @@ def _layout(n: int):
 
 def _transpose_closed(c: np.ndarray, rank: int) -> bool:
     """Whether color(v, u) is a function of color(u, v)."""
-    if (c == c.T).all():  # the identity, in one cheap pass
+    if c.tobytes() == c.T.tobytes():  # symmetric: the identity (the cheapest test)
         return True
     if rank > c.size:  # renumber, so the table below has at most n^2 entries
         c = np.unique(c, return_inverse=True)[1].reshape(c.shape)
