@@ -19,7 +19,7 @@ tau of the new color of (u, v), and the new coloring is transpose-closed
 again.  A half round signs the pairs u <= v.  Then, for the lower
 triangle:
 
-- while the upper pairs hold fewer new colors than there are lower pairs,
+- when the upper pairs hold fewer new colors than there are lower pairs,
   it signs (v, u) at one pair (u, v) of each new color, which gives tau
   (any pair of the color gives the same key), and fills the lower
   triangle through tau;
@@ -32,11 +32,11 @@ row-major scan, so the result is the full round's, bit for bit.
 The half round has a fixed cost (index gathers, the renumbering) that
 small or high-rank rounds do not earn back.  A round on fewer than
 HALF_ROUND_MIN_N points, or at a rank of at least n^2 / 8, signs all n^2
-pairs in row-major order, which numbers them directly.  Both limits come
-from the kernel records of benchmarks/layer_times.py: at low rank the
-half round breaks even at about 20-24 points, and from rank n^2 / 8 on,
-the upper triangle of the arc-model graphs holds about half of the lower
-pairs' count in colors or more, so tau saves few signatures.
+pairs in row-major order, which numbers them directly.  Both limits were
+measured on 2 CPUs: at low rank the half round breaks even at about
+20-24 points, and from rank n^2 / 8 on, the upper triangle of the
+arc-model graphs holds about half of the lower pairs' count in colors or
+more, so tau saves few signatures.
 
 Sorting and keying scale with the item size, so a signature is held in
 the narrowest of uint16, uint32 and uint64 that holds rank**2 - 1.  No
@@ -60,8 +60,7 @@ _BLOCK_BYTES = 1 << 17
 # the signature types, narrowest first, with their largest value
 _SIGNATURE_TYPES = [(t, int(np.iinfo(t).max)) for t in (np.uint16, np.uint32, np.uint64)]
 
-# the smallest n whose rounds sign half of the pairs (see the module
-# docstring); from the kernel records of benchmarks/layer_times.py
+# the smallest n whose rounds sign half of the pairs (see the module docstring)
 HALF_ROUND_MIN_N = 32
 
 
