@@ -71,10 +71,13 @@ def from_edges(n: int, edges) -> Graph:
         raise ValueError("vertex count must be non-negative")
     edges = list(edges)
     try:
-        uv = np.array(edges, dtype=np.int64)
-    except OverflowError:  # exact Python ints for endpoints beyond int64
-        uv = np.array(edges, dtype=object)
-    if uv.size == 0:
+        try:
+            uv = np.array(edges, dtype=np.int64)
+        except OverflowError:  # exact Python ints for endpoints beyond int64
+            uv = np.array(edges, dtype=object)
+    except ValueError:  # ragged: the edges are not all of one length
+        raise ValueError("an edge is a pair of vertices") from None
+    if not edges:
         uv = uv.reshape(0, 2)
     if uv.ndim != 2 or uv.shape[1] != 2:
         raise ValueError("an edge is a pair of vertices")

@@ -16,27 +16,25 @@ through a table of t).  The signature of (v, u) is then t(color(u, v))
 with the multiset of t(color(w, v)) * rank + t(color(u, w)) over all w,
 a function tau of the signature of (u, v).  So the new color of (v, u) is
 tau of the new color of (u, v), and the new coloring is transpose-closed
-again.  A half round signs the pairs u <= v.  Then, for the lower
-triangle:
+again.  A half round signs the pairs u <= v, then (v, u) at one pair
+(u, v) of each new color, which gives tau (any pair of the color gives
+the same key), and fills the lower triangle through tau.  It renumbers
+the colors by first appearance in the full row-major scan, through a
+stable sort of the ids (a radix sort while they fit in uint16), and the
+result is the full round's, bit for bit.
 
-- when the upper pairs hold fewer new colors than there are lower pairs,
-  it signs (v, u) at one pair (u, v) of each new color, which gives tau
-  (any pair of the color gives the same key), and fills the lower
-  triangle through tau;
-- otherwise tau would cost more signatures than the lower pairs
-  themselves, and it signs those directly.
-
-Either way it renumbers the colors by first appearance in the full
-row-major scan, so the result is the full round's, bit for bit.
-
-The half round has a fixed cost (index gathers, the renumbering) that
-small or high-rank rounds do not earn back.  A round on fewer than
-HALF_ROUND_MIN_N points, or at a rank of at least n^2 / 8, signs all n^2
-pairs in row-major order, which numbers them directly.  Both limits were
-measured on 2 CPUs: at low rank the half round breaks even at about
-20-24 points, and from rank n^2 / 8 on, the upper triangle of the
-arc-model graphs holds about half of the lower pairs' count in colors or
-more, so tau saves few signatures.
+The half round has a fixed cost (index gathers, tau's signatures, the
+renumbering) that small rounds, and rounds that end with many colors, do
+not earn back.  A round on fewer than HALF_ROUND_MIN_N points, or one
+expected to end with n^2 / 8 colors or more, signs all n^2 pairs in
+row-major order, which numbers them directly.  The new rank is at least
+the old one, and about the square of the number of row classes (a new
+color fixes the classes of both of its points), which the row sums tell
+apart.  The limits were measured on 2 CPUs: at low rank the half round
+breaks even at about 20-24 points; on the first round of the arc-model
+graphs (rank 3, row classes by degree) it took 1.12x the full round's
+time where n^2 / classes^2 lay in [4, 6), 1.04x in [6, 8), 0.96x in
+[8, 12).
 
 Sorting and keying scale with the item size, so a signature is held in
 the narrowest of uint16, uint32 and uint64 that holds rank**2 - 1.  No
@@ -47,8 +45,6 @@ numbering is the same in all three.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -62,16 +58,6 @@ _SIGNATURE_TYPES = [(t, int(np.iinfo(t).max)) for t in (np.uint16, np.uint32, np
 
 # the smallest n whose rounds sign half of the pairs (see the module docstring)
 HALF_ROUND_MIN_N = 32
-
-
-@functools.lru_cache(maxsize=16)
-def _layout(n: int):
-    """The index arrays of a half round on n points: the upper pairs
-    u <= v in row-major order, which of them lie off the diagonal, and the
-    lower pairs (v, u), u < v, in the order of their upper pairs."""
-    first, second = np.triu_indices(n)
-    below = first != second
-    return first, second, below, second[below], first[below]
 
 
 def _transpose_closed(c: np.ndarray, rank: int) -> bool:
@@ -151,29 +137,51 @@ def refine_step(colors, rank: int):
     c = c.astype(dt)
     # rank as a dt scalar, so that numpy 1.x and 2.x keep the product in dt
     scale = dt(rank)
+    if _half_round_pays(c, rank):
+        return _half_round(c, scale)
     ids: dict[bytes, int] = {}
+    return _number(ids, _row_blocks(c, scale)).reshape(n, n), len(ids)
+
+
+def _half_round_pays(c: np.ndarray, rank: int) -> bool:
+    """Whether the round has at least HALF_ROUND_MIN_N points and should
+    end with fewer than n^2 / 8 colors: the new rank is at least the old
+    one, and about the square of the number of row classes, as told apart
+    by their sums (a new color fixes the classes of both of its points)."""
+    n = len(c)
     if n < HALF_ROUND_MIN_N or rank * 8 >= n * n:
-        return _number(ids, _row_blocks(c, scale)).reshape(n, n), len(ids)
-    first, second, below, rows, cols = _layout(n)
+        return False
+    classes = len(set(c.sum(axis=1).tolist()))
+    return classes * classes * 8 < n * n
+
+
+def _half_round(c: np.ndarray, scale):
+    """(new colors, new rank) from the signatures of the pairs u <= v and
+    one transposed signature per new color (see the module docstring)."""
+    n = len(c)
+    first, second = np.triu_indices(n)
+    below = first != second
     scaled, transposed = c * scale, np.ascontiguousarray(c.T)
-
-    def signed(u, v):
-        return _number(ids, _pair_blocks(c, scaled, transposed, u, v))
-
-    upper = signed(first, second)
-    if len(ids) < len(rows):
-        # tau, from the transpose of any one pair of each color
-        rep = np.empty(len(ids), dtype=np.intp)
-        rep[upper] = np.arange(len(upper))
-        lower = signed(second[rep], first[rep])[upper[below]]
-    else:
-        lower = signed(rows, cols)
+    ids: dict[bytes, int] = {}
+    upper = _number(ids, _pair_blocks(c, scaled, transposed, first, second))
+    # tau, from the transpose of any one pair of each color
+    rep = np.empty(len(ids), dtype=np.intp)
+    rep[upper] = np.arange(len(upper))
+    tau = _number(ids, _pair_blocks(c, scaled, transposed, second[rep], first[rep]))
     out = np.empty((n, n), dtype=np.int64)
     out[first, second] = upper
-    out[rows, cols] = lower
-    # renumber by first appearance in the row-major scan
-    seen = np.full(len(ids), n * n)
-    np.minimum.at(seen, out.ravel(), np.arange(n * n))
-    new = np.empty(len(ids), dtype=np.int64)
-    new[np.argsort(seen)] = np.arange(len(ids))
-    return new[out], len(ids)
+    out[second[below], first[below]] = tau[upper[below]]
+    return _by_first_appearance(out, len(ids)), len(ids)
+
+
+def _by_first_appearance(out: np.ndarray, rank: int) -> np.ndarray:
+    """out with its ids renumbered by first appearance in the row-major
+    scan; every id in [0, rank) must appear."""
+    flat = out.ravel().astype(np.uint16 if rank <= 1 << 16 else np.int64)
+    # a stable sort lists the positions of each id in scan order, so each
+    # id first appears where its run starts (uint16 sorts by radix)
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=rank)
+    new = np.empty(rank, dtype=np.int64)
+    new[np.argsort(order[np.cumsum(counts) - counts])] = np.arange(rank)
+    return new[out]

@@ -433,3 +433,9 @@ class TestReaderParity:
             assert outcomes[0] == outcomes[1], (n, edges)
         with pytest.raises(ValueError, match=rf"out of range in edge \(0, {10**30}\)"):
             from_edges(3, [(0, 10**30)])
+        # an edge that is not a pair: the oracle fails to unpack it
+        for edges in ([()], [(0, 1), (2,)], [(0, 1, 2)], [(0, 1), (2, 10**30, 1)]):
+            with pytest.raises(ValueError):
+                oracles.from_edges_oracle(3, edges)
+            with pytest.raises(ValueError, match="^an edge is a pair of vertices$"):
+                from_edges(3, edges)

@@ -99,9 +99,10 @@ class TestParity:
                 assert_same_round(mat, rank)
 
     # half rounds: at n >= HALF_ROUND_MIN_N and a rank below n**2 / 8.  A
-    # coloring pulled back from one on 3 points has few colors in the upper
-    # triangle, so the lower one goes through tau; a random one has at
-    # least as many as there are lower pairs, which are then signed directly
+    # coloring pulled back from one on 3 points has at most 3 row classes,
+    # so refine_step takes the half round; a random one has as many classes
+    # as points and takes the full round, so it also goes through
+    # _half_round directly, where tau has many colors
     @pytest.mark.parametrize("n, rank", [(32, 3), (32, 127), (40, 199), (46, 256), (46, 257)])
     def test_half_rounds(self, n, rank):
         assert n >= kernels.HALF_ROUND_MIN_N and rank * 8 < n * n
@@ -113,6 +114,27 @@ class TestParity:
         mat = closed_coloring(rng, n, rank, lambda: rng.randrange(rank))
         mat[0, 1] = mat[1, 0] = rank - 1
         assert_same_round(mat, rank)
+        dt = next(t for t, top in kernels._SIGNATURE_TYPES if rank * rank - 1 <= top)
+        for c in (small[points][:, points], mat):
+            out, new_rank = kernels._half_round(c.astype(dt), dt(rank))
+            ref_out, ref_rank = oracles.refine_step_oracle(c, rank)
+            assert new_rank == ref_rank
+            assert np.array_equal(out, ref_out)
+
+    def test_half_round_only_where_few_colors_are_expected(self):
+        pays = lambda mat, rank: kernels._half_round_pays(mat, rank)  # noqa: E731
+        # a member: every row alike, so one row class
+        g = elementary_caw(40, 3)
+        mat = _initial_coloring(g.n, [g.adj])
+        assert pays(mat, 3)
+        assert not pays(mat[:31, :31], 3)  # too few points
+        assert not pays(mat, 40 * 40 // 8)  # the old rank is already n^2 / 8
+        # a graph whose 40 points have the 16 degrees 0..15: 16**2 * 8 >= 40**2
+        adj = np.zeros((40, 40), dtype=bool)
+        for u in range(15):
+            adj[u, 15:15 + u + 1] = adj[15:15 + u + 1, u] = True
+        assert len(set(adj.sum(axis=1).tolist())) == 16
+        assert not pays(_initial_coloring(40, [adj]), 3)
 
     def test_half_rounds_of_directed_closures(self):
         # a directed generator makes colors whose transpose is another color
