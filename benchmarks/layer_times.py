@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """CPU time of the reader, kernel, closure, decompose and automorphism-order layers.
 
-Each record is one function on one graph for one source tree: the
-minimum CPU time (time.process_time, all threads of the process) over
---repeats calls, the number of refinement rounds (refine_step calls) of
-one call, the closure's n and rank, and the CPU count and git revision
-the numbers were taken with.  Member labels are permuted by a fixed seed.
+Each record is one function on one graph: the minimum CPU time
+(time.process_time, all threads of the process) over --repeats calls,
+the number of refinement rounds (refine_step calls) of one call, the
+closure's n and rank, and the CPU count and git revision the numbers
+were taken with.  Member labels are permuted by a fixed seed.
 
 - read_graph reads the ten graph files of the perfbench members-decompose
   deck (seed 1, written to a temporary directory).
@@ -19,18 +19,16 @@ the numbers were taken with.  Member labels are permuted by a fixed seed.
 - The automorphism-order layer runs on the shapes of the perfbench
   verify-sweep aut rows, aut_cases(12), plus C_{30,3}[K_3] (n = 90) and
   C_{100,3}[K_3] (n = 300).  It is group_witness on the member's
-  decompose_caw outcome (computed outside the timing) where the tree
-  has it, and otherwise the backtracking count_automorphisms, which
-  takes at most 12 points, so the two larger members have no record.
+  decompose_caw outcome (computed outside the timing).
 
     python3 benchmarks/layer_times.py --repeats 1 --out layer_times.json
-    python3 benchmarks/layer_times.py --src parent=../parent/src --src change=src \\
-        --repeats 15 --out BENCH_half_rounds.json
+    python3 benchmarks/layer_times.py --src ../parent/src --repeats 15 --out parent.json
 
-Each --src LABEL=DIR imports the arcschemes package in DIR (default: this
-checkout's src/ as "change").  Several trees are measured in one process,
-with their calls interleaved, repeat by repeat, so that a slow spell of a
-shared machine hits every tree alike.
+--src DIR imports the arcschemes package in DIR (default: this checkout's
+src/).  A process measures one tree: a tree loaded after another one in
+the same process can read up to a fifth slower on identical code.  So a
+comparison is two fresh processes, one per tree, run in alternating
+order, as many times as the spread needs.
 """
 
 from __future__ import annotations
@@ -71,10 +69,7 @@ def git_revision(src: Path) -> str:
 
 
 def load_tree(src: Path) -> dict:
-    """The graphs, closure and characterize modules of the package in src.
-    Earlier trees' modules stay alive through the returned references."""
-    for name in [m for m in sys.modules if m == PACKAGE or m.startswith(PACKAGE + ".")]:
-        del sys.modules[name]
+    """The graphs, kernels, closure and characterize modules of the package in src."""
     sys.path.insert(0, str(src))
     try:
         mods = {name: importlib.import_module(f"{PACKAGE}.{name}")
@@ -120,26 +115,13 @@ def closure_rounds(mods, g) -> list:
         rank = new_rank
 
 
-def aut_order_case(mods, g):
-    """(function name, zero-argument call) of the tree's automorphism-order
-    layer on g, or None where the tree cannot run it."""
-    char = mods["characterize"]
-    if hasattr(char, "group_witness"):
-        outcome = char.decompose_caw(g)
-        return "group_witness", lambda: char.group_witness(g, outcome)
-    if g.n <= 12:
-        return "count_automorphisms", lambda: mods["graphs"].count_automorphisms(g)
-    return None
-
-
 def member_label(m: int, k: int, r: int) -> dict:
     return {"graph": f"C_{{{m},{k}}}[K_{r}]", "m": m, "k": k, "r": r}
 
 
 def tree_cases(mods, decks) -> dict:
-    """(graph label, function) -> (zero-argument call, graph, label fields),
-    for one tree."""
-    graphs, kernels = mods["graphs"], mods["kernels"]
+    """(graph label, function) -> (zero-argument call, graph, label fields)."""
+    graphs, kernels, char = mods["graphs"], mods["kernels"], mods["characterize"]
     cases = {}
 
     def kernel_case(label, g):
@@ -157,16 +139,15 @@ def tree_cases(mods, decks) -> dict:
         kernel_case({"graph": f"arcs n={n} m={m}"}, graphs.from_edges(n, edges))
     for shape in MEMBERS:
         g = permuted_member(graphs, *shape)
-        char = mods["characterize"]
         cases[member_label(*shape)["graph"], "closure_of_graph"] = (
             lambda g=g: mods["closure"].closure_of_graph(g), g, member_label(*shape))
         cases[member_label(*shape)["graph"], "decompose_caw"] = (
             lambda g=g: char.decompose_caw(g), g, member_label(*shape))
     for shape in AUT_SHAPES:
         g = permuted_member(graphs, *shape)
-        case = aut_order_case(mods, g)
-        if case is not None:
-            cases[member_label(*shape)["graph"], case[0]] = (case[1], g, member_label(*shape))
+        outcome = char.decompose_caw(g)
+        cases[member_label(*shape)["graph"], "group_witness"] = (
+            lambda g=g, outcome=outcome: char.group_witness(g, outcome), g, member_label(*shape))
     return cases
 
 
@@ -179,67 +160,50 @@ def build_decks(workdir: Path) -> dict:
     return {"members": members, "arcs": arcs}
 
 
-def measure(trees: dict, repeats: int) -> list[dict]:
+def measure(mods: dict, repeats: int) -> list[dict]:
     with tempfile.TemporaryDirectory() as workdir:  # read_graph reads its files to the end
-        decks = build_decks(Path(workdir))
-        cases = {label: tree_cases(mods, decks) for label, mods in trees.items()}
-        best = {label: dict.fromkeys(tree, float("inf")) for label, tree in cases.items()}
-        labels = list(trees)
-        for rep in range(repeats):
-            for label in labels if rep % 2 == 0 else labels[::-1]:
-                for key, (fn, _, _) in cases[label].items():
-                    start = time.process_time()
-                    fn()
-                    best[label][key] = min(best[label][key], time.process_time() - start)
-        return [record(trees[label], label, key, case, best[label][key], repeats)
-                for label, tree in cases.items() for key, case in tree.items()]
+        cases = tree_cases(mods, build_decks(Path(workdir)))
+        best = dict.fromkeys(cases, float("inf"))
+        for _ in range(repeats):
+            for key, (fn, _, _) in cases.items():
+                start = time.process_time()
+                fn()
+                best[key] = min(best[key], time.process_time() - start)
+        return [record(mods, key, case, best[key], repeats) for key, case in cases.items()]
 
 
-def record(mods, label: str, key, case, seconds: float, repeats: int) -> dict:
+def record(mods, key, case, seconds: float, repeats: int) -> dict:
     (_, name), (fn, g, fields) = key, case
     closure = mods["closure"].closure_of_graph(g)
     rounds = (len(closure_rounds(mods, g)) if name == "refine_step"
               else count_rounds(mods["closure"], fn))
     return {
-        "label": label, "revision": mods["revision"],
+        "revision": mods["revision"],
         "cpu_count": len(os.sched_getaffinity(0)), **fields, "n": closure.n,
         "rank": closure.rank, "function": name, "repeats": repeats, "seed": SEED,
         "cpu_ms": round(seconds * 1000, 4), "rounds": rounds,
     }
 
 
-def parse_src(text: str) -> tuple[str, Path]:
-    label, sep, path = text.partition("=")
-    if not sep or not label or not path:
-        raise argparse.ArgumentTypeError(f"expected LABEL=DIR, got {text!r}")
-    return label, Path(path).resolve()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=parse_src, action="append", default=None,
-                        metavar="LABEL=DIR", help="a source tree to measure (repeatable)")
+    parser.add_argument("--src", type=lambda p: Path(p).resolve(), default=ROOT / "src",
+                        metavar="DIR", help="the source tree to measure (default: src/)")
     parser.add_argument("--repeats", type=int, default=5, help="calls per timing (min taken)")
     parser.add_argument("--out", type=Path, default=None, help="JSON output (default: stdout)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    sources = dict(args.src or [("change", ROOT / "src")])
-
-    trees = {}
-    for label, src in sources.items():
-        trees[label] = dict(load_tree(src), revision=git_revision(src))
+    mods = dict(load_tree(args.src), revision=git_revision(args.src))
     doc = {
-        "what": "CPU ms (min of repeats, trees interleaved) of read_graph on the "
-                "members-decompose deck files, refine_step over all rounds of a closure, "
-                "closure_of_graph, decompose_caw and the automorphism-order layer "
-                "(group_witness or count_automorphisms); rounds are refine_step calls "
-                "per call",
-        "command": "python3 benchmarks/layer_times.py " + " ".join(
-            f"--src {label}=DIR" for label in sources) + f" --repeats {args.repeats}",
+        "what": "CPU ms (min of repeats) of read_graph on the members-decompose deck "
+                "files, refine_step over all rounds of a closure, closure_of_graph, "
+                "decompose_caw and the automorphism-order layer (group_witness); rounds "
+                "are refine_step calls per call",
+        "command": f"python3 benchmarks/layer_times.py --src DIR --repeats {args.repeats}",
         "python": platform.python_version(),
         "numpy": sys.modules["numpy"].__version__,
-        "records": measure(trees, args.repeats),
+        "records": measure(mods, args.repeats),
     }
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is None:

@@ -11,9 +11,7 @@ from .arcs import (
     ArcFunction,
     ReducedArcFunction,
     check_neighborhood_condition,
-    degree_check,
     intersection_graph,
-    is_regular_equivalent,
     reduce,
     standard_model,
 )
@@ -50,7 +48,6 @@ from .schemes import (
     IsoVerdict,
     VerifyReport,
     dihedral_scheme,
-    intersection_number,
     is_association,
     is_fusion_of,
     point_scheme,
@@ -79,7 +76,6 @@ __all__ = [
     "count_automorphisms",
     "cycle",
     "decompose_caw",
-    "degree_check",
     "dihedral_scheme",
     "edge_level_partition",
     "elementary_caw",
@@ -87,11 +83,9 @@ __all__ = [
     "from_edges",
     "group_witness",
     "intersection_graph",
-    "intersection_number",
     "is_association",
     "is_elementary_caw",
     "is_fusion_of",
-    "is_regular_equivalent",
     "lex_product",
     "point_scheme",
     "predicted_aut_order",

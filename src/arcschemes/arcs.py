@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, build_by_line, common_neighbors, int_records, twin_relation
+from .graphs import Graph, build_by_line, common_neighbors, int_records
 
 
 class ArcFunction:
@@ -236,31 +236,6 @@ def reduce(f: ArcFunction) -> ReducedArcFunction:
     return reduced
 
 
-def degree_check(rf: ReducedArcFunction) -> bool:
-    """Degree formula for reduced models: deg(v) = 2|f(v)| - 2.  On a
-    d-regular graph it makes every arc (d + 2) / 2 points long."""
-    _, size = _columns(rf)
-    return np.array_equal(intersection_graph(rf).adj.sum(axis=1), 2 * size - 2)
-
-
-def is_regular_equivalent(g: Graph) -> bool:
-    """For twin-free non-empty circular-arc graphs, regularity coincides
-    with the neighborhood condition; asserts the equivalence and returns
-    whether the graph is regular."""
-    if g.edge_count() == 0:
-        raise ValueError("equivalence requires a non-empty graph")
-    if not np.array_equal(twin_relation(g), np.arange(g.n)):
-        raise ValueError("equivalence requires a twin-free graph")
-    regular = g.is_regular()
-    condition = check_neighborhood_condition(g).ok
-    if regular != condition:
-        raise AssertionError(
-            "regularity and the neighborhood condition disagree; "
-            "input is not a circular-arc graph"
-        )
-    return regular
-
-
 # ---------------------------------------------------------------------------
 # Arc-model text format: "m n" header, then n lines "start size", '#' comments.
 
@@ -284,8 +259,3 @@ def model_from_text(text: str) -> ArcFunction:
 def read_model(path) -> ArcFunction:
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_text(fh.read())
-
-
-def write_model(f: ArcFunction, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_text(f))

@@ -30,7 +30,6 @@ from .schemes import (
     ISO,
     CoherentConfiguration,
     IsoVerdict,
-    dihedral_scheme,
     identity_verdict,
     is_association,
     is_fusion_of,
@@ -49,13 +48,28 @@ STAGE_QUOTIENT_NOT_ELEMENTARY = "quotient not elementary"
 STAGE_RELABELING_FAILED = "relabeling verification failed"
 
 
+def _outer_kind(m: int, k: int) -> str:
+    """The outer scheme X of C_{m,k}[K_r], whose scheme is rank2(r) wr X:
+    the rank-2 scheme for k = 0 (the point scheme when m = 1), the matching
+    scheme for m = 2k + 2 and the dihedral scheme for m > 2k + 2.  Any
+    other (m, k) is not a member's: ValueError."""
+    if k == 0 and m >= 1:
+        return OUTER_RANK2
+    if k >= 1 and m == 2 * k + 2:
+        return OUTER_FORESTAL_MATCHING
+    if k >= 1 and m > 2 * k + 2:
+        return OUTER_DIHEDRAL
+    raise ValueError(f"invalid parameters m={m}, k={k}")
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Certificate that a graph is C_{m,k} blown up by K_r.
 
     relabeling[v] = (position in Z_m, index inside the fiber).  The only
     certificate violating 2k+1 < m is the degenerate (m=1, k=0) form used
-    for complete graphs, whose fiber is the whole vertex set.
+    for complete graphs, whose fiber is the whole vertex set; _outer_kind
+    rejects every other (m, k).
     """
 
     m: int
@@ -66,8 +80,7 @@ class Decomposition:
     def __post_init__(self):
         if self.m * self.r != len(self.relabeling):
             raise ValueError("relabeling length must be m * r")
-        if not (2 * self.k + 1 < self.m or (self.m == 1 and self.k == 0)):
-            raise ValueError(f"invalid parameters m={self.m}, k={self.k}")
+        _outer_kind(self.m, self.k)
 
 
 @dataclass(frozen=True)
@@ -242,46 +255,43 @@ def _scheme_of_complete(r: int) -> CoherentConfiguration:
 
 
 def predicted_scheme(m: int, k: int, r: int) -> CoherentConfiguration:
-    """The scheme the certificate (m, k, r) predicts for the graph."""
-    inner = _scheme_of_complete(r)
-    if k == 0:
-        outer = point_scheme() if m == 1 else rank2_scheme(m)
-    elif m == 2 * k + 2:
-        outer = wreath_product(rank2_scheme(2), rank2_scheme(k + 1))
-    elif m > 2 * k + 2:
-        outer = dihedral_scheme(m)
+    """The scheme the certificate (m, k, r) predicts for the graph:
+    rank2(r) wr X, with point a * r + b for position a on Z_m and b inside
+    the fiber, as lex_product numbers C_{m,k}[K_r].  Each outer scheme X is
+    a fusion of the dihedral scheme on Z_m by circular distance d: the
+    rank-2 scheme splits d = 0 from d > 0, the matching scheme also splits
+    off the partner at d = k + 1, and the dihedral scheme keeps every d."""
+    kind = _outer_kind(m, k)
+    d = np.subtract.outer(np.arange(m), np.arange(m)) % m
+    d = np.minimum(d, m - d)
+    if kind == OUTER_RANK2:
+        outer = d > 0
+    elif kind == OUTER_FORESTAL_MATCHING:
+        outer = np.where(d == k + 1, 2, d > 0)
     else:
-        raise ValueError(f"invalid parameters m={m}, k={k}")
-    return wreath_product(inner, outer)
+        outer = d
+    return wreath_product(_scheme_of_complete(r), CoherentConfiguration(outer))
 
 
 def scheme_decomposition(outcome: DecomposeOutcome) -> SchemeDecomposition | None:
     """Classify the scheme of a decompose_caw outcome; None for non-members.
 
     The witness is the certificate's relabeling: v with relabeling (a, b)
-    is point a * r + b of the predicted wreath product, with a renumbered
-    in the matching case to the point order of rank2(2) wr rank2(k+1).
-    The relabeling is edge-verified and the closure does not depend on
-    labels, so a closure that differs from the pulled-back prediction is a
-    library bug or a counterexample to the theorem: AssertionError.
+    is point a * r + b of the predicted wreath product.  The relabeling is
+    edge-verified and the closure does not depend on labels, so a closure
+    that differs from the pulled-back prediction is a library bug or a
+    counterexample to the theorem: AssertionError.
     """
     if not outcome.ok:
         return None
     cert = outcome.certificate
     m, k, r = cert.m, cert.k, cert.r
     a, b = np.asarray(cert.relabeling, dtype=np.int64).T
-    if k == 0:
-        kind = OUTER_RANK2
-    elif m == 2 * k + 2:
-        kind = OUTER_FORESTAL_MATCHING
-        a = a % (k + 1) * 2 + a // (k + 1)
-    else:
-        kind = OUTER_DIHEDRAL
     sigma = a * r + b
     predicted = predicted_scheme(m, k, r).colors[np.ix_(sigma, sigma)]
     if CoherentConfiguration(predicted) != outcome.scheme:
         raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] differs from prediction")
-    return SchemeDecomposition(r, kind, m, IsoVerdict(ISO, tuple(sigma.tolist())))
+    return SchemeDecomposition(r, _outer_kind(m, k), m, IsoVerdict(ISO, tuple(sigma.tolist())))
 
 
 def _certificate_generators(m: int, k: int, r: int) -> np.ndarray:
@@ -303,9 +313,10 @@ def _certificate_generators(m: int, k: int, r: int) -> np.ndarray:
             f[[x, y]] = y, x
         return f
 
-    if k == 0:
+    kind = _outer_kind(m, k)
+    if kind == OUTER_RANK2:
         outer = [swaps((i, i + 1)) for i in range(m - 1)]
-    elif m == 2 * k + 2:
+    elif kind == OUTER_FORESTAL_MATCHING:
         outer = ([swaps((i, i + k + 1)) for i in range(k + 1)]
                  + [swaps((j, j + 1), (j + k + 1, j + k + 2)) for j in range(k)])
     else:
@@ -459,20 +470,18 @@ def verify_wreath_theorem(
 def predicted_rank(m: int, k: int, r: int) -> int:
     """Rank of predicted_scheme(m, k, r), in closed form: rank(inner) +
     rank(outer) - 1, as for every wreath product of association schemes.
-    The outer scheme has rank 1 on one point, 2 for k = 0, 3 for the
-    matching case rank2(2) wr rank2(k+1), and m // 2 + 1 for the
-    dihedral scheme."""
-    if r < 1 or m < 1 or k < 0:
+    The outer scheme has rank 1 on one point, 2 for k = 0, 3 in the
+    matching case and m // 2 + 1 for the dihedral scheme."""
+    kind = _outer_kind(m, k)
+    if r < 1:
         raise ValueError(f"invalid parameters m={m}, k={k}, r={r}")
     inner = 1 if r == 1 else 2
-    if k == 0:
+    if kind == OUTER_RANK2:
         outer = 1 if m == 1 else 2
-    elif m == 2 * k + 2:
+    elif kind == OUTER_FORESTAL_MATCHING:
         outer = 3
-    elif m > 2 * k + 2:
-        outer = m // 2 + 1
     else:
-        raise ValueError(f"invalid parameters m={m}, k={k}")
+        outer = m // 2 + 1
     return inner + outer - 1
 
 
@@ -481,14 +490,13 @@ def predicted_aut_order(m: int, k: int, r: int) -> int:
     the quotient group, which is Sym(m) for the empty case, the signed
     permutations of the matching for m = 2k+2, and the dihedral group of
     the m-cycle otherwise."""
-    if r < 1 or m < 1 or k < 0:
+    kind = _outer_kind(m, k)
+    if r < 1:
         raise ValueError(f"invalid parameters m={m}, k={k}, r={r}")
-    if k == 0:
+    if kind == OUTER_RANK2:
         outer_order = math.factorial(m)
-    elif m == 2 * k + 2:
+    elif kind == OUTER_FORESTAL_MATCHING:
         outer_order = 2 ** (k + 1) * math.factorial(k + 1)
-    elif m > 2 * k + 2:
-        outer_order = 2 * m
     else:
-        raise ValueError(f"invalid parameters m={m}, k={k}")
+        outer_order = 2 * m
     return math.factorial(r) ** m * outer_order

@@ -28,9 +28,6 @@ class Graph:
         self.n = adj.shape[0]
         self.adj = adj
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
     def degree(self, v: int) -> int:
         return int(np.count_nonzero(self.adj[v]))
 
@@ -40,9 +37,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.adj.sum(axis=1).tolist()))
 
     def is_regular(self) -> bool:
         return len(set(self.adj.sum(axis=1).tolist())) <= 1
@@ -408,8 +402,3 @@ def graph_from_text(text: str, max_vertices: int | None = None) -> Graph:
 def read_graph(path, max_vertices: int | None = None) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return graph_from_text(fh.read(), max_vertices)
-
-
-def write_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_text(g))

@@ -56,9 +56,6 @@ class CoherentConfiguration:
         _, first = np.unique(self.colors.ravel(), return_index=True)
         return tuple(self.colors.T.ravel()[first].tolist())
 
-    def color(self, u: int, v: int) -> int:
-        return int(self.colors[u, v])
-
     def representative(self, t: int) -> tuple[int, int]:
         """First pair (row-major) of color t."""
         if not 0 <= t < self.rank:
@@ -160,15 +157,6 @@ def _pair_counts(mat: np.ndarray, pairs):
     keys, which = np.unique(keys, axis=0, return_inverse=True)
     cell = np.repeat(np.arange(len(pairs)), mat.shape[0]) * len(keys) + which.reshape(-1)
     return keys, np.bincount(cell, minlength=len(pairs) * len(keys)).reshape(len(pairs), -1)
-
-
-def intersection_number(cfg: CoherentConfiguration, r: int, s: int, t: int) -> int:
-    """c_rs^t computed from the first representative pair of color t."""
-    for c in (r, s, t):
-        if not 0 <= c < cfg.rank:
-            raise ValueError(f"color {c} out of range (rank {cfg.rank})")
-    x, y = cfg.representative(t)
-    return int(np.count_nonzero((cfg.colors[x] == r) & (cfg.colors[:, y] == s)))
 
 
 def intersection_numbers_for(cfg: CoherentConfiguration, t: int) -> dict:
@@ -319,8 +307,3 @@ def scheme_from_text(text: str) -> CoherentConfiguration:
 def read_scheme(path) -> CoherentConfiguration:
     with open(path, "r", encoding="utf-8") as fh:
         return scheme_from_text(fh.read())
-
-
-def write_scheme(cfg: CoherentConfiguration, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scheme_to_text(cfg))

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive (group orbits, permutation
 enumeration, per-pair counting) and shares no code path with the library
-routines it checks.
+routines it checks.  The paper's lemma checkers degree_check_oracle and
+is_regular_equivalent check the theory, not the library: no command
+needs them, and is_regular_equivalent is built on the library's twin
+classes and neighborhood condition.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from collections import Counter
 
 import numpy as np
 
-from arcschemes.arcs import ArcFunction, condition_failures
-from arcschemes.graphs import Graph, VertexLimitError, build_by_line, from_edges, int_records
+from arcschemes.arcs import ArcFunction, check_neighborhood_condition, condition_failures
+from arcschemes.graphs import (
+    Graph, VertexLimitError, build_by_line, from_edges, int_records, twin_relation,
+)
 from arcschemes.schemes import ISO, NOT_ISO, IsoVerdict, VerifyReport
 
 
@@ -66,7 +71,7 @@ def permutation_aut_count(g: Graph) -> int:
     count = 0
     pairs = list(itertools.combinations(range(n), 2))
     for perm in itertools.permutations(range(n)):
-        if all(g.adjacent(perm[u], perm[v]) == g.adjacent(u, v) for u, v in pairs):
+        if all(g.adj[perm[u], perm[v]] == g.adj[u, v] for u, v in pairs):
             count += 1
     return count
 
@@ -301,7 +306,7 @@ def lex_product_oracle(outer: Graph, inner: Graph) -> Graph:
             if a == c:
                 for b, d in inner.edges():
                     edges.append((a * ni + b, a * ni + d))
-            elif outer.adjacent(a, c):
+            elif outer.adj[a, c]:
                 for b in range(ni):
                     for d in range(ni):
                         edges.append((a * ni + b, c * ni + d))
@@ -443,6 +448,23 @@ def degree_check_oracle(rf: ArcFunction) -> bool:
     return len(degrees) != 1 or all(2 * size == min(degrees) + 2 for _, size in rf.arcs)
 
 
+def is_regular_equivalent(g: Graph) -> bool:
+    """For twin-free non-empty circular-arc graphs, regularity coincides
+    with the neighborhood condition; asserts the equivalence and returns
+    whether the graph is regular."""
+    if g.edge_count() == 0:
+        raise ValueError("equivalence requires a non-empty graph")
+    if not np.array_equal(twin_relation(g), np.arange(g.n)):
+        raise ValueError("equivalence requires a twin-free graph")
+    regular = g.is_regular()
+    if regular != check_neighborhood_condition(g).ok:
+        raise AssertionError(
+            "regularity and the neighborhood condition disagree; "
+            "input is not a circular-arc graph"
+        )
+    return regular
+
+
 def twin_labels_oracle(g: Graph) -> list[int]:
     """Twin classes pair by pair: u and v are twins iff u = v, or they are
     adjacent and agree on every other vertex.  A vertex is labeled by its
@@ -450,8 +472,8 @@ def twin_labels_oracle(g: Graph) -> list[int]:
     n = g.n
 
     def twins(u: int, v: int) -> bool:
-        return u == v or g.adjacent(u, v) and all(
-            g.adjacent(u, w) == g.adjacent(v, w) for w in range(n) if w not in (u, v))
+        return u == v or g.adj[u, v] and all(
+            g.adj[u, w] == g.adj[v, w] for w in range(n) if w not in (u, v))
 
     smallest = [next(v for v in range(n) if twins(u, v)) for u in range(n)]
     ids: dict[int, int] = {}

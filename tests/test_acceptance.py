@@ -111,7 +111,7 @@ def _check_certificate(g, cert) -> str | None:
                 want = bu != bv
             else:
                 want = 1 <= oracles.circular_distance(au, av, cert.m) <= cert.k
-            if g.adjacent(u, v) != want:
+            if g.adj[u, v] != want:
                 return f"adjacency mismatch at ({u},{v})"
     if len(seen) != g.n:
         return "relabeling is not a bijection"

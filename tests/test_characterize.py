@@ -53,7 +53,7 @@ def assert_labels_witness(g, n, k, labels):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             want = 1 <= oracles.circular_distance(labels[u], labels[v], n) <= k
-            assert g.adjacent(u, v) == want
+            assert g.adj[u, v] == want
 
 
 def assert_certificate_witness(g, cert):
@@ -68,7 +68,7 @@ def assert_certificate_witness(g, cert):
                 want = bu != bv
             else:
                 want = 1 <= oracles.circular_distance(au, av, cert.m) <= cert.k
-            assert g.adjacent(u, v) == want
+            assert g.adj[u, v] == want
     assert len(seen) == g.n == cert.m * cert.r
 
 
@@ -367,15 +367,20 @@ class TestRecognizeFirst:
             assert out.scheme == closure_of_graph(g), (m, k, r)
 
     def test_predicted_scheme_is_coherent_of_predicted_rank(self):
+        # predicted_scheme numbers its points as lex_product does, so it is
+        # the closure of the unpermuted member under the identity
         for m, k, r in MEMBER_GRID:
             predicted = predicted_scheme(m, k, r)
             assert verify(predicted).ok, (m, k, r)
             assert predicted.rank == predicted_rank(m, k, r), (m, k, r)
+            g = complete(r) if m == 1 else lex_product(elementary_caw(m, k), complete(r))
+            assert closure_of_graph(g) == predicted, (m, k, r)
 
     def test_predicted_rank_invalid(self):
         for m, k, r in [(0, 0, 1), (5, 1, 0), (5, -1, 1), (4, 2, 1), (3, 1, 2)]:
-            with pytest.raises(ValueError):
-                predicted_rank(m, k, r)
+            for predicted in (predicted_rank, predicted_scheme, predicted_aut_order):
+                with pytest.raises(ValueError):
+                    predicted(m, k, r)
 
     @pytest.mark.parametrize("name,builder,stage", [
         ("P4", lambda: oracles.path(4), STAGE_QUOTIENT_NOT_ELEMENTARY),

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from arcschemes import suites
-from arcschemes.arcs import ArcFunction, model_from_text, write_model
+from arcschemes.arcs import ArcFunction, model_from_text, model_to_text
 from arcschemes.cli import main
 from arcschemes.graphs import (
     complete,
@@ -14,8 +14,8 @@ from arcschemes.graphs import (
     empty_graph,
     from_edges,
     graph_from_text,
+    graph_to_text,
     lex_product,
-    write_graph,
 )
 from arcschemes.schemes import CoherentConfiguration, dihedral_scheme, read_scheme
 
@@ -25,21 +25,21 @@ import oracles
 @pytest.fixture
 def c5_file(tmp_path):
     path = tmp_path / "c5.graph"
-    write_graph(cycle(5), path)
+    path.write_text(graph_to_text(cycle(5)))
     return str(path)
 
 
 @pytest.fixture
 def lex_file(tmp_path):
     path = tmp_path / "lex.graph"
-    write_graph(lex_product(cycle(5), complete(2)), path)
+    path.write_text(graph_to_text(lex_product(cycle(5), complete(2))))
     return str(path)
 
 
 @pytest.fixture
 def p4_file(tmp_path):
     path = tmp_path / "p4.graph"
-    write_graph(oracles.path(4), path)
+    path.write_text(graph_to_text(oracles.path(4)))
     return str(path)
 
 
@@ -106,7 +106,7 @@ class TestClosure:
 
     def test_path_summary(self, tmp_path, capsys):
         path = tmp_path / "p3.graph"
-        write_graph(oracles.path(3), path)
+        path.write_text(graph_to_text(oracles.path(3)))
         assert main(["--no-timing", "closure", str(path)]) == 0
         out = capsys.readouterr().out
         assert "rank: 5" in out
@@ -202,7 +202,7 @@ class TestDecompose:
         perm = list(range(g.n))
         random.Random(3).shuffle(perm)
         path = tmp_path / "c303k3.graph"
-        write_graph(from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]), path)
+        path.write_text(graph_to_text(from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])))
         if env is not None:
             monkeypatch.setenv("CAW_LIMIT", env)
         assert main(flag + ["--no-timing", "decompose", str(path)]) == 0
@@ -224,7 +224,7 @@ class TestArcs:
     @pytest.fixture
     def c4_model_file(self, tmp_path):
         path = tmp_path / "c4.arcs"
-        write_model(ArcFunction(8, [(0, 4), (2, 4), (4, 4), (6, 4)]), path)
+        path.write_text(model_to_text(ArcFunction(8, [(0, 4), (2, 4), (4, 4), (6, 4)])))
         return str(path)
 
     def test_graph_action(self, c4_model_file, capsys):
@@ -241,7 +241,7 @@ class TestArcs:
         from arcschemes.arcs import standard_model
 
         path = tmp_path / "std.arcs"
-        write_model(standard_model(7, 2), path)
+        path.write_text(model_to_text(standard_model(7, 2)))
         assert main(["arcs", str(path), "check"]) == 0
         out = capsys.readouterr().out
         for label in ("condition (1)", "condition (2)", "condition (3.1)",
@@ -264,7 +264,7 @@ class TestArcs:
 
     def test_reduce_rejects_condition_31(self, tmp_path, capsys):
         path = tmp_path / "p4.arcs"
-        write_model(ArcFunction(5, [(0, 2), (1, 2), (2, 2), (3, 2)]), path)
+        path.write_text(model_to_text(ArcFunction(5, [(0, 2), (1, 2), (2, 2), (3, 2)])))
         assert main(["arcs", str(path), "reduce"]) == 1
         assert "condition (3.1)" in capsys.readouterr().err
 
@@ -279,7 +279,7 @@ class TestArcs:
         from arcschemes.arcs import standard_model
 
         path = tmp_path / "big.arcs"
-        write_model(standard_model(201, 2), path)
+        path.write_text(model_to_text(standard_model(201, 2)))
 
         def refuse(*args):
             raise AssertionError("graph built before the arc limit was checked")
@@ -390,7 +390,7 @@ class TestVerify:
 ], ids=["gen", "closure", "arcs-graph", "arcs-reduce"])
 def test_unwritable_output_is_usage_error(argv, c5_file, tmp_path, capsys):
     model = tmp_path / "c4.arcs"
-    write_model(ArcFunction(8, [(0, 4), (2, 4), (4, 4), (6, 4)]), model)
+    model.write_text(model_to_text(ArcFunction(8, [(0, 4), (2, 4), (4, 4), (6, 4)])))
     out = tmp_path / "missing" / "out.txt"
     argv = [a.format(graph=c5_file, model=model) for a in argv]
     assert main(["--no-timing", *argv, "-o", str(out)]) == 2

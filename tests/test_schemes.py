@@ -12,7 +12,6 @@ from arcschemes.schemes import (
     NOT_ISO,
     CoherentConfiguration,
     dihedral_scheme,
-    intersection_number,
     intersection_numbers_for,
     is_association,
     is_fusion_of,
@@ -52,7 +51,7 @@ class TestVerify:
         for u in range(4):
             for v in range(4):
                 if u != v:
-                    mat[u, v] = 1 if g.adjacent(u, v) else 2
+                    mat[u, v] = 1 if g.adj[u, v] else 2
         report = verify(CoherentConfiguration(mat))
         assert not report.ok
         assert report.problem == "intersection"
@@ -131,20 +130,20 @@ class TestVerifyOracleParity:
 class TestIntersectionNumbers:
     def test_dihedral5_value(self):
         d = dihedral_scheme(5)
-        assert intersection_number(d, 1, 1, 2) == 1
+        assert intersection_numbers_for(d, 2)[1, 1] == 1
         assert oracles.exhaustive_intersection_counts(d, 1, 1, 2) == {1}
 
     def test_diagonal_composition(self):
         d = dihedral_scheme(7)
         for s in range(d.rank):
-            assert intersection_number(d, 0, s, s) == 1
+            assert intersection_numbers_for(d, s)[0, s] == 1
 
     def test_rank2_value(self):
-        assert intersection_number(rank2_scheme(6), 1, 1, 1) == 4
+        assert intersection_numbers_for(rank2_scheme(6), 1)[1, 1] == 4
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            intersection_number(rank2_scheme(3), 0, 0, 5)
+            intersection_numbers_for(rank2_scheme(3), 5)
 
     def test_constant_over_all_representatives(self, scheme_corpus):
         for cfg in scheme_corpus:
