@@ -48,18 +48,19 @@ STAGE_QUOTIENT_NOT_ELEMENTARY = "quotient not elementary"
 STAGE_RELABELING_FAILED = "relabeling verification failed"
 
 
-def _outer_kind(m: int, k: int) -> str:
+def _outer_kind(m: int, k: int, r: int) -> str:
     """The outer scheme X of C_{m,k}[K_r], whose scheme is rank2(r) wr X:
     the rank-2 scheme for k = 0 (the point scheme when m = 1), the matching
     scheme for m = 2k + 2 and the dihedral scheme for m > 2k + 2.  Any
-    other (m, k) is not a member's: ValueError."""
-    if k == 0 and m >= 1:
-        return OUTER_RANK2
-    if k >= 1 and m == 2 * k + 2:
-        return OUTER_FORESTAL_MATCHING
-    if k >= 1 and m > 2 * k + 2:
-        return OUTER_DIHEDRAL
-    raise ValueError(f"invalid parameters m={m}, k={k}")
+    other (m, k), or r < 1, is not a member's: ValueError."""
+    if r >= 1:
+        if k == 0 and m >= 1:
+            return OUTER_RANK2
+        if k >= 1 and m == 2 * k + 2:
+            return OUTER_FORESTAL_MATCHING
+        if k >= 1 and m > 2 * k + 2:
+            return OUTER_DIHEDRAL
+    raise ValueError(f"invalid parameters m={m}, k={k}, r={r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class Decomposition:
     relabeling[v] = (position in Z_m, index inside the fiber).  The only
     certificate violating 2k+1 < m is the degenerate (m=1, k=0) form used
     for complete graphs, whose fiber is the whole vertex set; _outer_kind
-    rejects every other (m, k).
+    rejects every other (m, k), and r < 1.
     """
 
     m: int
@@ -80,7 +81,7 @@ class Decomposition:
     def __post_init__(self):
         if self.m * self.r != len(self.relabeling):
             raise ValueError("relabeling length must be m * r")
-        _outer_kind(self.m, self.k)
+        _outer_kind(self.m, self.k, self.r)
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def predicted_scheme(m: int, k: int, r: int) -> CoherentConfiguration:
     a fusion of the dihedral scheme on Z_m by circular distance d: the
     rank-2 scheme splits d = 0 from d > 0, the matching scheme also splits
     off the partner at d = k + 1, and the dihedral scheme keeps every d."""
-    kind = _outer_kind(m, k)
+    kind = _outer_kind(m, k, r)
     d = np.subtract.outer(np.arange(m), np.arange(m)) % m
     d = np.minimum(d, m - d)
     if kind == OUTER_RANK2:
@@ -291,7 +292,7 @@ def scheme_decomposition(outcome: DecomposeOutcome) -> SchemeDecomposition | Non
     predicted = predicted_scheme(m, k, r).colors[np.ix_(sigma, sigma)]
     if CoherentConfiguration(predicted) != outcome.scheme:
         raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] differs from prediction")
-    return SchemeDecomposition(r, _outer_kind(m, k), m, IsoVerdict(ISO, tuple(sigma.tolist())))
+    return SchemeDecomposition(r, _outer_kind(m, k, r), m, IsoVerdict(ISO, tuple(sigma.tolist())))
 
 
 def _certificate_generators(m: int, k: int, r: int) -> np.ndarray:
@@ -313,7 +314,7 @@ def _certificate_generators(m: int, k: int, r: int) -> np.ndarray:
             f[[x, y]] = y, x
         return f
 
-    kind = _outer_kind(m, k)
+    kind = _outer_kind(m, k, r)
     if kind == OUTER_RANK2:
         outer = [swaps((i, i + 1)) for i in range(m - 1)]
     elif kind == OUTER_FORESTAL_MATCHING:
@@ -472,9 +473,7 @@ def predicted_rank(m: int, k: int, r: int) -> int:
     rank(outer) - 1, as for every wreath product of association schemes.
     The outer scheme has rank 1 on one point, 2 for k = 0, 3 in the
     matching case and m // 2 + 1 for the dihedral scheme."""
-    kind = _outer_kind(m, k)
-    if r < 1:
-        raise ValueError(f"invalid parameters m={m}, k={k}, r={r}")
+    kind = _outer_kind(m, k, r)
     inner = 1 if r == 1 else 2
     if kind == OUTER_RANK2:
         outer = 1 if m == 1 else 2
@@ -490,9 +489,7 @@ def predicted_aut_order(m: int, k: int, r: int) -> int:
     the quotient group, which is Sym(m) for the empty case, the signed
     permutations of the matching for m = 2k+2, and the dihedral group of
     the m-cycle otherwise."""
-    kind = _outer_kind(m, k)
-    if r < 1:
-        raise ValueError(f"invalid parameters m={m}, k={k}, r={r}")
+    kind = _outer_kind(m, k, r)
     if kind == OUTER_RANK2:
         outer_order = math.factorial(m)
     elif kind == OUTER_FORESTAL_MATCHING:

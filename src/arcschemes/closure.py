@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, _canonical_relabel
-from .kernels import refine_step
+from .graphs import Graph
+from .kernels import first_appearance, refine_step
 from .schemes import CoherentConfiguration
 
 
@@ -32,17 +32,15 @@ def _initial_coloring(n: int, relations) -> np.ndarray:
     (v, u), numbered by first appearance in a row-major scan."""
     if n < 1:
         raise ValueError("closure needs n >= 1")
-    mat = np.eye(n, dtype=np.int64)
+    mat = 1 - np.eye(n, dtype=np.int64)  # canonical: the diagonal comes first
     for rel in relations:
         member = np.asarray(rel, dtype=bool)
         if member.shape != (n, n):
             raise ValueError(f"relation of shape {member.shape}, expected ({n}, {n})")
-        member = member.astype(np.int64)
-        # split every class by membership of (u, v) and of (v, u), then
-        # renumber so the ids stay below n^2 however many generators there are
-        _, mat = np.unique(mat * 4 + member * 2 + member.T, return_inverse=True)
-        mat = mat.reshape(n, n)
-    return _canonical_relabel(mat)
+        # split every class by membership of (u, v) and of (v, u); the ids
+        # stay below n^2 however many generators there are
+        mat = first_appearance(mat * 4 + member * 2 + member.T)
+    return mat
 
 
 def coherent_closure(n: int, relations, stop_rank: int | None = None) -> CoherentConfiguration:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import first_appearance
+
 
 class Graph:
     """Undirected graph without loops or multiple edges."""
@@ -176,18 +178,6 @@ def common_neighbors(g: Graph) -> np.ndarray:
     return (adj @ adj).astype(np.int32)
 
 
-def _canonical_relabel(mat: np.ndarray) -> np.ndarray:
-    """Number the values of an array by first appearance in a row-major
-    scan.
-
-    Works on the distinct values only, so memory does not depend on how
-    large the values are.
-    """
-    _, first, inverse = np.unique(mat.ravel(), return_index=True, return_inverse=True)
-    # the new id of each distinct value is the rank of its first index
-    return np.argsort(np.argsort(first))[inverse].reshape(mat.shape)
-
-
 def twin_relation(g: Graph) -> np.ndarray:
     """One label per vertex naming its class of pairwise twins (adjacent,
     equal closed neighborhoods); a vertex without a twin is alone in its
@@ -204,7 +194,7 @@ def twin_relation(g: Graph) -> np.ndarray:
     twins = (overlap == size[:, None]) & (overlap == size)
     # each vertex's smallest twin; initial lets a graph of no vertices through
     smallest = np.where(twins, np.arange(g.n), g.n).min(axis=1, initial=g.n)
-    return _canonical_relabel(smallest)
+    return first_appearance(smallest)
 
 
 def quotient_graph(g: Graph, labels) -> Graph:

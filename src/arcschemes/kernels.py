@@ -1,9 +1,13 @@
-"""The 2-WL refinement round.
+"""The 2-WL refinement round, and the numbering of colors by first
+appearance.
 
 The signature of a pair (u, v) is its old color together with the sorted
 multiset of color(u, w) * rank + color(w, v) over all points w.  New
 color ids are assigned by first appearance of a signature in a row-major
-scan of the pair matrix, so equal partitions give equal matrices.
+scan of the pair matrix, so equal partitions give equal matrices.  That
+is the one canonical form of every color matrix in the package:
+first_appearance numbers any array by it, and the initial coloring, the
+half round, CoherentConfiguration and the twin labels all go through it.
 
 Signatures are built and sorted in numpy, a block of pairs at a time, and
 each one is read as a single bytes key.  Two keys are equal exactly when
@@ -19,9 +23,8 @@ tau of the new color of (u, v), and the new coloring is transpose-closed
 again.  A half round signs the pairs u <= v, then (v, u) at one pair
 (u, v) of each new color, which gives tau (any pair of the color gives
 the same key), and fills the lower triangle through tau.  It renumbers
-the colors by first appearance in the full row-major scan, through a
-stable sort of the ids (a radix sort while they fit in uint16), and the
-result is the full round's, bit for bit.
+the colors by first appearance in the full row-major scan
+(first_appearance), and the result is the full round's, bit for bit.
 
 The half round has a fixed cost (index gathers, tau's signatures, the
 renumbering) that small rounds, and rounds that end with many colors, do
@@ -173,17 +176,31 @@ def _half_round(c: np.ndarray, scale):
     out = np.empty((n, n), dtype=np.int64)
     out[first, second] = upper
     out[second[below], first[below]] = tau[upper[below]]
-    return _by_first_appearance(out, len(ids)), len(ids)
+    return first_appearance(out), len(ids)
 
 
-def _by_first_appearance(out: np.ndarray, rank: int) -> np.ndarray:
-    """out with its ids renumbered by first appearance in the row-major
-    scan; every id in [0, rank) must appear."""
-    flat = out.ravel().astype(np.uint16 if rank <= 1 << 16 else np.int64)
-    # a stable sort lists the positions of each id in scan order, so each
-    # id first appears where its run starts (uint16 sorts by radix)
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=rank)
+def first_appearance(values) -> np.ndarray:
+    """The ids 0, 1, ... of the non-negative integers in values, numbered
+    by first appearance in a row-major scan, as int64 of the same shape.
+
+    The values are first made dense: through a bincount when all lie
+    below the array's size, otherwise through np.unique, so memory never
+    depends on how large a value is.  A stable sort of the dense ids then
+    lists the positions of each id in scan order, so each id first
+    appears where its run starts (uint16 sorts by radix).
+    """
+    values = np.asarray(values, dtype=np.int64)
+    flat = values.ravel()
+    if flat.size and int(flat.max()) < flat.size:
+        counts = np.bincount(flat)
+        present = counts > 0
+        dense = (np.cumsum(present) - 1)[flat]
+        counts = counts[present]
+    else:
+        # a 1-d input keeps np.unique's inverse 1-d on every numpy
+        _, dense, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    rank = len(counts)
+    order = np.argsort(dense.astype(np.uint16 if rank <= 1 << 16 else np.int64), kind="stable")
     new = np.empty(rank, dtype=np.int64)
     new[np.argsort(order[np.cumsum(counts) - counts])] = np.arange(rank)
-    return new[out]
+    return new[dense].reshape(values.shape)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _canonical_relabel, int_records
-from .kernels import refine_step
+from .graphs import int_records
+from .kernels import first_appearance, refine_step
 
 ISO = "iso"
 NOT_ISO = "not-iso"
@@ -22,8 +22,9 @@ NOT_ISO = "not-iso"
 class CoherentConfiguration:
     """Partition of V x V given by its canonical color matrix.
 
-    The constructor only canonicalizes the colors and records the diagonal
-    colors; sizes and pairing are computed from the matrix on access.
+    The constructor only canonicalizes the colors (kernels.first_appearance,
+    the package's one numbering rule) and records the diagonal colors;
+    sizes and pairing are computed from the matrix on access.
     Whether the partition satisfies the scheme axioms is decided by
     verify(), which reports the first violation instead of raising.
     """
@@ -38,7 +39,7 @@ class CoherentConfiguration:
             raise ValueError("configuration needs at least one point")
         if colors.min() < 0:
             raise ValueError("colors must be non-negative integers")
-        colors = _canonical_relabel(colors)
+        colors = first_appearance(colors)
         colors.flags.writeable = False
         self.n = colors.shape[0]
         self.colors = colors
@@ -52,15 +53,9 @@ class CoherentConfiguration:
 
     @property
     def pairing(self) -> tuple[int, ...]:
-        """Color of (v, u) for the representative (u, v) of each color."""
+        """Color of (v, u) for the first pair (u, v) of each color."""
         _, first = np.unique(self.colors.ravel(), return_index=True)
         return tuple(self.colors.T.ravel()[first].tolist())
-
-    def representative(self, t: int) -> tuple[int, int]:
-        """First pair (row-major) of color t."""
-        if not 0 <= t < self.rank:
-            raise ValueError(f"color {t} out of range (rank {self.rank})")
-        return divmod(int(np.argmax(self.colors.ravel() == t)), self.n)
 
     def __eq__(self, other):
         return (
@@ -157,12 +152,6 @@ def _pair_counts(mat: np.ndarray, pairs):
     keys, which = np.unique(keys, axis=0, return_inverse=True)
     cell = np.repeat(np.arange(len(pairs)), mat.shape[0]) * len(keys) + which.reshape(-1)
     return keys, np.bincount(cell, minlength=len(pairs) * len(keys)).reshape(len(pairs), -1)
-
-
-def intersection_numbers_for(cfg: CoherentConfiguration, t: int) -> dict:
-    """All nonzero c_rs^t for a fixed t, as {(r, s): count}."""
-    keys, counts = _pair_counts(cfg.colors, [cfg.representative(t)])
-    return dict(zip(map(tuple, keys.tolist()), counts[0].tolist()))
 
 
 def is_association(cfg: CoherentConfiguration) -> bool:

@@ -121,6 +121,20 @@ def transpose_closed(colors) -> bool:
                for u in range(len(rows)) for v in range(len(rows)))
 
 
+def first_appearance_oracle(values) -> np.ndarray:
+    """values numbered 0, 1, ... by first appearance in a row-major scan,
+    one element at a time through a dict."""
+    values = np.asarray(values)
+    ids: dict[int, int] = {}
+    flat = [ids.setdefault(v, len(ids)) for v in values.ravel().tolist()]
+    return np.array(flat, dtype=np.int64).reshape(values.shape)
+
+
+def first_pair(cfg, t: int) -> tuple[int, int]:
+    """The first pair (u, v), row-major, of color t."""
+    return next((u, v) for u in range(cfg.n) for v in range(cfg.n) if cfg.colors[u, v] == t)
+
+
 def membership(n: int, pairs) -> np.ndarray:
     """The n x n boolean membership matrix of a set of ordered pairs."""
     mat = np.zeros((n, n), dtype=bool)

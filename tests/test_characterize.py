@@ -381,6 +381,8 @@ class TestRecognizeFirst:
             for predicted in (predicted_rank, predicted_scheme, predicted_aut_order):
                 with pytest.raises(ValueError):
                     predicted(m, k, r)
+            with pytest.raises(ValueError):
+                Decomposition(m, k, r, ((0, 0),) * (m * r))
 
     @pytest.mark.parametrize("name,builder,stage", [
         ("P4", lambda: oracles.path(4), STAGE_QUOTIENT_NOT_ELEMENTARY),

@@ -7,7 +7,7 @@ import oracles
 from arcschemes import kernels
 from arcschemes.closure import _initial_coloring, closure_of_graph
 from arcschemes.graphs import elementary_caw
-from arcschemes.kernels import refine_step
+from arcschemes.kernels import first_appearance, refine_step
 
 
 def involution(rank):
@@ -228,3 +228,42 @@ class TestInitialColoring:
         rs = (cc.n, [oracles.membership(cc.n, c) for c in classes])
         assert np.array_equal(_initial_coloring(*rs), oracles.initial_coloring_oracle(*rs))
         assert np.array_equal(_initial_coloring(*rs), cc.colors)
+
+
+class TestFirstAppearance:
+    def assert_same(self, values):
+        out = first_appearance(values)
+        ref = oracles.first_appearance_oracle(values)
+        assert out.dtype == np.int64 and out.shape == ref.shape
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (50,), (1, 1), (3, 5), (12, 12)])
+    def test_values_below_the_size(self, shape):
+        # the bincount branch, with gaps among the values
+        rng = np.random.default_rng(sum(shape))
+        size = int(np.prod(shape))
+        for top in (1, 2, max(1, size // 3), size):
+            self.assert_same(rng.integers(0, top, size=shape))
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (12, 12)])
+    def test_values_from_the_size_up(self, shape):
+        # the np.unique branch: at least one value reaches the size
+        rng = np.random.default_rng(sum(shape))
+        size = int(np.prod(shape))
+        for low, high in ((size, size + 3), (0, 2 * size + 1), (2**40, 2**40 + 4), (0, 2**62)):
+            values = rng.integers(low, high, size=shape)
+            values.flat[-1] = max(size, low)
+            self.assert_same(values)
+        self.assert_same(np.full(shape, 2**62))
+
+    @pytest.mark.parametrize("shape", [(256, 256), (65537,), (300, 300)])
+    def test_distinct_ids_at_the_uint16_limit_and_past_it(self, shape):
+        # 65536 ids sort as uint16, more as int64, through either branch
+        rng = np.random.default_rng(len(shape))
+        size = int(np.prod(shape))
+        self.assert_same(rng.permutation(size).reshape(shape))
+        self.assert_same(rng.permutation(size).reshape(shape) * 7 + 2**50)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 0), (3, 0)])
+    def test_empty(self, shape):
+        self.assert_same(np.zeros(shape, dtype=np.int64))

@@ -12,7 +12,6 @@ from arcschemes.schemes import (
     NOT_ISO,
     CoherentConfiguration,
     dihedral_scheme,
-    intersection_numbers_for,
     is_association,
     is_fusion_of,
     point_scheme,
@@ -120,37 +119,30 @@ class TestVerifyOracleParity:
             problems.add(report.problem)
         assert problems == {None, "diagonal", "pairing", "intersection"}
 
-    def test_intersection_numbers_for(self, scheme_corpus):
-        for cfg in scheme_corpus:
-            for t in range(cfg.rank):
-                expected = oracles._pair_counts_oracle(cfg.colors, cfg.representative(t))
-                assert intersection_numbers_for(cfg, t) == expected
+
+def counts_at_first_pair(cfg, t):
+    """{(r, s): c_rs^t} counted at the first pair of color t."""
+    return oracles._pair_counts_oracle(cfg.colors, oracles.first_pair(cfg, t))
 
 
 class TestIntersectionNumbers:
     def test_dihedral5_value(self):
-        d = dihedral_scheme(5)
-        assert intersection_numbers_for(d, 2)[1, 1] == 1
-        assert oracles.exhaustive_intersection_counts(d, 1, 1, 2) == {1}
+        assert oracles.exhaustive_intersection_counts(dihedral_scheme(5), 1, 1, 2) == {1}
 
     def test_diagonal_composition(self):
         d = dihedral_scheme(7)
         for s in range(d.rank):
-            assert intersection_numbers_for(d, s)[0, s] == 1
+            assert oracles.exhaustive_intersection_counts(d, 0, s, s) == {1}
 
     def test_rank2_value(self):
-        assert intersection_numbers_for(rank2_scheme(6), 1)[1, 1] == 4
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            intersection_numbers_for(rank2_scheme(3), 5)
+        assert oracles.exhaustive_intersection_counts(rank2_scheme(6), 1, 1, 1) == {4}
 
     def test_constant_over_all_representatives(self, scheme_corpus):
         for cfg in scheme_corpus:
             if cfg.n > 10:
                 continue
             for t in range(cfg.rank):
-                for (r, s), value in intersection_numbers_for(cfg, t).items():
+                for (r, s), value in counts_at_first_pair(cfg, t).items():
                     assert oracles.exhaustive_intersection_counts(cfg, r, s, t) == {value}
 
     def test_valency_consistency(self, scheme_corpus):
@@ -159,8 +151,8 @@ class TestIntersectionNumbers:
             if cfg.n > 12:
                 continue
             for t in range(cfg.rank):
-                x, _ = cfg.representative(t)
-                counts = intersection_numbers_for(cfg, t)
+                x, _ = oracles.first_pair(cfg, t)
+                counts = counts_at_first_pair(cfg, t)
                 for r in range(cfg.rank):
                     total = sum(v for (rr, _s), v in counts.items() if rr == r)
                     assert total == int(np.count_nonzero(cfg.colors[x] == r))
@@ -172,8 +164,8 @@ class TestIntersectionNumbers:
                 continue
             p = cfg.pairing
             for t in range(cfg.rank):
-                counts = intersection_numbers_for(cfg, t)
-                dual = intersection_numbers_for(cfg, p[t])
+                counts = counts_at_first_pair(cfg, t)
+                dual = counts_at_first_pair(cfg, p[t])
                 for (r, s), value in counts.items():
                     assert dual.get((p[s], p[r]), 0) == value
 
