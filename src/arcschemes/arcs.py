@@ -135,6 +135,12 @@ def standard_model(n: int, k: int) -> "ReducedArcFunction":
     return ReducedArcFunction(n, [(i, k + 1) for i in range(n)])
 
 
+class NeighborhoodConditionError(ValueError):
+    """A valid model whose intersection graph violates condition (3.1), so
+    reduce does not apply.  That is a negative answer about the model, not
+    bad input: the CLI exits 1 on it and 2 on any other ValueError."""
+
+
 class NeighborhoodCheck(NamedTuple):
     ok: bool
     witness: tuple[int, int] | None
@@ -195,9 +201,10 @@ def reduce(f: ArcFunction) -> ReducedArcFunction:
     """Collapse same-membership circle points to get a reduced model.
 
     Requires a valid arc-function whose intersection graph is non-empty
-    and satisfies the neighborhood condition; under those hypotheses the
-    collapsed model satisfies (i), (ii), (iii) and has the same
-    intersection graph, both of which are re-checked before returning.
+    and satisfies the neighborhood condition (3.1), whose violation raises
+    NeighborhoodConditionError; under those hypotheses the collapsed model
+    satisfies (i), (ii), (iii) and has the same intersection graph, both
+    of which are re-checked before returning.
     """
     require_valid(f)
     g = _intersection_graph(f)
@@ -205,7 +212,7 @@ def reduce(f: ArcFunction) -> ReducedArcFunction:
         raise ValueError("reduction needs a non-empty intersection graph")
     check = check_neighborhood_condition(g)
     if not check.ok:
-        raise ValueError(
+        raise NeighborhoodConditionError(
             f"condition (3.1) violated: neighborhood of {check.witness[0]} is contained "
             f"in the closed neighborhood of {check.witness[1]}"
         )

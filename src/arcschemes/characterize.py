@@ -70,7 +70,8 @@ class Decomposition:
     relabeling[v] = (position in Z_m, index inside the fiber).  The only
     certificate violating 2k+1 < m is the degenerate (m=1, k=0) form used
     for complete graphs, whose fiber is the whole vertex set; _outer_kind
-    rejects every other (m, k), and r < 1.
+    rejects every other (m, k), and r < 1.  The relabeling must be a
+    bijection onto Z_m x [0, r).
     """
 
     m: int
@@ -82,6 +83,10 @@ class Decomposition:
         if self.m * self.r != len(self.relabeling):
             raise ValueError("relabeling length must be m * r")
         _outer_kind(self.m, self.k, self.r)
+        pairs = np.array(self.relabeling, dtype=np.int64).reshape(-1, 2)
+        if (((pairs < 0) | (pairs >= (self.m, self.r))).any()
+                or np.bincount(pairs[:, 0] * self.r + pairs[:, 1]).max() > 1):
+            raise ValueError("relabeling must be a bijection onto Z_m x [0, r)")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Subcommands: gen (graph generators), closure (scheme of a graph),
 decompose (certificate for the characterized class), arcs (arc-model
 operations) and verify (sweep suites).  Exit codes are a stable contract:
 0 for success or a certificate, 1 for a negative mathematical result,
-2 for input or usage errors.
+2 for input or usage errors.  A command returns 0 or 1 and raises on
+error; main alone turns an exception into an exit code, by its type:
+arcs.NeighborhoodConditionError (a model violating condition (3.1), which
+reduce needs) gives 1, and any other OSError or ValueError gives 2.
 """
 
 from __future__ import annotations
@@ -97,15 +100,7 @@ def _render_report(report: dict, fmt: str, timing_ms: float | None) -> str:
         report = dict(report, **{"timing-ms": round(timing_ms, 3)})
     if fmt == "machine":
         return json.dumps(report, sort_keys=True) + "\n"
-    lines = []
-    for key in report:
-        value = report[key]
-        if isinstance(value, list):
-            lines.append(f"{key}:")
-            lines.extend(f"  {item}" for item in value)
-        else:
-            lines.append(f"{key}: {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}: {value}\n" for key, value in report.items())
 
 
 def _scheme_summary(path: str, cc: CoherentConfiguration) -> dict:
@@ -137,35 +132,22 @@ def cmd_gen(args) -> int:
         if n > limit:
             raise VertexLimitError(n, limit)
         g = build()
-    except VertexLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except VertexLimitError:
+        raise  # a valid spec over the limit needs no usage line
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("usage: gen {cnk N K | cycle N | complete N | mkn M N | lex SPEC SPEC}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(
+            f"{exc}\nusage: gen {{cnk N K | cycle N | complete N | mkn M N | lex SPEC SPEC}}"
+        ) from None
     _emit(graph_to_text(g), args.output)
     return 0
 
 
-def _read_limited_graph(path: str, limit: int, limit_name: str):
-    """Read a graph file, or print why not and return None.  The vertex
-    limit is checked before the graph is built."""
-    try:
-        return read_graph(path, max_vertices=limit)
-    except VertexLimitError as exc:
-        print(f"error: graph has {exc.n} vertices, {limit_name} is {limit}", file=sys.stderr)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    return None
-
-
 def cmd_closure(args) -> int:
     limit = _limit(args, DEFAULT_CLOSURE_LIMIT)
-    g = _read_limited_graph(args.graph, limit, "closure limit")
-    if g is None:
-        return 2
+    try:
+        g = read_graph(args.graph, max_vertices=limit)  # checked before the graph is built
+    except VertexLimitError as exc:
+        raise ValueError(f"graph has {exc.n} vertices, closure limit is {limit}") from None
     start = time.perf_counter()
     cc = closure_of_graph(g)
     elapsed = (time.perf_counter() - start) * 1000
@@ -177,10 +159,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    limit = _limit(args, DEFAULT_CLOSURE_LIMIT)
-    g = _read_limited_graph(args.graph, limit, "limit")
-    if g is None:
-        return 2
+    g = read_graph(args.graph, max_vertices=_limit(args, DEFAULT_CLOSURE_LIMIT))
     start = time.perf_counter()
     outcome = decompose_caw(g)
     report = _scheme_summary(args.graph, outcome.scheme)
@@ -212,46 +191,33 @@ def cmd_decompose(args) -> int:
 
 def cmd_arcs(args) -> int:
     limit = _limit(args, DEFAULT_CLOSURE_LIMIT)
-    try:
-        model = arcmod.read_model(args.model)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = arcmod.read_model(args.model)
     if model.n_vertices > limit:
-        print(f"error: model has {model.n_vertices} arcs, limit is {limit}", file=sys.stderr)
-        return 2
+        raise ValueError(f"model has {model.n_vertices} arcs, limit is {limit}")
 
     if args.action == "check":
-        rows = []
+        def rows_for(labels, failures, prefix=""):
+            """A row per label, failed by the first failure that starts with it."""
+            found = [next((f for f in failures if f.startswith(label)), "") for label in labels]
+            return [suites.row(prefix + label, not msg, msg) for label, msg in zip(labels, found)]
+
         failures = arcmod.condition_failures(model)
-        for label in ("condition (1)", "condition (2)"):
-            msg = next((f for f in failures if f.startswith(label)), None)
-            rows.append({"case": label, "status": "pass" if msg is None else "FAIL",
-                         "detail": msg or ""})
+        rows = rows_for(("condition (1)", "condition (2)"), failures)
         if not failures:
             g = arcmod._intersection_graph(model)  # the conditions were just checked
             check = arcmod.check_neighborhood_condition(g)
-            rows.append({"case": "condition (3.1)", "status": "pass" if check.ok else "FAIL",
-                         "detail": "" if check.ok else f"witness edge {check.witness}"})
-            reduction = arcmod.reduction_failures(model)
-            for label in ("(i)", "(ii)", "(iii)"):
-                msg = next((f for f in reduction if f.startswith(label)), None)
-                rows.append({"case": f"reduced {label}", "status": "pass" if msg is None else "FAIL",
-                             "detail": msg or ""})
+            rows.append(suites.row("condition (3.1)", check.ok,
+                                   "" if check.ok else f"witness edge {check.witness}"))
+            rows += rows_for(("(i)", "(ii)", "(iii)"), arcmod.reduction_failures(model), "reduced ")
         sys.stdout.write(_render_table(rows))
         return 0 if all(r["status"] == "pass" for r in rows) else 1
 
-    try:
-        if args.action == "graph":
-            g = arcmod.intersection_graph(model)
-            _emit(graph_to_text(g), args.output)
-            return 0
-        reduced = arcmod.reduce(model)
-        _emit(arcmod.model_to_text(reduced), args.output)
-        return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if "condition (3.1)" not in str(exc) else 1
+    if args.action == "graph":
+        text = graph_to_text(arcmod.intersection_graph(model))
+    else:
+        text = arcmod.model_to_text(arcmod.reduce(model))
+    _emit(text, args.output)
+    return 0
 
 
 # built-in verify bounds; all stays at 12, where perfbench's verify-sweep
@@ -341,7 +307,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, arcmod.NeighborhoodConditionError) else 2
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .graphs import (
 from .schemes import dihedral_scheme, identity_verdict, is_association
 
 
-def _row(case: str, ok: bool, detail: str = "") -> dict:
+def row(case: str, ok: bool, detail: str = "") -> dict:
     return {"case": case, "status": "pass" if ok else "FAIL", "detail": detail}
 
 
@@ -55,7 +55,7 @@ def run_dihedral_suite(bound: int) -> tuple[list[dict], bool]:
         verdict = identity_verdict(cc, dihedral_scheme(n), f"closure of C_{{{n},{k}}}")
         ok = is_association(cc) and cc.rank == want_rank and verdict.kind == "iso"
         detail = f"rank={cc.rank} association={is_association(cc)} iso={verdict.kind}"
-        rows.append(_row(f"C_{{{n},{k}}}", ok, detail))
+        rows.append(row(f"C_{{{n},{k}}}", ok, detail))
         ok_all &= ok
     return rows, ok_all
 
@@ -67,7 +67,12 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
     return from_edges(n, edges)
 
 
-def run_wreath_suite(bound: int, seed: int = 0, samples: int = 20) -> tuple[list[dict], bool]:
+# random cases per wreath run; one value, since perfbench's verify-sweep
+# check counts 4 fixed + 20 random + 1 counterexample wreath rows
+_WREATH_SAMPLES = 20
+
+
+def run_wreath_suite(bound: int, seed: int = 0) -> tuple[list[dict], bool]:
     """Fusion/isomorphism checks between lexicographic products and wreath
     products of schemes, including the complete[complete] counterexample."""
     if bound < 2:
@@ -83,7 +88,7 @@ def run_wreath_suite(bound: int, seed: int = 0, samples: int = 20) -> tuple[list
         (2, elementary_caw(6, 2)),
     ]
     cases = [c for c in fixed if c[0] * c[1].n <= bound]
-    while len(cases) < len(fixed) + samples:
+    while len(cases) < len(fixed) + _WREATH_SAMPLES:
         r = rng.randint(1, 3)
         n = rng.randint(2, 8)
         if r * n <= bound:
@@ -96,14 +101,14 @@ def run_wreath_suite(bound: int, seed: int = 0, samples: int = 20) -> tuple[list
             f"fusion={report.fusion_holds} iso_asserted={report.iso_asserted} "
             f"iso={report.iso.kind}"
         )
-        rows.append(_row(f"wreath[{i}] r={r} outer_n={outer.n}", ok, detail))
+        rows.append(row(f"wreath[{i}] r={r} outer_n={outer.n}", ok, detail))
         ok_all &= ok
 
     # complete[complete]: fusion holds but the schemes differ (rank 2 vs 3)
     counter = verify_wreath_theorem(3, complete(2), size_limit=max(bound, 6))
     ok = counter.fusion_holds and counter.iso.kind == "not-iso" and not counter.iso_asserted
     rows.append(
-        _row(
+        row(
             "counterexample K_2[K_3]",
             ok,
             f"fusion={counter.fusion_holds} iso={counter.iso.kind}",
@@ -140,7 +145,7 @@ def run_aut_suite(bound: int) -> tuple[list[dict], bool]:
             found = (f"counted={witness.order}" if witness.order is not None
                      else f"lower={witness.lower} upper={witness.upper}")
             detail = f"{found} predicted={predicted} certified=True schurian={witness.schurian}"
-        rows.append(_row(f"(m={m}, k={k}, r={r})", ok, detail))
+        rows.append(row(f"(m={m}, k={k}, r={r})", ok, detail))
         ok_all &= ok
     return rows, ok_all
 

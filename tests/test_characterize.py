@@ -384,6 +384,15 @@ class TestRecognizeFirst:
             with pytest.raises(ValueError):
                 Decomposition(m, k, r, ((0, 0),) * (m * r))
 
+    @pytest.mark.parametrize("relabeling", [
+        ((0, 0),) * 5,
+        ((7, 0), (1, 0), (2, 0), (3, 0), (4, 0)),
+        ((0, 1), (1, 0), (2, 0), (3, 0), (4, 0)),
+    ], ids=["repeated", "position-outside-Z_m", "index-equals-r"])
+    def test_relabeling_must_be_a_bijection(self, relabeling):
+        with pytest.raises(ValueError, match="bijection"):
+            Decomposition(5, 1, 1, relabeling)
+
     @pytest.mark.parametrize("name,builder,stage", [
         ("P4", lambda: oracles.path(4), STAGE_QUOTIENT_NOT_ELEMENTARY),
         ("K_{1,3}", lambda: oracles.star(3), STAGE_QUOTIENT_NOT_ELEMENTARY),

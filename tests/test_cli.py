@@ -396,3 +396,81 @@ def test_unwritable_output_is_usage_error(argv, c5_file, tmp_path, capsys):
     assert main(["--no-timing", *argv, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
+
+
+_USAGE = "usage: gen {cnk N K | cycle N | complete N | mkn M N | lex SPEC SPEC}\n"
+_NOT_UTF8 = b"\xff\xfe\n"
+_NOT_UTF8_ERR = "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+_MISSING_ERR = "error: [Errno 2] No such file or directory: '{file}'\n"
+_P4_MODEL = "5 4\n0 2\n1 2\n2 2\n3 2\n"  # violates (3.1): N(0) lies in {1} + N(1)
+
+
+@pytest.mark.parametrize("argv, content, env, rc, err", [
+    (["closure", "{file}"], None, None, 2, _MISSING_ERR),
+    (["decompose", "{file}"], None, None, 2, _MISSING_ERR),
+    (["arcs", "{file}", "check"], None, None, 2, _MISSING_ERR),
+    (["closure", "{file}"], _NOT_UTF8, None, 2, _NOT_UTF8_ERR),
+    (["decompose", "{file}"], _NOT_UTF8, None, 2, _NOT_UTF8_ERR),
+    (["arcs", "{file}", "graph"], _NOT_UTF8, None, 2, _NOT_UTF8_ERR),
+    (["--limit", "3", "closure", "{file}"], "5 0\n", None, 2,
+     "error: graph has 5 vertices, closure limit is 3\n"),
+    (["--limit", "3", "decompose", "{file}"], "5 0\n", None, 2,
+     "error: graph has 5 vertices, limit is 3\n"),
+    (["--limit", "2", "arcs", "{file}", "check"], _P4_MODEL, None, 2,
+     "error: model has 4 arcs, limit is 2\n"),
+    (["--limit", "2", "arcs", "{file}", "graph"], _P4_MODEL, None, 2,
+     "error: model has 4 arcs, limit is 2\n"),
+    (["--limit", "2", "arcs", "{file}", "reduce"], _P4_MODEL, None, 2,
+     "error: model has 4 arcs, limit is 2\n"),
+    (["closure", "{file}"], "5 0\n", "abc", 2, "error: invalid CAW_LIMIT value 'abc'\n"),
+    (["arcs", "{file}", "reduce"], _P4_MODEL, None, 1,
+     "error: condition (3.1) violated: neighborhood of 0 is contained "
+     "in the closed neighborhood of 1\n"),
+    (["arcs", "{file}", "graph"], "4 3\n0 1\n1 2\n2 2\n", None, 2,
+     "error: condition (2): arc of vertex 0 has fewer than two points\n"),
+    (["gen", "cnk", "4", "2"], None, None, 2,
+     "error: elementary circular-arc graph needs 0 <= 2k+1 < n, got n=4, k=2\n" + _USAGE),
+    (["gen", "cycle", "300"], None, None, 2, "error: graph has 300 vertices, limit is 200\n"),
+    (["closure", "{file}"], "0 0\n", None, 2,
+     "error: closure needs a graph with at least one vertex\n"),
+    (["decompose", "{file}"], "0 0\n", None, 2,
+     "error: closure needs a graph with at least one vertex\n"),
+], ids=["closure-missing", "decompose-missing", "arcs-missing", "closure-not-utf8",
+        "decompose-not-utf8", "arcs-not-utf8", "closure-limit", "decompose-limit",
+        "arcs-check-limit", "arcs-graph-limit", "arcs-reduce-limit", "invalid-env-limit",
+        "arcs-reduce-condition-31", "arcs-graph-condition-2", "gen-bad-spec", "gen-limit",
+        "closure-no-vertex", "decompose-no-vertex"])
+def test_error_exit_contract(argv, content, env, rc, err, tmp_path, capsys, monkeypatch):
+    # the exit code and the exact stderr of every error path; stdout stays empty
+    path = tmp_path / "input.txt"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    if env is None:
+        monkeypatch.delenv("CAW_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("CAW_LIMIT", env)
+    assert main(["--no-timing"] + [a.format(file=path) for a in argv]) == rc
+    assert capsys.readouterr() == ("", err.replace("{file}", str(path)))
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("argv", [["closure", "{graph}"], ["decompose", "{graph}"],
+                                  ["verify", "all", "8"]], ids=["closure", "decompose", "verify"])
+def test_timing_is_one_field_on_top_of_no_timing_output(argv, fmt, lex_file, capsys):
+    argv = ["--format", fmt] + [a.format(graph=lex_file) for a in argv]
+    assert main(["--no-timing"] + argv) == 0
+    bare = capsys.readouterr().out
+    assert main(argv) == 0
+    timed = capsys.readouterr().out
+    if fmt == "machine":
+        assert timed.count('"timing-ms"') == 1
+        doc = json.loads(timed)
+        value = doc.pop("timing-ms")
+        assert doc == json.loads(bare)
+    else:
+        head, last = timed[:-1].rsplit("\n", 1)
+        assert head + "\n" == bare and last.startswith("timing-ms: ")
+        value = float(last[len("timing-ms: "):])
+    assert isinstance(value, float) and value >= 0
