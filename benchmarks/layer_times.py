@@ -16,9 +16,11 @@ were taken with.  Member labels are permuted by a fixed seed.
   deck (seed 1), whose rounds run at a rank of about n^2 / 2.
 - closure_of_graph and decompose_caw run on the ten shapes of the
   perfbench members-decompose workload (imported from its deck).
-- The automorphism-order layer runs on the shapes of the perfbench
-  verify-sweep aut rows, aut_cases(12), plus C_{30,3}[K_3] (n = 90) and
-  C_{100,3}[K_3] (n = 300).  It is group_witness on the member's
+- decompose_caw and the automorphism-order layer run on the shapes of
+  the perfbench verify-sweep aut rows, aut_cases(12), plus C_{30,3}[K_3]
+  (n = 90) and C_{100,3}[K_3] (n = 300).  The aut rows are tiny members,
+  so decompose_caw there shows its fixed cost per call.  The
+  automorphism-order layer is group_witness on the member's
   decompose_caw outcome (computed outside the timing).
 
     python3 benchmarks/layer_times.py --repeats 1 --out layer_times.json
@@ -146,6 +148,8 @@ def tree_cases(mods, decks) -> dict:
     for shape in AUT_SHAPES:
         g = permuted_member(graphs, *shape)
         outcome = char.decompose_caw(g)
+        cases[member_label(*shape)["graph"], "decompose_caw"] = (
+            lambda g=g: char.decompose_caw(g), g, member_label(*shape))
         cases[member_label(*shape)["graph"], "group_witness"] = (
             lambda g=g, outcome=outcome: char.group_witness(g, outcome), g, member_label(*shape))
     return cases
@@ -198,8 +202,8 @@ def main(argv=None) -> int:
     doc = {
         "what": "CPU ms (min of repeats) of read_graph on the members-decompose deck "
                 "files, refine_step over all rounds of a closure, closure_of_graph, "
-                "decompose_caw and the automorphism-order layer (group_witness); rounds "
-                "are refine_step calls per call",
+                "decompose_caw (also on the aut shapes) and the automorphism-order layer "
+                "(group_witness); rounds are refine_step calls per call",
         "command": f"python3 benchmarks/layer_times.py --src DIR --repeats {args.repeats}",
         "python": platform.python_version(),
         "numpy": sys.modules["numpy"].__version__,

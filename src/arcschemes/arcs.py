@@ -136,9 +136,10 @@ def standard_model(n: int, k: int) -> "ReducedArcFunction":
 
 
 class NeighborhoodConditionError(ValueError):
-    """A valid model whose intersection graph violates condition (3.1), so
-    reduce does not apply.  That is a negative answer about the model, not
-    bad input: the CLI exits 1 on it and 2 on any other ValueError."""
+    """A valid model whose intersection graph has no edges or violates
+    condition (3.1), so reduce does not apply.  That is a negative answer
+    about the model, not bad input: the CLI exits 1 on it and 2 on any
+    other ValueError."""
 
 
 class NeighborhoodCheck(NamedTuple):
@@ -200,16 +201,16 @@ def reduction_failures(f: ArcFunction) -> list[str]:
 def reduce(f: ArcFunction) -> ReducedArcFunction:
     """Collapse same-membership circle points to get a reduced model.
 
-    Requires a valid arc-function whose intersection graph is non-empty
-    and satisfies the neighborhood condition (3.1), whose violation raises
-    NeighborhoodConditionError; under those hypotheses the collapsed model
-    satisfies (i), (ii), (iii) and has the same intersection graph, both
-    of which are re-checked before returning.
+    Requires a valid arc-function whose intersection graph has an edge
+    and satisfies the neighborhood condition (3.1); a graph that does not
+    raises NeighborhoodConditionError.  Under those hypotheses the
+    collapsed model satisfies (i), (ii), (iii) and has the same
+    intersection graph, both of which are re-checked before returning.
     """
     require_valid(f)
     g = _intersection_graph(f)
     if g.edge_count() == 0:
-        raise ValueError("reduction needs a non-empty intersection graph")
+        raise NeighborhoodConditionError("reduction needs a non-empty intersection graph")
     check = check_neighborhood_condition(g)
     if not check.ok:
         raise NeighborhoodConditionError(

@@ -83,7 +83,8 @@ class Decomposition:
         if self.m * self.r != len(self.relabeling):
             raise ValueError("relabeling length must be m * r")
         _outer_kind(self.m, self.k, self.r)
-        pairs = np.array(self.relabeling, dtype=np.int64).reshape(-1, 2)
+        # no dtype: an entry beyond int64 makes an object array, rejected by range
+        pairs = np.array(self.relabeling).reshape(-1, 2)
         if (((pairs < 0) | (pairs >= (self.m, self.r))).any()
                 or np.bincount(pairs[:, 0] * self.r + pairs[:, 1]).max() > 1):
             raise ValueError("relabeling must be a bijection onto Z_m x [0, r)")
@@ -229,26 +230,34 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     reported at the first of these stages that fails.  Recognition comes
     first, as it needs no closure.  A non-member then gets the full
     closure, and non-association is reported before any recognition
-    stage.  A member gets a closure that stops at predicted_rank(m, k, r)
-    colors, without the round that would only confirm it is stable; its
-    scheme is the association scheme P below, so the association stage
-    cannot fail for it.
+    stage.  A member closes its twin quotient Q = C_{m,k} (G itself when
+    r = 1) and stops at predicted_rank(m, k, 1) colors, without the round
+    that would only confirm it is stable: each round's partition is
+    coarser than the closure C_Q, which is coarser than the coherent
+    prediction P holding Q's edges, so a round with rank(P) colors is C_Q.
+    For r >= 2, G's m * r points are never refined: its closure C is the
+    lift L of C_Q, rank2(r) wr C_Q pulled back through the relabeling.
 
-    Why the stop is exact.  Let W_i be the partition after round i, C the
-    closure, and P the predicted scheme pulled back through the verified
-    relabeling.  W_i is coarser than C, because refinement is monotone
-    and C is stable.  C is coarser than P, because P is coherent and the
-    edge relation, pulled back from C_{m,k}[K_r], is a union of its
-    colors.  So rank(W_i) <= rank(C) <= rank(P), and once the ranks are
-    equal, W_i = C = P: the canonical matrix is the one the full closure
-    gives.  scheme_decomposition compares the closure with the pulled-back
-    prediction independently.
+    Why C = L.  L is coherent and holds G's edges, so C is coarser than
+    L.  The twins T are a union of C's colors: M = (A+I)(J-A-I) +
+    (J-A-I)(A+I) is in the coherent algebra and M(u, v) = |N[u] ^ N[v]|
+    is 0 exactly on T and the diagonal.  Swapping two twins is an
+    automorphism, so C is constant on X x Y for twin classes X, Y.  C read
+    at one point per class is a partition D of Q's pairs; points of X + Y
+    add only colors in T or the diagonal, so D's intersection numbers are
+    C's divided by r: D is coherent, holds Q's edges and is finer than C_Q.
+    rank(C) = rank(D) + the colors in T, and as r >= 2 each diagonal color
+    of C (they are D's) is the left diagonal of one of those.  So rank(C)
+    >= rank(C_Q) + the diagonal colors of C_Q, which is rank(L): C = L.
     """
     # the edges of an association scheme are a union of basic relations, each
     # of constant valency, so an irregular graph has none: skip recognition
     cert, stage = _recognize(g) if g.is_regular() else (None, STAGE_NON_ASSOCIATION)
     if cert is not None:
-        cc = closure_of_graph(g, predicted_rank(cert.m, cert.k, cert.r))
+        m, k, r = cert.m, cert.k, cert.r
+        cc = closure_of_graph(g if r == 1 else Graph(circulant(m, k)), predicted_rank(m, k, 1))
+        if r > 1:
+            cc = _lift(cc.colors, np.array(cert.relabeling)[:, 0])
         return DecomposeOutcome(cert, None, cc)
     cc = closure_of_graph(g)
     if not is_association(cc):
@@ -256,8 +265,12 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     return DecomposeOutcome(None, stage, cc)
 
 
-def _scheme_of_complete(r: int) -> CoherentConfiguration:
-    return point_scheme() if r == 1 else rank2_scheme(r)
+def _lift(outer: np.ndarray, a: np.ndarray) -> CoherentConfiguration:
+    """rank2(r) wr outer (outer when r = 1), pulled back to points at
+    positions a, r at each: a pair in one fiber is diagonal or not, tagged
+    by its position's diagonal color; across fibers, the positions' color."""
+    same = a[:, None] == a
+    return CoherentConfiguration(outer[np.ix_(a, a)] * 3 + 2 - same - np.eye(a.size, dtype=bool))
 
 
 def predicted_scheme(m: int, k: int, r: int) -> CoherentConfiguration:
@@ -276,7 +289,7 @@ def predicted_scheme(m: int, k: int, r: int) -> CoherentConfiguration:
         outer = np.where(d == k + 1, 2, d > 0)
     else:
         outer = d
-    return wreath_product(_scheme_of_complete(r), CoherentConfiguration(outer))
+    return _lift(outer, np.repeat(np.arange(m), r))
 
 
 def scheme_decomposition(outcome: DecomposeOutcome) -> SchemeDecomposition | None:
@@ -464,7 +477,7 @@ def verify_wreath_theorem(
     lex = lex_product(outer, complete(r))
     actual = closure_of_graph(lex)
     outer_scheme = closure_of_graph(outer)
-    wreath = wreath_product(_scheme_of_complete(r), outer_scheme)
+    wreath = wreath_product(point_scheme() if r == 1 else rank2_scheme(r), outer_scheme)
     fusion = is_fusion_of(actual, wreath)
     twin_free = np.array_equal(twin_relation(outer), np.arange(outer.n))
     asserted = twin_free and is_association(outer_scheme)

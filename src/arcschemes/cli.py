@@ -6,8 +6,9 @@ operations) and verify (sweep suites).  Exit codes are a stable contract:
 0 for success or a certificate, 1 for a negative mathematical result,
 2 for input or usage errors.  A command returns 0 or 1 and raises on
 error; main alone turns an exception into an exit code, by its type:
-arcs.NeighborhoodConditionError (a model violating condition (3.1), which
-reduce needs) gives 1, and any other OSError or ValueError gives 2.
+arcs.NeighborhoodConditionError (a model whose graph has no edge or
+violates condition (3.1): reduce does not apply) gives 1, and any other
+OSError or ValueError gives 2.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from arcschemes.characterize import (
     Decomposition,
     _certificate_generators,
     _group_bounds,
+    _lift,
     _recognize,
     decompose_caw,
     group_witness,
@@ -37,6 +38,7 @@ from arcschemes.graphs import (
     from_edges,
     graph_to_text,
     lex_product,
+    twin_relation,
 )
 from arcschemes.schemes import (
     CoherentConfiguration,
@@ -366,6 +368,43 @@ class TestRecognizeFirst:
             assert (out.certificate.m, out.certificate.k, out.certificate.r) == (m, k, r)
             assert out.scheme == closure_of_graph(g), (m, k, r)
 
+    @pytest.mark.parametrize("kind", ["rank2", "matching", "dihedral"])
+    def test_lifted_closure_equals_full_closure(self, kind, monkeypatch):
+        # for r >= 2 only m x m matrices are refined, and the lift of the
+        # quotient's closure through the certificate is the full closure of g
+        grid = [(m, k, r) for m, k, r in MEMBER_GRID if r <= 6
+                and kind == ("rank2" if k == 0 else "matching" if m == 2 * k + 2 else "dihedral")]
+        assert set(range(1, 7)) <= {r for _, _, r in grid}
+        rounds = count_calls(monkeypatch, closure_module, "refine_step")
+        for m, k, r in grid:
+            g = permuted_member(m, k, r, seed=r * 3600 + m * 60 + k)
+            del rounds[:]
+            out = decompose_caw(g)
+            assert all(mat.shape == ((m, m) if r > 1 else (g.n, g.n)) for mat, _ in rounds)
+            full = closure_of_graph(g)
+            assert out.scheme == full, (m, k, r)
+            if r > 1:
+                a = np.array(out.certificate.relabeling)[:, 0]
+                quotient = complete(1) if m == 1 else elementary_caw(m, k)
+                assert _lift(closure_of_graph(quotient).colors, a) == full, (m, k, r)
+
+    def test_lift_of_an_inhomogeneous_quotient(self):
+        # the lift is exact for every twin-free Q, also when its closure has
+        # several diagonal colors; Q[K_r] puts r points at each position
+        rng = random.Random(3)
+        quotients = [oracles.path(n) for n in range(3, 8)]
+        quotients += [q for q in (oracles.random_graph(rng, rng.randint(3, 9)) for _ in range(60))
+                      if np.array_equal(twin_relation(q), np.arange(q.n))]
+        assert len(quotients) > 30
+        inhomogeneous = 0
+        for q in quotients:
+            closure = closure_of_graph(q)
+            inhomogeneous += not is_association(closure)
+            for r in (2, 3):
+                lifted = _lift(closure.colors, np.repeat(np.arange(q.n), r))
+                assert lifted == closure_of_graph(lex_product(q, complete(r))), (q, r)
+        assert inhomogeneous > 20
+
     def test_predicted_scheme_is_coherent_of_predicted_rank(self):
         # predicted_scheme numbers its points as lex_product does, so it is
         # the closure of the unpermuted member under the identity
@@ -388,7 +427,8 @@ class TestRecognizeFirst:
         ((0, 0),) * 5,
         ((7, 0), (1, 0), (2, 0), (3, 0), (4, 0)),
         ((0, 1), (1, 0), (2, 0), (3, 0), (4, 0)),
-    ], ids=["repeated", "position-outside-Z_m", "index-equals-r"])
+        ((2**70, 0), (1, 0), (2, 0), (3, 0), (4, 0)),
+    ], ids=["repeated", "position-outside-Z_m", "index-equals-r", "position-beyond-int64"])
     def test_relabeling_must_be_a_bijection(self, relabeling):
         with pytest.raises(ValueError, match="bijection"):
             Decomposition(5, 1, 1, relabeling)
@@ -445,15 +485,25 @@ class TestRecognizeFirst:
     @pytest.mark.parametrize("m, k, r", [(8, 3, 5), (12, 3, 3), (40, 3, 1), (18, 4, 4),
                                          (12, 5, 6), (30, 3, 3)])
     def test_member_skips_only_the_confirming_round(self, m, k, r, monkeypatch):
+        # r = 1 refines g; r >= 2 refines only the quotient C_{m,k}, one round
+        # short of its full closure, or none if its initial coloring has the
+        # predicted rank (the matching shapes)
         g = permuted_member(m, k, r, seed=7)
         rounds = count_calls(monkeypatch, closure_module, "refine_step")
         full = closure_of_graph(g)
         full_rounds = len(rounds)
+        closure_of_graph(elementary_caw(m, k))
+        quotient_rounds = len(rounds) - full_rounds
+        del rounds[full_rounds:]
         closures = count_calls(monkeypatch, closure_module, "coherent_closure")
         out = decompose_caw(g)
         assert out.scheme == full
         assert len(closures) == 1
-        assert len(rounds) - full_rounds == full_rounds - 1
+        if r == 1:
+            assert len(rounds) - full_rounds == full_rounds - 1
+        else:
+            assert len(rounds) - full_rounds == max(quotient_rounds - 1, 0)
+            assert all(mat.shape == (m, m) for mat, _ in rounds[full_rounds:])
 
     @pytest.mark.parametrize("m, k, r", [(1, 0, 1), (1, 0, 5), (6, 0, 1), (5, 0, 3), (6, 2, 1),
                                          (8, 3, 2), (7, 1, 1), (9, 2, 3), (12, 3, 1)])

@@ -426,6 +426,8 @@ _P4_MODEL = "5 4\n0 2\n1 2\n2 2\n3 2\n"  # violates (3.1): N(0) lies in {1} + N(
     (["arcs", "{file}", "reduce"], _P4_MODEL, None, 1,
      "error: condition (3.1) violated: neighborhood of 0 is contained "
      "in the closed neighborhood of 1\n"),
+    (["arcs", "{file}", "reduce"], "4 2\n0 2\n2 2\n", None, 1,
+     "error: reduction needs a non-empty intersection graph\n"),
     (["arcs", "{file}", "graph"], "4 3\n0 1\n1 2\n2 2\n", None, 2,
      "error: condition (2): arc of vertex 0 has fewer than two points\n"),
     (["gen", "cnk", "4", "2"], None, None, 2,
@@ -438,8 +440,8 @@ _P4_MODEL = "5 4\n0 2\n1 2\n2 2\n3 2\n"  # violates (3.1): N(0) lies in {1} + N(
 ], ids=["closure-missing", "decompose-missing", "arcs-missing", "closure-not-utf8",
         "decompose-not-utf8", "arcs-not-utf8", "closure-limit", "decompose-limit",
         "arcs-check-limit", "arcs-graph-limit", "arcs-reduce-limit", "invalid-env-limit",
-        "arcs-reduce-condition-31", "arcs-graph-condition-2", "gen-bad-spec", "gen-limit",
-        "closure-no-vertex", "decompose-no-vertex"])
+        "arcs-reduce-condition-31", "arcs-reduce-no-edge", "arcs-graph-condition-2",
+        "gen-bad-spec", "gen-limit", "closure-no-vertex", "decompose-no-vertex"])
 def test_error_exit_contract(argv, content, env, rc, err, tmp_path, capsys, monkeypatch):
     # the exit code and the exact stderr of every error path; stdout stays empty
     path = tmp_path / "input.txt"
