@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""CPU time of the reader, kernel, closure, decompose and automorphism-order layers.
+"""CPU time of the reader, kernel, closure, decompose, automorphism-order and wreath layers.
 
 Each record is one function on one graph: the minimum CPU time
 (time.process_time, all threads of the process) over --repeats calls,
 the number of refinement rounds (refine_step calls) of one call, the
-closure's n and rank, and the CPU count and git revision the numbers
-were taken with.  Member labels are permuted by a fixed seed.
+closure's n and rank, and the CPU count, BLAS thread count and git
+revision the numbers were taken with.  Member labels are permuted by a
+fixed seed.  BLAS runs on one thread: process_time counts every thread,
+and idle OpenBLAS workers spin for a while after a matrix product, which
+would be charged to whichever layer is timed next.
 
 - read_graph reads the ten graph files of the perfbench members-decompose
   deck (seed 1, written to a temporary directory).
@@ -22,6 +25,10 @@ were taken with.  Member labels are permuted by a fixed seed.
   so decompose_caw there shows its fixed cost per call.  The
   automorphism-order layer is group_witness on the member's
   decompose_caw outcome (computed outside the timing).
+- run_wreath_suite is `verify wreath 14` with seed 1: 25 checks of
+  verify_wreath_theorem, each a closure of outer[K_r], a closure of
+  outer and its lift, on small random outers.  Its record has no n or
+  rank, since it closes many graphs.
 
     python3 benchmarks/layer_times.py --repeats 1 --out layer_times.json
     python3 benchmarks/layer_times.py --src ../parent/src --repeats 15 --out parent.json
@@ -47,6 +54,10 @@ import tempfile
 import time
 from pathlib import Path
 
+BLAS_THREADS = 1
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = str(BLAS_THREADS)  # before numpy is first imported
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 from perfbench.workloads import (  # noqa: E402  (m, k, r) of each member, and the decks
@@ -58,6 +69,7 @@ SEED = 1  # of the label permutations
 AUT_SHAPES = aut_cases(12) + [(30, 3, 3), (100, 3, 3)]
 # members at the verify-sweep sizes: the aut rows and C_{n,k} up to 24 points
 SMALL_SHAPES = aut_cases(12) + [(n, k, 1) for n in range(13, 25) for k in (1, 2, 5) if 2 * k + 1 < n]
+WREATH_BOUND = 14  # the wreath rows of `verify all 14`, the verify-sweep request
 
 
 def git_revision(src: Path) -> str:
@@ -71,11 +83,11 @@ def git_revision(src: Path) -> str:
 
 
 def load_tree(src: Path) -> dict:
-    """The graphs, kernels, closure and characterize modules of the package in src."""
+    """The graphs, kernels, closure, characterize and suites modules of the package in src."""
     sys.path.insert(0, str(src))
     try:
         mods = {name: importlib.import_module(f"{PACKAGE}.{name}")
-                for name in ("graphs", "kernels", "closure", "characterize")}
+                for name in ("graphs", "kernels", "closure", "characterize", "suites")}
     finally:
         sys.path.remove(str(src))
     where = Path(mods["graphs"].__file__).resolve()
@@ -152,6 +164,9 @@ def tree_cases(mods, decks) -> dict:
             lambda g=g: char.decompose_caw(g), g, member_label(*shape))
         cases[member_label(*shape)["graph"], "group_witness"] = (
             lambda g=g, outcome=outcome: char.group_witness(g, outcome), g, member_label(*shape))
+    label = {"graph": f"verify wreath {WREATH_BOUND} seed {SEED}"}
+    cases[label["graph"], "run_wreath_suite"] = (
+        lambda: mods["suites"].run_wreath_suite(WREATH_BOUND, seed=SEED), None, label)
     return cases
 
 
@@ -178,13 +193,14 @@ def measure(mods: dict, repeats: int) -> list[dict]:
 
 def record(mods, key, case, seconds: float, repeats: int) -> dict:
     (_, name), (fn, g, fields) = key, case
-    closure = mods["closure"].closure_of_graph(g)
+    closure = mods["closure"].closure_of_graph(g) if g is not None else None
     rounds = (len(closure_rounds(mods, g)) if name == "refine_step"
               else count_rounds(mods["closure"], fn))
     return {
         "revision": mods["revision"],
-        "cpu_count": len(os.sched_getaffinity(0)), **fields, "n": closure.n,
-        "rank": closure.rank, "function": name, "repeats": repeats, "seed": SEED,
+        "cpu_count": len(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS, **fields,
+        "n": closure.n if closure else None, "rank": closure.rank if closure else None,
+        "function": name, "repeats": repeats, "seed": SEED,
         "cpu_ms": round(seconds * 1000, 4), "rounds": rounds,
     }
 
@@ -202,8 +218,9 @@ def main(argv=None) -> int:
     doc = {
         "what": "CPU ms (min of repeats) of read_graph on the members-decompose deck "
                 "files, refine_step over all rounds of a closure, closure_of_graph, "
-                "decompose_caw (also on the aut shapes) and the automorphism-order layer "
-                "(group_witness); rounds are refine_step calls per call",
+                "decompose_caw (also on the aut shapes), the automorphism-order layer "
+                "(group_witness) and run_wreath_suite (verify wreath 14, seed 1), with "
+                "BLAS on one thread; rounds are refine_step calls per call",
         "command": f"python3 benchmarks/layer_times.py --src DIR --repeats {args.repeats}",
         "python": platform.python_version(),
         "numpy": sys.modules["numpy"].__version__,

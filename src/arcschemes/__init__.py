@@ -33,7 +33,6 @@ from .closure import closure_of_graph, coherent_closure
 from .graphs import (
     Graph,
     complete,
-    count_automorphisms,
     cycle,
     edge_level_partition,
     elementary_caw,
@@ -50,10 +49,8 @@ from .schemes import (
     dihedral_scheme,
     is_association,
     is_fusion_of,
-    point_scheme,
     rank2_scheme,
     verify,
-    wreath_product,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +70,6 @@ __all__ = [
     "closure_of_graph",
     "coherent_closure",
     "complete",
-    "count_automorphisms",
     "cycle",
     "decompose_caw",
     "dihedral_scheme",
@@ -87,7 +83,6 @@ __all__ = [
     "is_elementary_caw",
     "is_fusion_of",
     "lex_product",
-    "point_scheme",
     "predicted_aut_order",
     "predicted_rank",
     "predicted_scheme",
@@ -99,5 +94,4 @@ __all__ = [
     "twin_relation",
     "verify",
     "verify_wreath_theorem",
-    "wreath_product",
 ]

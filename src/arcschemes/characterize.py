@@ -20,6 +20,7 @@ from .closure import closure_of_graph
 from .graphs import (
     Graph,
     circulant,
+    circular_distances,
     complete,
     edge_level_partition,
     lex_product,
@@ -33,9 +34,6 @@ from .schemes import (
     identity_verdict,
     is_association,
     is_fusion_of,
-    point_scheme,
-    rank2_scheme,
-    wreath_product,
 )
 
 OUTER_RANK2 = "RANK2"
@@ -268,7 +266,8 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
 def _lift(outer: np.ndarray, a: np.ndarray) -> CoherentConfiguration:
     """rank2(r) wr outer (outer when r = 1), pulled back to points at
     positions a, r at each: a pair in one fiber is diagonal or not, tagged
-    by its position's diagonal color; across fibers, the positions' color."""
+    by its position's diagonal color; across fibers, the positions' color.
+    decompose_caw, predicted_scheme and verify_wreath_theorem all use it."""
     same = a[:, None] == a
     return CoherentConfiguration(outer[np.ix_(a, a)] * 3 + 2 - same - np.eye(a.size, dtype=bool))
 
@@ -281,8 +280,7 @@ def predicted_scheme(m: int, k: int, r: int) -> CoherentConfiguration:
     rank-2 scheme splits d = 0 from d > 0, the matching scheme also splits
     off the partner at d = k + 1, and the dihedral scheme keeps every d."""
     kind = _outer_kind(m, k, r)
-    d = np.subtract.outer(np.arange(m), np.arange(m)) % m
-    d = np.minimum(d, m - d)
+    d = circular_distances(m)
     if kind == OUTER_RANK2:
         outer = d > 0
     elif kind == OUTER_FORESTAL_MATCHING:
@@ -461,12 +459,14 @@ def verify_wreath_theorem(
     """Check, on one instance, that the scheme of outer[K_r] is a fusion of
     fis(K_r) wr fis(outer), and compare the two schemes for isomorphism.
 
+    Both closures come from plain refinement; the wreath product is _lift
+    of fis(outer), so every outer, association or not, checks the lift.
     The isomorphism is a theorem only when outer is twin-free and has an
     association scheme (iso_asserted reports whether that hypothesis
     holds); the iso verdict itself is always computed so counterexamples
-    like complete[complete] are visible.  lex_product and wreath_product
-    both put (outer, inner) at outer * r + inner, so the verdict compares
-    the two schemes under the identity (identity_verdict).
+    like complete[complete] are visible.  lex_product and _lift both put
+    (outer, inner) at outer * r + inner, so the verdict compares the two
+    schemes under the identity (identity_verdict).
     """
     r = inner_complete_size
     if r < 1:
@@ -477,7 +477,7 @@ def verify_wreath_theorem(
     lex = lex_product(outer, complete(r))
     actual = closure_of_graph(lex)
     outer_scheme = closure_of_graph(outer)
-    wreath = wreath_product(point_scheme() if r == 1 else rank2_scheme(r), outer_scheme)
+    wreath = _lift(outer_scheme.colors, np.repeat(np.arange(outer.n), r))
     fusion = is_fusion_of(actual, wreath)
     twin_free = np.array_equal(twin_relation(outer), np.arange(outer.n))
     asserted = twin_free and is_association(outer_scheme)

@@ -123,12 +123,19 @@ def empty_graph(n: int) -> Graph:
     return from_edges(n, [])
 
 
+def circular_distances(m: int) -> np.ndarray:
+    """The m x m matrix of circular distances min(d, m - d) on Z_m, where
+    d = (b - a) mod m for the labels a and b."""
+    d = np.arange(m)
+    row = np.minimum(d, m - d)  # the distances from 0
+    return row[(d[None, :] - d[:, None]) % m]
+
+
 def circulant(m: int, k: int) -> np.ndarray:
     """Adjacency matrix on Z_m: labels a != b are adjacent iff their
     circular distance is at most k."""
-    d = np.arange(m)
-    row = (np.minimum(d, m - d) <= k) & (d != 0)  # the neighbors of 0
-    return row[(d[None, :] - d[:, None]) % m]
+    d = circular_distances(m)
+    return (d <= k) & (d != 0)
 
 
 def complete(n: int) -> Graph:
@@ -221,77 +228,6 @@ def edge_level_partition(g: Graph) -> dict[int, np.ndarray]:
     """
     common = common_neighbors(g)
     return {k: g.adj & (common == k) for k in np.unique(common[g.adj]).tolist()}
-
-
-def count_automorphisms(g: Graph, limit: int = 12) -> int:
-    """Exact order of the automorphism group.
-
-    Uses the orbit-stabilizer chain: the orbit of a pivot vertex is found
-    by one backtracking existence search per candidate image, then the
-    pivot is individualized and the stabilizer is counted recursively.
-    This counts huge groups (e.g. 12! for the empty graph on 12 vertices)
-    without enumerating their elements.
-    """
-    n = g.n
-    if n > limit:
-        raise ValueError(f"graph has {n} vertices, automorphism limit is {limit}")
-    if n <= 1:
-        return 1
-    adj = g.adj.tolist()
-
-    def exists_automorphism(colors: list[int], src: int, dst: int) -> bool:
-        # Any color-preserving automorphism mapping src to dst?
-        if colors[src] != colors[dst]:
-            return False
-        order = [src] + [v for v in range(n) if v != src]
-        perm = [-1] * n
-        used = [False] * n
-        perm[src] = dst
-        used[dst] = True
-
-        def backtrack(i: int) -> bool:
-            if i == n:
-                return True
-            v = order[i]
-            for w in range(n):
-                if used[w] or colors[w] != colors[v]:
-                    continue
-                ok = True
-                for j in range(i):
-                    u = order[j]
-                    if adj[v][u] != adj[w][perm[u]]:
-                        ok = False
-                        break
-                if ok:
-                    perm[v] = w
-                    used[w] = True
-                    if backtrack(i + 1):
-                        return True
-                    used[w] = False
-                    perm[v] = -1
-            return False
-
-        return backtrack(1)
-
-    def group_order(colors: list[int], fresh: int) -> int:
-        pivot = -1
-        for v in range(n):
-            if colors.count(colors[v]) > 1:
-                pivot = v
-                break
-        if pivot == -1:
-            return 1  # all classes singletons: only the identity survives
-        orbit = 0
-        for w in range(n):
-            if colors[w] == colors[pivot] and (
-                w == pivot or exists_automorphism(colors, pivot, w)
-            ):
-                orbit += 1
-        stab_colors = list(colors)
-        stab_colors[pivot] = fresh
-        return orbit * group_order(stab_colors, fresh + 1)
-
-    return group_order(g.adj.sum(axis=1).tolist(), n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import int_records
+from .graphs import circular_distances, int_records
 from .kernels import first_appearance, refine_step
 
 ISO = "iso"
@@ -168,11 +168,6 @@ def rank2_scheme(n: int) -> CoherentConfiguration:
     return CoherentConfiguration(mat)
 
 
-def point_scheme() -> CoherentConfiguration:
-    """The rank-1 configuration on a single point."""
-    return CoherentConfiguration(np.zeros((1, 1), dtype=np.int64))
-
-
 def dihedral_scheme(n: int) -> CoherentConfiguration:
     """Orbit scheme of the dihedral group on Z_n: colors are circular distances.
 
@@ -181,34 +176,7 @@ def dihedral_scheme(n: int) -> CoherentConfiguration:
     """
     if n < 3:
         raise ValueError("dihedral scheme needs n >= 3")
-    d = np.subtract.outer(np.arange(n), np.arange(n)) % n
-    return CoherentConfiguration(np.minimum(d, n - d))
-
-
-def wreath_product(
-    inner: CoherentConfiguration, outer: CoherentConfiguration
-) -> CoherentConfiguration:
-    """Wreath product on inner.n * outer.n points; (a, b) is b * inner.n + a.
-
-    Within a fiber (equal outer point b) the color is the inner color of
-    (a, a') tagged with the diagonal color of b; across fibers it is the
-    outer color of (b, b') tagged with the diagonal colors of a and a'.
-    For association factors the tags are constant and this is exactly the
-    classical construction with rank(inner) + rank(outer) - 1 relations;
-    the tags keep the product coherent for inhomogeneous factors as well.
-    Coherence is not re-checked here: callers compare the product with a
-    closure, and the tests check it with verify().
-    """
-    a = np.tile(np.arange(inner.n), outer.n)  # inner point of each product point
-    b = np.repeat(np.arange(outer.n), inner.n)  # outer point
-    in_diag = np.diagonal(inner.colors)[a]
-    out_diag = np.diagonal(outer.colors)[b]
-    # within-fiber codes: out_diag * rank_in + inner color, all < rank_in * rank_out
-    within = (out_diag * inner.rank)[:, None] + inner.colors[np.ix_(a, a)]
-    cross = inner.rank * outer.rank + (
-        np.add.outer(in_diag * inner.rank, in_diag) * outer.rank + outer.colors[np.ix_(b, b)]
-    )
-    return CoherentConfiguration(np.where(b[:, None] == b, within, cross))
+    return CoherentConfiguration(circular_distances(n))
 
 
 def is_fusion_of(coarse: CoherentConfiguration, fine: CoherentConfiguration) -> bool:

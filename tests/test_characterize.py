@@ -31,7 +31,6 @@ from arcschemes.cli import main
 from arcschemes.closure import closure_of_graph
 from arcschemes.graphs import (
     complete,
-    count_automorphisms,
     cycle,
     elementary_caw,
     empty_graph,
@@ -45,7 +44,6 @@ from arcschemes.schemes import (
     is_association,
     rank2_scheme,
     verify,
-    wreath_product,
 )
 from arcschemes.suites import aut_cases, run_aut_suite
 
@@ -574,12 +572,12 @@ class TestWreathTheorem:
     def test_equal_rank_but_unequal_scheme_is_a_bug(self, monkeypatch):
         # the closure is a fusion of the wreath product on the same points,
         # so equal ranks force equal schemes; a relabeled wreath breaks that
-        def relabeled(inner, outer):
-            w = wreath_product(inner, outer)
+        def relabeled(outer, a):
+            w = _lift(outer, a)
             perm = list(range(1, w.n)) + [0]
             return CoherentConfiguration(w.colors[perm][:, perm])
 
-        monkeypatch.setattr("arcschemes.characterize.wreath_product", relabeled)
+        monkeypatch.setattr("arcschemes.characterize._lift", relabeled)
         with pytest.raises(AssertionError, match="outer graph on 5 vertices"):
             verify_wreath_theorem(2, cycle(5))
 
@@ -612,7 +610,7 @@ class TestPredictedAutOrder:
     def test_matches_brute_force(self, m, k, r):
         g = lex_product(elementary_caw(m, k), complete(r))
         assert decompose_caw(g).ok
-        assert count_automorphisms(g, limit=12) == predicted_aut_order(m, k, r)
+        assert oracles.count_automorphisms(g, limit=12) == predicted_aut_order(m, k, r)
 
     def test_full_sweep_to_twelve_points(self):
         rows, ok = run_aut_suite(12)
@@ -627,7 +625,7 @@ class TestGroupWitness:
             g = permuted_member(m, k, r, seed=m * 100 + k * 10 + r)
             witness = group_witness(g, decompose_caw(g))
             assert witness.lower == witness.upper, (m, k, r)
-            assert witness.order == count_automorphisms(g) == predicted_aut_order(m, k, r)
+            assert witness.order == oracles.count_automorphisms(g) == predicted_aut_order(m, k, r)
             assert witness.schurian, (m, k, r)
             if g.n <= 8:
                 assert witness.order == oracles.permutation_aut_count(g), (m, k, r)

@@ -9,8 +9,8 @@ import oracles
 from arcschemes.arcs import check_neighborhood_condition
 from arcschemes.characterize import is_elementary_caw
 from arcschemes.graphs import (
+    circular_distances,
     complete,
-    count_automorphisms,
     cycle,
     edge_level_partition,
     elementary_caw,
@@ -105,6 +105,12 @@ class TestElementary:
         g = elementary_caw(n, k)
         assert all(g.degree(v) == 2 * k for v in range(n))
         assert twin_relation(g).tolist() == list(range(n))
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_circular_distances_match_oracle(self, m):
+        d = circular_distances(m)
+        assert d.tolist() == [[oracles.circular_distance(a, b, m) for b in range(m)]
+                              for a in range(m)]
 
 
 class TestLexProduct:
@@ -251,7 +257,7 @@ def test_zero_and_one_vertex_graphs(g):
     assert labels.tolist() == list(range(n))
     assert quotient_graph(g, labels) == g
     assert edge_level_partition(g) == {}
-    assert count_automorphisms(g) == 1
+    assert oracles.count_automorphisms(g) == 1
     assert graph_from_text(graph_to_text(g)) == g
     assert check_neighborhood_condition(g).ok
     assert is_elementary_caw(g) == (None if n == 0 else (1, 0, (0,)))
@@ -265,39 +271,39 @@ def test_edge_level_keys_are_python_ints():
 
 class TestAutomorphisms:
     def test_cycle5(self):
-        assert count_automorphisms(cycle(5)) == 10
+        assert oracles.count_automorphisms(cycle(5)) == 10
 
     def test_complete4(self):
-        assert count_automorphisms(complete(4)) == 24
+        assert oracles.count_automorphisms(complete(4)) == 24
 
     def test_lex_c5_k2(self):
-        assert count_automorphisms(lex_product(cycle(5), complete(2))) == 320
+        assert oracles.count_automorphisms(lex_product(cycle(5), complete(2))) == 320
 
     def test_petersen(self):
-        assert count_automorphisms(oracles.petersen()) == 120
+        assert oracles.count_automorphisms(oracles.petersen()) == 120
 
     def test_hypercube_against_oracle(self):
         g = oracles.hypercube3()
-        assert count_automorphisms(g) == oracles.permutation_aut_count(g) == 48
+        assert oracles.count_automorphisms(g) == oracles.permutation_aut_count(g) == 48
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_cycle_group_order(self, n):
-        assert count_automorphisms(elementary_caw(n, 1)) == 2 * n
+        assert oracles.count_automorphisms(elementary_caw(n, 1)) == 2 * n
 
     def test_triangle_group_order(self):
         # 2k+1 < n excludes (3, 1); the 3-cycle is complete and Sym(3) = D_6
-        assert count_automorphisms(cycle(3)) == 6
+        assert oracles.count_automorphisms(cycle(3)) == 6
 
     def test_against_permutation_oracle(self):
         rng = random.Random(7)
         for _ in range(15):
             g = oracles.random_graph(rng, rng.randint(2, 6))
-            assert count_automorphisms(g) == oracles.permutation_aut_count(g)
+            assert oracles.count_automorphisms(g) == oracles.permutation_aut_count(g)
 
     def test_limit(self):
         with pytest.raises(ValueError, match="limit"):
-            count_automorphisms(empty_graph(13))
-        assert count_automorphisms(empty_graph(13), limit=13) == 6227020800
+            oracles.count_automorphisms(empty_graph(13))
+        assert oracles.count_automorphisms(empty_graph(13), limit=13) == 6227020800
 
 
 class TestIO:

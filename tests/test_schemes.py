@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
+from arcschemes.characterize import _lift
 from arcschemes.closure import closure_of_graph
-from arcschemes.graphs import elementary_caw
+from arcschemes.graphs import complete, elementary_caw
 from arcschemes.schemes import (
     ISO,
     NOT_ISO,
@@ -14,13 +15,16 @@ from arcschemes.schemes import (
     dihedral_scheme,
     is_association,
     is_fusion_of,
-    point_scheme,
     rank2_scheme,
     scheme_from_text,
     scheme_to_text,
     verify,
-    wreath_product,
 )
+
+
+def wreath(r, outer):
+    """rank2(r) wr outer (outer when r = 1), with point a * r + b at outer point a."""
+    return _lift(outer.colors, np.repeat(np.arange(outer.n), r))
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +36,8 @@ def scheme_corpus():
         dihedral_scheme(5),
         dihedral_scheme(6),
         dihedral_scheme(7),
-        wreath_product(rank2_scheme(2), rank2_scheme(3)),
-        wreath_product(rank2_scheme(2), dihedral_scheme(5)),
+        wreath(2, rank2_scheme(3)),
+        wreath(2, dihedral_scheme(5)),
         closure_of_graph(oracles.path(3)),
         closure_of_graph(oracles.star(3)),
     ]
@@ -193,10 +197,6 @@ class TestConstructors:
         with pytest.raises(ValueError):
             rank2_scheme(1)
 
-    def test_point_scheme(self):
-        cfg = point_scheme()
-        assert cfg.n == 1 and cfg.rank == 1 and is_association(cfg)
-
     @pytest.mark.parametrize("n,rank", [(4, 3), (5, 3), (6, 4), (7, 4)])
     def test_dihedral_rank(self, n, rank):
         assert dihedral_scheme(n).rank == rank
@@ -210,48 +210,53 @@ class TestConstructors:
 
 
 class TestWreath:
+    """characterize._lift, the package's one construction of rank2(r) wr X."""
+
     def test_rank3_on_six(self):
-        w = wreath_product(rank2_scheme(2), rank2_scheme(3))
+        w = wreath(2, rank2_scheme(3))
         assert w.n == 6 and w.rank == 3
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (4, 5)])
     def test_rank2_wreath_rank2(self, m, n):
-        assert wreath_product(rank2_scheme(m), rank2_scheme(n)).rank == 3
+        assert wreath(m, rank2_scheme(n)).rank == 3
 
     def test_rank2_wreath_dihedral(self):
-        w = wreath_product(rank2_scheme(2), dihedral_scheme(5))
+        w = wreath(2, dihedral_scheme(5))
         assert w.n == 10 and w.rank == 4
 
     def test_rank_formula_for_association_factors(self):
-        a = dihedral_scheme(5)
-        b = rank2_scheme(3)
-        assert wreath_product(a, b).rank == a.rank + b.rank - 1
+        # rank(rank2(r)) + rank(outer) - 1
+        for outer in (rank2_scheme(3), dihedral_scheme(5), dihedral_scheme(6)):
+            for r in range(2, 5):
+                assert wreath(r, outer).rank == 2 + outer.rank - 1
 
     def test_point_factors_degenerate(self):
+        # one point per fiber, and one fiber
         d = dihedral_scheme(5)
-        assert wreath_product(d, point_scheme()) == d
-        assert wreath_product(point_scheme(), d) == d
+        assert wreath(1, d) == d
+        assert wreath(3, closure_of_graph(complete(1))) == rank2_scheme(3)
 
     def test_verified_for_corpus_products(self, scheme_corpus):
-        for a in scheme_corpus:
-            for b in scheme_corpus:
-                if a.n * b.n <= 60:
-                    assert verify(wreath_product(a, b)).ok
+        for outer in scheme_corpus:
+            for r in range(1, 5):
+                if r * outer.n <= 60:
+                    assert verify(wreath(r, outer)).ok
 
     def test_matches_blockwise_oracle(self, scheme_corpus):
-        # homogeneous and inhomogeneous (path and star closures) factors alike
-        factors = scheme_corpus + [point_scheme()]
-        for a in factors:
-            for b in factors:
-                if a.n * b.n <= 60:
-                    expected = CoherentConfiguration(oracles.wreath_product_oracle(a, b))
-                    assert wreath_product(a, b) == expected
+        # homogeneous and inhomogeneous (path and star closures) outers alike
+        outers = scheme_corpus + [closure_of_graph(complete(1))]
+        for outer in outers:
+            for r in range(1, 5):
+                if r * outer.n <= 60:
+                    inner = closure_of_graph(complete(r))  # rank2(r), or one point
+                    expected = CoherentConfiguration(oracles.wreath_product_oracle(inner, outer))
+                    assert wreath(r, outer) == expected, (r, outer)
 
     def test_inhomogeneous_factors_stay_coherent(self):
         p3 = closure_of_graph(oracles.path(3))
         assert not is_association(p3)
-        assert verify(wreath_product(rank2_scheme(2), p3)).ok
-        assert verify(wreath_product(p3, rank2_scheme(2))).ok
+        for r in range(1, 5):
+            assert verify(wreath(r, p3)).ok
 
 
 class TestFusion:
@@ -291,7 +296,7 @@ class TestIsomorphism:
         assert oracles.schemes_isomorphic(rank2_scheme(4), dihedral_scheme(4)).kind == NOT_ISO
 
     def test_wreath_vs_closure_of_matching_complement(self):
-        w = wreath_product(rank2_scheme(2), rank2_scheme(3))
+        w = wreath(2, rank2_scheme(3))
         cc = closure_of_graph(elementary_caw(6, 2))
         assert oracles.schemes_isomorphic(w, cc).kind == ISO
 
