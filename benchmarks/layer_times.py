@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""CPU time of the reader, kernel, closure, decompose, automorphism-order and wreath layers.
+"""CPU time of the reader, kernel, closure, decompose, scheme-certificate,
+automorphism-order and wreath layers.
 
 Each record is one function on one graph: the minimum CPU time
 (time.process_time, all threads of the process) over --repeats calls,
@@ -19,6 +20,10 @@ would be charged to whichever layer is timed next.
   deck (seed 1), whose rounds run at a rank of about n^2 / 2.
 - closure_of_graph and decompose_caw run on the ten shapes of the
   perfbench members-decompose workload (imported from its deck).
+- scheme_decomposition, the scheme-certificate layer, runs on the same
+  ten shapes, on each member's decompose_caw outcome (computed outside
+  the timing): one lift of the predicted outer scheme through the
+  certificate, compared with the closure.
 - decompose_caw and the automorphism-order layer run on the shapes of
   the perfbench verify-sweep aut rows, aut_cases(12), plus C_{30,3}[K_3]
   (n = 90) and C_{100,3}[K_3] (n = 300).  The aut rows are tiny members,
@@ -157,6 +162,9 @@ def tree_cases(mods, decks) -> dict:
             lambda g=g: mods["closure"].closure_of_graph(g), g, member_label(*shape))
         cases[member_label(*shape)["graph"], "decompose_caw"] = (
             lambda g=g: char.decompose_caw(g), g, member_label(*shape))
+        outcome = char.decompose_caw(g)
+        cases[member_label(*shape)["graph"], "scheme_decomposition"] = (
+            lambda outcome=outcome: char.scheme_decomposition(outcome), g, member_label(*shape))
     for shape in AUT_SHAPES:
         g = permuted_member(graphs, *shape)
         outcome = char.decompose_caw(g)
@@ -218,7 +226,8 @@ def main(argv=None) -> int:
     doc = {
         "what": "CPU ms (min of repeats) of read_graph on the members-decompose deck "
                 "files, refine_step over all rounds of a closure, closure_of_graph, "
-                "decompose_caw (also on the aut shapes), the automorphism-order layer "
+                "decompose_caw (also on the aut shapes), the scheme-certificate layer "
+                "(scheme_decomposition), the automorphism-order layer "
                 "(group_witness) and run_wreath_suite (verify wreath 14, seed 1), with "
                 "BLAS on one thread; rounds are refine_step calls per call",
         "command": f"python3 benchmarks/layer_times.py --src DIR --repeats {args.repeats}",

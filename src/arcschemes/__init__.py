@@ -19,7 +19,6 @@ from .characterize import (
     Decomposition,
     DecomposeOutcome,
     GroupWitness,
-    SchemeDecomposition,
     decompose_caw,
     group_witness,
     is_elementary_caw,
@@ -44,7 +43,6 @@ from .graphs import (
 )
 from .schemes import (
     CoherentConfiguration,
-    IsoVerdict,
     VerifyReport,
     dihedral_scheme,
     is_association,
@@ -62,9 +60,7 @@ __all__ = [
     "DecomposeOutcome",
     "Graph",
     "GroupWitness",
-    "IsoVerdict",
     "ReducedArcFunction",
-    "SchemeDecomposition",
     "VerifyReport",
     "check_neighborhood_condition",
     "closure_of_graph",

@@ -4,8 +4,9 @@ The characterized class consists exactly of the lexicographic products of
 an elementary circular-arc graph with a complete graph.  decompose_caw
 recovers such a product structure (or a named reason why none exists)
 and computes one closure, which for a member stops at the predicted rank
-(predicted_rank); scheme_decomposition checks, through its relabeling, that
-the closure is rank2(r) wreathed with a rank-2 / matching-forestal / dihedral scheme;
+(predicted_rank); scheme_decomposition checks, through the certificate's
+points, that the closure is rank2(r) wreathed with a rank-2 /
+matching-forestal / dihedral scheme;
 predicted_aut_order evaluates the closed-form automorphism group order.
 """
 
@@ -27,14 +28,7 @@ from .graphs import (
     quotient_graph,
     twin_relation,
 )
-from .schemes import (
-    ISO,
-    CoherentConfiguration,
-    IsoVerdict,
-    identity_verdict,
-    is_association,
-    is_fusion_of,
-)
+from .schemes import CoherentConfiguration, identity_verdict, is_association, is_fusion_of
 
 OUTER_RANK2 = "RANK2"
 OUTER_FORESTAL_MATCHING = "FORESTAL_MATCHING"
@@ -65,27 +59,26 @@ def _outer_kind(m: int, k: int, r: int) -> str:
 class Decomposition:
     """Certificate that a graph is C_{m,k} blown up by K_r.
 
-    relabeling[v] = (position in Z_m, index inside the fiber).  The only
-    certificate violating 2k+1 < m is the degenerate (m=1, k=0) form used
-    for complete graphs, whose fiber is the whole vertex set; _outer_kind
-    rejects every other (m, k), and r < 1.  The relabeling must be a
-    bijection onto Z_m x [0, r).
+    Vertex v maps to point points[v] = a * r + b of C_{m,k}[K_r], at
+    position a on Z_m and index b inside the fiber, as lex_product numbers
+    it; the map is an isomorphism.  points must be a permutation of
+    range(m * r).  The only certificate violating 2k+1 < m is the
+    degenerate (m=1, k=0) form used for complete graphs, whose fiber is
+    the whole vertex set; _outer_kind rejects every other (m, k), and r < 1.
     """
 
     m: int
     k: int
     r: int
-    relabeling: tuple[tuple[int, int], ...]
+    points: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m * self.r != len(self.relabeling):
-            raise ValueError("relabeling length must be m * r")
         _outer_kind(self.m, self.k, self.r)
-        # no dtype: an entry beyond int64 makes an object array, rejected by range
-        pairs = np.array(self.relabeling).reshape(-1, 2)
-        if (((pairs < 0) | (pairs >= (self.m, self.r))).any()
-                or np.bincount(pairs[:, 0] * self.r + pairs[:, 1]).max() > 1):
-            raise ValueError("relabeling must be a bijection onto Z_m x [0, r)")
+        # no dtype: pairs make a 2-d array, an entry beyond int64 an object one
+        p = np.array(self.points)
+        if (p.shape != (self.m * self.r,) or p.dtype.kind not in "iu"
+                or (np.sort(p) != np.arange(p.size)).any()):
+            raise ValueError("points must be a permutation of range(m * r)")
 
 
 @dataclass(frozen=True)
@@ -99,16 +92,6 @@ class DecomposeOutcome:
     @property
     def ok(self) -> bool:
         return self.certificate is not None
-
-
-@dataclass(frozen=True)
-class SchemeDecomposition:
-    """Certificate that the scheme is rank2(r) wreathed with the named outer scheme."""
-
-    inner_rank2_size: int
-    outer_kind: str
-    outer_size: int
-    witness: IsoVerdict
 
 
 @dataclass(frozen=True)
@@ -133,7 +116,7 @@ class WreathTheoremReport:
 
     fusion_holds: bool
     iso_asserted: bool
-    iso: IsoVerdict
+    iso: str  # ISO or NOT_ISO
 
 
 def is_elementary_caw(g: Graph):
@@ -192,8 +175,8 @@ def is_elementary_caw(g: Graph):
 
 def _recognize(g: Graph):
     """(certificate, None) for a member of the class, else (None, the first
-    recognition stage that fails).  The assembled relabeling onto
-    C_{m,k}[K_r] is verified edge-exactly before a certificate is made."""
+    recognition stage that fails).  The assembled map onto C_{m,k}[K_r]
+    is verified edge-exactly before a certificate is made."""
     labels = twin_relation(g)
     sizes = np.bincount(labels)
     if g.n == 0 or (sizes != sizes[0]).any():  # closure_of_graph rejects n = 0
@@ -206,18 +189,16 @@ def _recognize(g: Graph):
         return None, STAGE_QUOTIENT_NOT_ELEMENTARY
     m, k, qlabels = recognized
 
-    # v goes to (a, b): a is the position of its class on Z_m, and b its
-    # rank inside the class, read off a stable sort of the labels, which
-    # puts each class's r vertices next to each other in ascending order
+    # v goes to point a * r + b: a is the position of its class on Z_m, and
+    # b its rank inside the class.  A stable sort by position lists the
+    # classes in position order, each one's r vertices in ascending order.
     a = np.asarray(qlabels)[labels]
-    b = np.empty(g.n, dtype=np.int64)
-    b[np.argsort(labels, kind="stable")] = np.arange(g.n) % r
-    # (a, b) is point a * r + b of C_{m,k}[K_r], as lex_product numbers it
+    points = np.empty(g.n, dtype=np.int64)
+    points[np.argsort(a, kind="stable")] = np.arange(g.n)
     member = lex_product(Graph(circulant(m, k)), complete(r))
-    sigma = a * r + b
-    if not np.array_equal(g.adj, member.adj[np.ix_(sigma, sigma)]):
+    if not np.array_equal(g.adj, member.adj[np.ix_(points, points)]):
         return None, STAGE_RELABELING_FAILED
-    return Decomposition(m, k, r, tuple(zip(a.tolist(), b.tolist()))), None
+    return Decomposition(m, k, r, tuple(points.tolist())), None
 
 
 def decompose_caw(g: Graph) -> DecomposeOutcome:
@@ -234,7 +215,7 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     coarser than the closure C_Q, which is coarser than the coherent
     prediction P holding Q's edges, so a round with rank(P) colors is C_Q.
     For r >= 2, G's m * r points are never refined: its closure C is the
-    lift L of C_Q, rank2(r) wr C_Q pulled back through the relabeling.
+    lift L of C_Q, rank2(r) wr C_Q pulled back through the certificate.
 
     Why C = L.  L is coherent and holds G's edges, so C is coarser than
     L.  The twins T are a union of C's colors: M = (A+I)(J-A-I) +
@@ -255,7 +236,7 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
         m, k, r = cert.m, cert.k, cert.r
         cc = closure_of_graph(g if r == 1 else Graph(circulant(m, k)), predicted_rank(m, k, 1))
         if r > 1:
-            cc = _lift(cc.colors, np.array(cert.relabeling)[:, 0])
+            cc = _lift(cc.colors, np.array(cert.points) // r)
         return DecomposeOutcome(cert, None, cc)
     cc = closure_of_graph(g)
     if not is_association(cc):
@@ -290,25 +271,24 @@ def predicted_scheme(m: int, k: int, r: int) -> CoherentConfiguration:
     return _lift(outer, np.repeat(np.arange(m), r))
 
 
-def scheme_decomposition(outcome: DecomposeOutcome) -> SchemeDecomposition | None:
-    """Classify the scheme of a decompose_caw outcome; None for non-members.
+def scheme_decomposition(outcome: DecomposeOutcome) -> str | None:
+    """The outer kind X of a member's scheme rank2(r) wr X(m), checked
+    against its closure; None for non-members.
 
-    The witness is the certificate's relabeling: v with relabeling (a, b)
-    is point a * r + b of the predicted wreath product.  The relabeling is
-    edge-verified and the closure does not depend on labels, so a closure
-    that differs from the pulled-back prediction is a library bug or a
-    counterexample to the theorem: AssertionError.
+    The witness is the certificate: vertex v is point points[v] of
+    predicted_scheme(m, k, r), so the prediction pulled back to the
+    vertices is the lift of predicted_scheme(m, k, 1) through the
+    positions points // r.  The certificate is edge-verified and the
+    closure does not depend on labels, so a closure that differs from it
+    is a library bug or a counterexample to the theorem: AssertionError.
     """
     if not outcome.ok:
         return None
     cert = outcome.certificate
     m, k, r = cert.m, cert.k, cert.r
-    a, b = np.asarray(cert.relabeling, dtype=np.int64).T
-    sigma = a * r + b
-    predicted = predicted_scheme(m, k, r).colors[np.ix_(sigma, sigma)]
-    if CoherentConfiguration(predicted) != outcome.scheme:
+    if _lift(predicted_scheme(m, k, 1).colors, np.array(cert.points) // r) != outcome.scheme:
         raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] differs from prediction")
-    return SchemeDecomposition(r, _outer_kind(m, k, r), m, IsoVerdict(ISO, tuple(sigma.tolist())))
+    return _outer_kind(m, k, r)
 
 
 def _certificate_generators(m: int, k: int, r: int) -> np.ndarray:
@@ -415,8 +395,9 @@ def group_witness(g: Graph, outcome: DecomposeOutcome) -> GroupWitness | None:
     Generators.  In the certificate's coordinates (a, b), point a * r + b
     of C_{m,k}[K_r], the outer group acting on a and the transpositions
     inside the fibers (_certificate_generators) are automorphisms.  Each is
-    pulled back through the relabeling and checked against g.adj, so
-    H = <gens> is a subgroup of Aut(G) whatever the certificate says.
+    pulled back through the certificate's points and checked against
+    g.adj, so H = <gens> is a subgroup of Aut(G) whatever the certificate
+    says.
 
     Upper bound.  The base points v_1, ..., v_n are the vertices in point
     order.  Closure colors are Aut(G)-invariant, so an automorphism that
@@ -446,16 +427,13 @@ def group_witness(g: Graph, outcome: DecomposeOutcome) -> GroupWitness | None:
     if not outcome.ok:
         return None
     cert = outcome.certificate
-    a, b = np.asarray(cert.relabeling, dtype=np.intp).T
-    sigma = a * cert.r + b  # the point of each vertex
-    base = np.argsort(sigma)  # the vertex at each point
-    gens = base[_certificate_generators(cert.m, cert.k, cert.r)[:, sigma]]
+    points = np.array(cert.points, dtype=np.intp)  # the point of each vertex
+    base = np.argsort(points)  # the vertex at each point
+    gens = base[_certificate_generators(cert.m, cert.k, cert.r)[:, points]]
     return _group_bounds(g, outcome.scheme, gens, base)
 
 
-def verify_wreath_theorem(
-    inner_complete_size: int, outer: Graph, size_limit: int = 60
-) -> WreathTheoremReport:
+def verify_wreath_theorem(inner_complete_size: int, outer: Graph) -> WreathTheoremReport:
     """Check, on one instance, that the scheme of outer[K_r] is a fusion of
     fis(K_r) wr fis(outer), and compare the two schemes for isomorphism.
 
@@ -471,9 +449,6 @@ def verify_wreath_theorem(
     r = inner_complete_size
     if r < 1:
         raise ValueError("inner complete graph needs at least one vertex")
-    n = outer.n * r
-    if n > size_limit:
-        raise ValueError(f"product on {n} points exceeds limit {size_limit}")
     lex = lex_product(outer, complete(r))
     actual = closure_of_graph(lex)
     outer_scheme = closure_of_graph(outer)

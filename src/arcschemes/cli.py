@@ -34,18 +34,19 @@ from .graphs import (
     read_graph,
     VertexLimitError,
 )
-from .schemes import CoherentConfiguration, is_association, scheme_to_text
+from .schemes import ISO, CoherentConfiguration, is_association, scheme_to_text
 
 DEFAULT_CLOSURE_LIMIT = 200
 
 
-def _limit(args, builtin: int) -> int:
-    """The size limit of a command: --limit, then CAW_LIMIT, then builtin."""
+def _limit(args) -> int:
+    """The size limit of a command: --limit, then CAW_LIMIT, then
+    DEFAULT_CLOSURE_LIMIT.  verify takes none: its bound is its own."""
     if args.limit is not None:
         return args.limit
     env = os.environ.get("CAW_LIMIT")
     if env is None:
-        return builtin
+        return DEFAULT_CLOSURE_LIMIT
     try:
         return int(env)
     except ValueError:
@@ -122,7 +123,7 @@ def _render_table(rows: list[dict]) -> str:
 
 
 def cmd_gen(args) -> int:
-    limit = _limit(args, DEFAULT_CLOSURE_LIMIT)
+    limit = _limit(args)
     try:
         if args.family == "lex":
             if len(args.params) != 2:
@@ -144,7 +145,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    limit = _limit(args, DEFAULT_CLOSURE_LIMIT)
+    limit = _limit(args)
     try:
         g = read_graph(args.graph, max_vertices=limit)  # checked before the graph is built
     except VertexLimitError as exc:
@@ -160,7 +161,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = read_graph(args.graph, max_vertices=_limit(args, DEFAULT_CLOSURE_LIMIT))
+    g = read_graph(args.graph, max_vertices=_limit(args))
     start = time.perf_counter()
     outcome = decompose_caw(g)
     report = _scheme_summary(args.graph, outcome.scheme)
@@ -176,13 +177,12 @@ def cmd_decompose(args) -> int:
     if outcome.ok:
         cert = outcome.certificate
         report["certificate"] = f"m={cert.m} k={cert.k} r={cert.r}"
-        report["relabeling"] = " ".join(f"{v}:{a},{b}" for v, (a, b) in enumerate(cert.relabeling))
+        report["relabeling"] = " ".join(f"{v}:{p // cert.r},{p % cert.r}"
+                                        for v, p in enumerate(cert.points))
         report["predicted-aut-order"] = predicted_aut_order(cert.m, cert.k, cert.r)
-        sd = scheme_decomposition(outcome)
-        report["scheme-decomposition"] = (
-            f"rank2({sd.inner_rank2_size}) wr {sd.outer_kind}({sd.outer_size})"
-        )
-        report["scheme-verdict"] = sd.witness.kind
+        outer = scheme_decomposition(outcome)  # raises unless the closure is the prediction
+        report["scheme-decomposition"] = f"rank2({cert.r}) wr {outer}({cert.m})"
+        report["scheme-verdict"] = ISO
     else:
         report["failure-stage"] = outcome.failure_stage
     elapsed = (time.perf_counter() - start) * 1000
@@ -191,7 +191,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_arcs(args) -> int:
-    limit = _limit(args, DEFAULT_CLOSURE_LIMIT)
+    limit = _limit(args)
     model = arcmod.read_model(args.model)
     if model.n_vertices > limit:
         raise ValueError(f"model has {model.n_vertices} arcs, limit is {limit}")
@@ -221,16 +221,15 @@ def cmd_arcs(args) -> int:
     return 0
 
 
-# built-in verify bounds; all stays at 12, where perfbench's verify-sweep
-# workload expects aut_cases(min(bound, 12)) rows (see suites.run)
+# verify's bound when none is given (--limit and CAW_LIMIT do not set it);
+# all stays at 12, where perfbench's verify-sweep workload expects
+# aut_cases(min(bound, 12)) rows (see suites.run)
 _VERIFY_BOUNDS = {"dihedral": 30, "wreath": 24, "aut": 30, "all": 12}
 
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    bound = args.bound
-    if bound is None:
-        bound = _limit(args, _VERIFY_BOUNDS[args.suite])
+    bound = args.bound if args.bound is not None else _VERIFY_BOUNDS[args.suite]
     if bound < 2:
         raise ValueError(f"verify bound must be at least 2, got {bound}")
     start = time.perf_counter()

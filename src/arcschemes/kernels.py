@@ -68,7 +68,7 @@ def _transpose_closed(c: np.ndarray, rank: int) -> bool:
     if c.tobytes() == c.T.tobytes():  # symmetric: the identity (the cheapest test)
         return True
     if rank > c.size:  # renumber, so the table below has at most n^2 entries
-        c = np.unique(c, return_inverse=True)[1].reshape(c.shape)
+        c = first_appearance(c)
         rank = c.size
     colors, transposed = c.ravel(), c.T.ravel()
     transpose = np.empty(rank, dtype=c.dtype)

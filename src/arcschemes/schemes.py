@@ -191,33 +191,21 @@ def is_fusion_of(coarse: CoherentConfiguration, fine: CoherentConfiguration) -> 
     return len(np.unique(pairs)) == fine.rank
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    """Result of a scheme isomorphism test."""
-
-    kind: str  # ISO or NOT_ISO
-    witness: tuple[int, ...] | None = None
-
-    @property
-    def is_iso(self) -> bool:
-        return self.kind == ISO
-
-
 def identity_verdict(
     actual: CoherentConfiguration, expected: CoherentConfiguration, case: str
-) -> IsoVerdict:
+) -> str:
     """Decide isomorphism of two schemes on one point order, without search.
 
-    Equal matrices give ISO with the identity as witness; a different
+    Equal matrices give ISO, with the identity as the witness; a different
     point count or rank gives NOT_ISO, since an isomorphism keeps both.
     Callers pass an actual that the theory makes a fusion of expected, and
     a fusion of equal rank is equal, so the remaining case is a library bug
     or a counterexample to that theory: AssertionError naming the case.
     """
     if actual == expected:
-        return IsoVerdict(ISO, tuple(range(actual.n)))
+        return ISO
     if actual.n != expected.n or actual.rank != expected.rank:
-        return IsoVerdict(NOT_ISO)
+        return NOT_ISO
     raise AssertionError(f"{case}: equal rank {actual.rank} but a different partition")
 
 

@@ -24,7 +24,7 @@ from .graphs import (
     from_edges,
     lex_product,
 )
-from .schemes import dihedral_scheme, identity_verdict, is_association
+from .schemes import ISO, NOT_ISO, dihedral_scheme, identity_verdict, is_association
 
 
 def row(case: str, ok: bool, detail: str = "") -> dict:
@@ -53,8 +53,8 @@ def run_dihedral_suite(bound: int) -> tuple[list[dict], bool]:
         cc = closure_of_graph(elementary_caw(n, k))
         want_rank = n // 2 + 1
         verdict = identity_verdict(cc, dihedral_scheme(n), f"closure of C_{{{n},{k}}}")
-        ok = is_association(cc) and cc.rank == want_rank and verdict.kind == "iso"
-        detail = f"rank={cc.rank} association={is_association(cc)} iso={verdict.kind}"
+        ok = is_association(cc) and cc.rank == want_rank and verdict == ISO
+        detail = f"rank={cc.rank} association={is_association(cc)} iso={verdict}"
         rows.append(row(f"C_{{{n},{k}}}", ok, detail))
         ok_all &= ok
     return rows, ok_all
@@ -95,23 +95,23 @@ def run_wreath_suite(bound: int, seed: int = 0) -> tuple[list[dict], bool]:
             cases.append((r, _random_graph(rng, n)))
 
     for i, (r, outer) in enumerate(cases):
-        report = verify_wreath_theorem(r, outer, size_limit=bound)
-        ok = report.fusion_holds and (not report.iso_asserted or report.iso.kind == "iso")
+        report = verify_wreath_theorem(r, outer)
+        ok = report.fusion_holds and (not report.iso_asserted or report.iso == ISO)
         detail = (
             f"fusion={report.fusion_holds} iso_asserted={report.iso_asserted} "
-            f"iso={report.iso.kind}"
+            f"iso={report.iso}"
         )
         rows.append(row(f"wreath[{i}] r={r} outer_n={outer.n}", ok, detail))
         ok_all &= ok
 
     # complete[complete]: fusion holds but the schemes differ (rank 2 vs 3)
-    counter = verify_wreath_theorem(3, complete(2), size_limit=max(bound, 6))
-    ok = counter.fusion_holds and counter.iso.kind == "not-iso" and not counter.iso_asserted
+    counter = verify_wreath_theorem(3, complete(2))
+    ok = counter.fusion_holds and counter.iso == NOT_ISO and not counter.iso_asserted
     rows.append(
         row(
             "counterexample K_2[K_3]",
             ok,
-            f"fusion={counter.fusion_holds} iso={counter.iso.kind}",
+            f"fusion={counter.fusion_holds} iso={counter.iso}",
         )
     )
     ok_all &= ok

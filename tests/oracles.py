@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from arcschemes.arcs import ArcFunction, check_neighborhood_condition, condition
 from arcschemes.graphs import (
     Graph, VertexLimitError, build_by_line, from_edges, int_records, twin_relation,
 )
-from arcschemes.schemes import ISO, NOT_ISO, IsoVerdict, VerifyReport
+from arcschemes.schemes import ISO, NOT_ISO, VerifyReport
 
 
 def circular_distance(i: int, j: int, n: int) -> int:
@@ -328,7 +329,14 @@ def _search_point_bijection(a, b):
     return None
 
 
-def schemes_isomorphic(a, b) -> IsoVerdict:
+class SearchVerdict(NamedTuple):
+    """Result of schemes_isomorphic: ISO with a point bijection, or NOT_ISO."""
+
+    kind: str
+    witness: tuple[int, ...] | None = None
+
+
+def schemes_isomorphic(a, b) -> SearchVerdict:
     """Decide isomorphism of two schemes by exhaustive search.
 
     Point count, rank and the intersection profiles must agree; then a
@@ -336,11 +344,11 @@ def schemes_isomorphic(a, b) -> IsoVerdict:
     witness) or proves there is none.  Exponential: keep n to about 14.
     """
     if a.n != b.n or a.rank != b.rank or _color_profile(a) != _color_profile(b):
-        return IsoVerdict(NOT_ISO)
+        return SearchVerdict(NOT_ISO)
     witness = _search_point_bijection(a, b)
     if witness is None:
-        return IsoVerdict(NOT_ISO)
-    return IsoVerdict(ISO, witness)
+        return SearchVerdict(NOT_ISO)
+    return SearchVerdict(ISO, witness)
 
 
 def from_edges_oracle(n: int, edges) -> Graph:

@@ -19,6 +19,9 @@ from arcschemes.arcs import (
     reduction_failures,
 )
 from arcschemes.characterize import (
+    OUTER_DIHEDRAL,
+    OUTER_FORESTAL_MATCHING,
+    OUTER_RANK2,
     STAGE_NON_ASSOCIATION,
     decompose_caw,
     predicted_aut_order,
@@ -91,21 +94,21 @@ def test_criterion_2_matching_case():
         verdict = oracles.schemes_isomorphic(cc, target)
         if verdict.kind != "iso":
             failures.append(f"k={k}: oracle verdict {verdict.kind}")
-        library = scheme_decomposition(decompose_caw(g)).witness.kind
-        if library != verdict.kind:
-            failures.append(f"k={k}: library verdict {library}, oracle {verdict.kind}")
+        library = scheme_decomposition(decompose_caw(g))  # raises on a mismatch
+        if library != OUTER_FORESTAL_MATCHING:
+            failures.append(f"k={k}: library outer scheme {library}, expected matching")
     _finish(2, "matching-case scheme", failures, started, budget=1.0)
 
 
 def _check_certificate(g, cert) -> str | None:
     seen = set()
     for u in range(g.n):
-        au, bu = cert.relabeling[u]
+        au, bu = divmod(cert.points[u], cert.r)
         if not (0 <= au < cert.m and 0 <= bu < cert.r):
             return f"label ({au},{bu}) out of range"
         seen.add((au, bu))
         for v in range(u + 1, g.n):
-            av, bv = cert.relabeling[v]
+            av, bv = divmod(cert.points[v], cert.r)
             if au == av:
                 want = bu != bv
             else:
@@ -113,7 +116,7 @@ def _check_certificate(g, cert) -> str | None:
             if g.adj[u, v] != want:
                 return f"adjacency mismatch at ({u},{v})"
     if len(seen) != g.n:
-        return "relabeling is not a bijection"
+        return "points are not a permutation"
     return None
 
 
@@ -142,9 +145,11 @@ def test_criterion_3_round_trip():
             failures.append(f"(m={m},k={k},r={r}): recovered k={cert.k}, r={cert.r}")
         if k >= 1 and cert.m != m:
             failures.append(f"(m={m},k={k},r={r}): recovered m={cert.m}")
-        verdict = scheme_decomposition(out).witness.kind
-        if verdict != "iso":
-            failures.append(f"(m={m},k={k},r={r}): scheme verdict {verdict}")
+        kind = (OUTER_RANK2 if k == 0 else OUTER_FORESTAL_MATCHING if m == 2 * k + 2
+                else OUTER_DIHEDRAL)
+        outer = scheme_decomposition(out)  # raises on a mismatch
+        if outer != kind:
+            failures.append(f"(m={m},k={k},r={r}): outer scheme {outer}, expected {kind}")
     _finish(3, "decomposition round-trip", failures, started, budget=60.0)
 
 
@@ -190,22 +195,22 @@ def test_criterion_5_wreath_theorem():
         r = rng.randint(1, 3)
         n = rng.randint(2, 8)
         outer = oracles.random_graph(rng, n)
-        report = verify_wreath_theorem(r, outer, size_limit=24)
+        report = verify_wreath_theorem(r, outer)
         if not report.fusion_holds:
             failures.append(f"case {i}: fusion fails (r={r}, edges={outer.edges()})")
-        if report.iso_asserted and report.iso.kind != "iso":
-            failures.append(f"case {i}: asserted iso is {report.iso.kind}")
+        if report.iso_asserted and report.iso != "iso":
+            failures.append(f"case {i}: asserted iso is {report.iso}")
         inner = closure_of_graph(complete(r))
         wreath = CoherentConfiguration(oracles.wreath_product_oracle(inner, closure_of_graph(outer)))
         actual = closure_of_graph(lex_product(outer, complete(r)))
         oracle = oracles.schemes_isomorphic(actual, wreath)
-        if report.iso.kind != oracle.kind:
-            failures.append(f"case {i}: verdict {report.iso.kind}, oracle {oracle.kind}")
+        if report.iso != oracle.kind:
+            failures.append(f"case {i}: verdict {report.iso}, oracle {oracle.kind}")
     counter = verify_wreath_theorem(3, complete(2))
     if not counter.fusion_holds:
         failures.append("K_2[K_3]: fusion should hold")
-    if counter.iso.kind != "not-iso":
-        failures.append(f"K_2[K_3]: iso verdict {counter.iso.kind}, expected not-iso")
+    if counter.iso != "not-iso":
+        failures.append(f"K_2[K_3]: iso verdict {counter.iso}, expected not-iso")
     _finish(5, "wreath theorem both statements", failures, started, budget=None)
 
 

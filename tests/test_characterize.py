@@ -59,11 +59,11 @@ def assert_labels_witness(g, n, k, labels):
 def assert_certificate_witness(g, cert):
     seen = set()
     for u in range(g.n):
-        au, bu = cert.relabeling[u]
+        au, bu = divmod(cert.points[u], cert.r)
         assert 0 <= au < cert.m and 0 <= bu < cert.r
         seen.add((au, bu))
         for v in range(u + 1, g.n):
-            av, bv = cert.relabeling[v]
+            av, bv = divmod(cert.points[v], cert.r)
             if au == av:
                 want = bu != bv
             else:
@@ -269,49 +269,43 @@ class TestDecompose:
             assert_certificate_witness(g, cert)
             at = perm.index(0)
             beside = min(perm[(at + 1) % m], perm[(at - 1) % m])
-            assert cert.relabeling[0] == (0, 0) and cert.relabeling[beside] == (1, 0)
+            assert cert.points[0] == 0 and cert.points[beside] == 1
 
     def test_soundness_on_corpus(self, corpus):
         for g in corpus:
             out = decompose_caw(g)
             if out.ok:
                 assert is_association(closure_of_graph(g))
-                sd = scheme_decomposition(out)
-                assert sd is not None
-                assert sd.witness.kind == "iso"
+                outer = scheme_decomposition(out)
+                assert outer in (OUTER_RANK2, OUTER_FORESTAL_MATCHING, OUTER_DIHEDRAL)
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
-            Decomposition(4, 2, 1, tuple((i, 0) for i in range(4)))  # 2k+1 >= m
+            Decomposition(4, 2, 1, tuple(range(4)))  # 2k+1 >= m
         with pytest.raises(ValueError):
-            Decomposition(2, 0, 2, ((0, 0),))  # length mismatch
+            Decomposition(2, 0, 2, (0,))  # length mismatch
 
 
 class TestSchemeDecomposition:
     def test_dihedral_case(self):
-        g = lex_product(elementary_caw(7, 2), complete(2))
-        sd = scheme_decomposition(decompose_caw(g))
-        assert sd.outer_kind == OUTER_DIHEDRAL
-        assert sd.outer_size == 7 and sd.inner_rank2_size == 2
-        assert sd.witness.kind == "iso"
+        out = decompose_caw(lex_product(elementary_caw(7, 2), complete(2)))
+        assert scheme_decomposition(out) == OUTER_DIHEDRAL
+        assert (out.certificate.m, out.certificate.r) == (7, 2)
 
     def test_matching_case(self):
-        sd = scheme_decomposition(decompose_caw(elementary_caw(6, 2)))
-        assert sd.outer_kind == OUTER_FORESTAL_MATCHING
-        assert sd.outer_size == 6 and sd.inner_rank2_size == 1
-        assert sd.witness.kind == "iso"
+        out = decompose_caw(elementary_caw(6, 2))
+        assert scheme_decomposition(out) == OUTER_FORESTAL_MATCHING
+        assert (out.certificate.m, out.certificate.r) == (6, 1)
 
     def test_rank2_case(self):
-        sd = scheme_decomposition(decompose_caw(lex_product(empty_graph(3), complete(2))))
-        assert sd.outer_kind == OUTER_RANK2
-        assert sd.outer_size == 3 and sd.inner_rank2_size == 2
-        assert sd.witness.kind == "iso"
+        out = decompose_caw(lex_product(empty_graph(3), complete(2)))
+        assert scheme_decomposition(out) == OUTER_RANK2
+        assert (out.certificate.m, out.certificate.r) == (3, 2)
 
     def test_complete_graph(self):
-        sd = scheme_decomposition(decompose_caw(complete(6)))
-        assert sd.outer_kind == OUTER_RANK2
-        assert sd.outer_size == 1 and sd.inner_rank2_size == 6
-        assert sd.witness.kind == "iso"
+        out = decompose_caw(complete(6))
+        assert scheme_decomposition(out) == OUTER_RANK2
+        assert (out.certificate.m, out.certificate.r) == (1, 6)
 
     def test_outside_class(self):
         assert scheme_decomposition(decompose_caw(oracles.path(4))) is None
@@ -322,9 +316,10 @@ class TestSchemeDecomposition:
         perm = list(range(g.n))
         random.Random(m * 100 + r).shuffle(perm)
         out = decompose_caw(from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
-        sd = scheme_decomposition(out)
-        assert sd.witness.kind == "iso"
-        sigma = sd.witness.witness
+        kind = (OUTER_RANK2 if k == 0 else OUTER_FORESTAL_MATCHING if m == 2 * k + 2
+                else OUTER_DIHEDRAL)
+        assert scheme_decomposition(out) == kind
+        sigma = out.certificate.points
         assert sorted(sigma) == list(range(g.n))
         back = {x: v for v, x in enumerate(sigma)}
         predicted = oracles.scheme_pair_classes(predicted_scheme(m, k, r))
@@ -382,7 +377,7 @@ class TestRecognizeFirst:
             full = closure_of_graph(g)
             assert out.scheme == full, (m, k, r)
             if r > 1:
-                a = np.array(out.certificate.relabeling)[:, 0]
+                a = np.array(out.certificate.points) // r
                 quotient = complete(1) if m == 1 else elementary_caw(m, k)
                 assert _lift(closure_of_graph(quotient).colors, a) == full, (m, k, r)
 
@@ -419,17 +414,19 @@ class TestRecognizeFirst:
                 with pytest.raises(ValueError):
                     predicted(m, k, r)
             with pytest.raises(ValueError):
-                Decomposition(m, k, r, ((0, 0),) * (m * r))
+                Decomposition(m, k, r, tuple(range(m * r)))
 
-    @pytest.mark.parametrize("relabeling", [
-        ((0, 0),) * 5,
-        ((7, 0), (1, 0), (2, 0), (3, 0), (4, 0)),
-        ((0, 1), (1, 0), (2, 0), (3, 0), (4, 0)),
-        ((2**70, 0), (1, 0), (2, 0), (3, 0), (4, 0)),
-    ], ids=["repeated", "position-outside-Z_m", "index-equals-r", "position-beyond-int64"])
-    def test_relabeling_must_be_a_bijection(self, relabeling):
-        with pytest.raises(ValueError, match="bijection"):
-            Decomposition(5, 1, 1, relabeling)
+    @pytest.mark.parametrize("m, k, r, points", [
+        (1, 0, 2, ((0,), (1,))),
+        (5, 1, 1, ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))),
+        (5, 1, 1, (0, 1, 2, 3, 3)),
+        (5, 1, 1, (0, 1, 2, 3, 5)),
+        (5, 1, 1, (0, 1, 2, 3, 10**30)),
+        (5, 1, 1, (0, 1, 2, 3)),
+    ], ids=["one-tuples", "pairs", "repeated", "outside-range", "beyond-int64", "wrong-length"])
+    def test_points_must_be_a_permutation(self, m, k, r, points):
+        with pytest.raises(ValueError, match="permutation"):
+            Decomposition(m, k, r, points)
 
     @pytest.mark.parametrize("name,builder,stage", [
         ("P4", lambda: oracles.path(4), STAGE_QUOTIENT_NOT_ELEMENTARY),
@@ -534,7 +531,7 @@ class TestWreathTheorem:
     def test_second_statement_instance(self):
         report = verify_wreath_theorem(2, cycle(5))
         assert report.fusion_holds and report.iso_asserted
-        assert report.iso.kind == "iso"
+        assert report.iso == "iso"
 
     def test_fusion_only_for_non_association_outer(self):
         report = verify_wreath_theorem(2, oracles.path(3))
@@ -545,11 +542,7 @@ class TestWreathTheorem:
         report = verify_wreath_theorem(3, complete(2))
         assert report.fusion_holds
         assert not report.iso_asserted
-        assert report.iso.kind == "not-iso"
-
-    def test_size_limit(self):
-        with pytest.raises(ValueError, match="limit"):
-            verify_wreath_theorem(3, cycle(5), size_limit=10)
+        assert report.iso == "not-iso"
 
     def test_verdicts_agree_with_oracle(self):
         rng = random.Random(5)
@@ -563,9 +556,9 @@ class TestWreathTheorem:
             wreath = CoherentConfiguration(oracles.wreath_product_oracle(
                 closure_of_graph(complete(r)), closure_of_graph(outer)))
             oracle = oracles.schemes_isomorphic(actual, wreath)
-            assert report.iso.kind == oracle.kind, (r, outer.edges())
-            if report.iso.is_iso:
-                assert report.iso.witness == tuple(range(actual.n))
+            assert report.iso == oracle.kind, (r, outer.edges())
+            if report.iso == "iso":  # under the identity: the two schemes are equal
+                assert actual == wreath, (r, outer.edges())
             kinds.add(oracle.kind)
         assert kinds == {"iso", "not-iso"}
 

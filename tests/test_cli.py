@@ -317,13 +317,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
 
-    @pytest.mark.parametrize("flag, env", [(["--limit", "6"], None), ([], "6")],
-                             ids=["flag", "env"])
-    def test_limit_sets_default_bound(self, flag, env, capsys, monkeypatch):
+    @pytest.mark.parametrize("flag, env", [(["--limit", "6"], None), ([], "6"), ([], ""),
+                                           ([], "abc")],
+                             ids=["flag", "env", "empty-env", "bad-env"])
+    def test_limit_leaves_default_bound(self, flag, env, capsys, monkeypatch):
+        # the size cap is not verify's bound: the built-in bound holds, and
+        # CAW_LIMIT is not read at all
+        monkeypatch.delenv("CAW_LIMIT", raising=False)
         if env is not None:
             monkeypatch.setenv("CAW_LIMIT", env)
-        assert main(flag + ["--format", "machine", "--no-timing", "verify", "dihedral"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["dihedral"]) == 2
+        assert main(flag + ["--format", "machine", "--no-timing", "verify", "wreath"]) == 0
+        assert json.loads(capsys.readouterr().out)["wreath"] == suites.run_wreath_suite(24)[0]
 
     @pytest.mark.parametrize("argv, env", [
         (["verify", "wreath", "1"], None),
@@ -331,13 +335,14 @@ class TestVerify:
         (["verify", "all", "1"], None),
         (["verify", "aut", "1"], None),
         (["verify", "dihedral", "-3"], None),
-        (["--limit", "0", "verify", "wreath"], None),
-        (["--limit", "0", "verify", "all"], None),
-        (["verify", "wreath"], "1"),
+        (["--limit", "30", "verify", "wreath", "1"], None),
+        (["--limit", "30", "verify", "all", "0"], None),
+        (["verify", "wreath", "1"], "30"),
     ], ids=["wreath-1", "wreath-0", "all-1", "aut-1", "dihedral-neg", "flag-wreath",
             "flag-all", "env-wreath"])
     def test_bound_below_two_is_usage_error(self, argv, env, capsys, monkeypatch):
-        # no random wreath case fits a bound below 2, so the sweep could never fill
+        # no random wreath case fits a bound below 2, so the sweep could never
+        # fill; a size cap (flag or env) does not make up for the bound
         if env is not None:
             monkeypatch.setenv("CAW_LIMIT", env)
         assert main(["--no-timing"] + argv) == 2

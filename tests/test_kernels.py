@@ -183,9 +183,12 @@ class TestInputChecks:
         assert oracles.transpose_closed(mat) == closed
         if closed:
             assert_same_round(mat, rank)
+            # a rank above n**2 renumbers before the check; the round is the same
+            assert np.array_equal(refine_step(mat, 2**31)[0], refine_step(mat, rank)[0])
         else:
-            with pytest.raises(ValueError, match="not transpose-closed"):
-                refine_step(mat, rank)
+            for r in (rank, 2**31):
+                with pytest.raises(ValueError, match="not transpose-closed"):
+                    refine_step(mat, r)
 
     @pytest.mark.parametrize("n", [3, 9, 40])
     def test_random_colorings_that_are_not_closed_raise(self, n):
