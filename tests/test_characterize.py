@@ -420,10 +420,14 @@ class TestRecognizeFirst:
         (1, 0, 2, ((0,), (1,))),
         (5, 1, 1, ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))),
         (5, 1, 1, (0, 1, 2, 3, 3)),
-        (5, 1, 1, (0, 1, 2, 3, 5)),
+        # vertex 0 at position 7, point 7 * 2 + 0, beyond range(10)
+        (5, 1, 2, (14, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
+        # vertex 0 at index r = 2, point 0 * 2 + 2, which vertex 2 also has
+        (5, 1, 2, (2, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
         (5, 1, 1, (0, 1, 2, 3, 10**30)),
         (5, 1, 1, (0, 1, 2, 3)),
-    ], ids=["one-tuples", "pairs", "repeated", "outside-range", "beyond-int64", "wrong-length"])
+    ], ids=["one-tuples", "pairs", "repeated", "position-outside-Z_m", "index-equals-r",
+            "beyond-int64", "wrong-length"])
     def test_points_must_be_a_permutation(self, m, k, r, points):
         with pytest.raises(ValueError, match="permutation"):
             Decomposition(m, k, r, points)
