@@ -23,9 +23,7 @@ from .characterize import (
     group_witness,
     is_elementary_caw,
     predicted_aut_order,
-    predicted_rank,
     predicted_scheme,
-    scheme_decomposition,
     verify_wreath_theorem,
 )
 from .closure import closure_of_graph, coherent_closure
@@ -80,12 +78,10 @@ __all__ = [
     "is_fusion_of",
     "lex_product",
     "predicted_aut_order",
-    "predicted_rank",
     "predicted_scheme",
     "quotient_graph",
     "rank2_scheme",
     "reduce",
-    "scheme_decomposition",
     "standard_model",
     "twin_relation",
     "verify",

@@ -3,11 +3,11 @@
 The characterized class consists exactly of the lexicographic products of
 an elementary circular-arc graph with a complete graph.  decompose_caw
 recovers such a product structure (or a named reason why none exists)
-and computes one closure, which for a member stops at the predicted rank
-(predicted_rank); scheme_decomposition checks, through the certificate's
-points, that the closure is rank2(r) wreathed with a rank-2 /
-matching-forestal / dihedral scheme;
-predicted_aut_order evaluates the closed-form automorphism group order.
+and computes one closure.  A member's is that of its twin quotient,
+stopped at rank(X) for the outer scheme X (_outer_colors), checked
+against X on the m points of Z_m, and lifted to rank2(r) wr X through
+the certificate's points.  predicted_aut_order evaluates the
+closed-form automorphism group order.
 """
 
 from __future__ import annotations
@@ -79,6 +79,11 @@ class Decomposition:
         if (p.shape != (self.m * self.r,) or p.dtype.kind not in "iu"
                 or (np.sort(p) != np.arange(p.size)).any()):
             raise ValueError("points must be a permutation of range(m * r)")
+
+    @property
+    def outer(self) -> str:
+        """The outer kind X of the scheme rank2(r) wr X(m) (see _outer_kind)."""
+        return _outer_kind(self.m, self.k, self.r)
 
 
 @dataclass(frozen=True)
@@ -195,8 +200,10 @@ def _recognize(g: Graph):
     a = np.asarray(qlabels)[labels]
     points = np.empty(g.n, dtype=np.int64)
     points[np.argsort(a, kind="stable")] = np.arange(g.n)
-    member = lex_product(Graph(circulant(m, k)), complete(r))
-    if not np.array_equal(g.adj, member.adj[np.ix_(points, points)]):
+    # C_{m,k}[K_r] pulled back through the positions: u != v are adjacent
+    # when their positions are at circular distance at most k (0 in a fiber)
+    member = (circular_distances(m)[np.ix_(a, a)] <= k) & ~np.eye(g.n, dtype=bool)
+    if not np.array_equal(g.adj, member):
         return None, STAGE_RELABELING_FAILED
     return Decomposition(m, k, r, tuple(points.tolist())), None
 
@@ -209,13 +216,17 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     reported at the first of these stages that fails.  Recognition comes
     first, as it needs no closure.  A non-member then gets the full
     closure, and non-association is reported before any recognition
-    stage.  A member closes its twin quotient Q = C_{m,k} (G itself when
-    r = 1) and stops at predicted_rank(m, k, 1) colors, without the round
-    that would only confirm it is stable: each round's partition is
-    coarser than the closure C_Q, which is coarser than the coherent
-    prediction P holding Q's edges, so a round with rank(P) colors is C_Q.
-    For r >= 2, G's m * r points are never refined: its closure C is the
-    lift L of C_Q, rank2(r) wr C_Q pulled back through the certificate.
+    stage.  A member closes its twin quotient Q (G itself when r = 1, else
+    C_{m,k} in position order) and stops at rank(X) colors, X =
+    _outer_colors(m, k, r), without the round that would only confirm it
+    is stable: each round's partition is coarser than the closure C_Q,
+    which is coarser than X pulled back to Q's points (coherent, and
+    holding Q's edges), so a round with rank(X) colors is C_Q.  One m x m
+    comparison checks C_Q against that pull-back; a mismatch is a library
+    bug or a counterexample to the theorem: AssertionError, and no
+    certificate.  For r >= 2, G's m * r points are never refined: its
+    closure C is the lift L of C_Q, rank2(r) wr C_Q pulled back through
+    the certificate.
 
     Why C = L.  L is coherent and holds G's edges, so C is coarser than
     L.  The twins T are a union of C's colors: M = (A+I)(J-A-I) +
@@ -234,10 +245,17 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     cert, stage = _recognize(g) if g.is_regular() else (None, STAGE_NON_ASSOCIATION)
     if cert is not None:
         m, k, r = cert.m, cert.k, cert.r
-        cc = closure_of_graph(g if r == 1 else Graph(circulant(m, k)), predicted_rank(m, k, 1))
-        if r > 1:
-            cc = _lift(cc.colors, np.array(cert.points) // r)
-        return DecomposeOutcome(cert, None, cc)
+        outer = _outer_colors(m, k, r)
+        a = np.array(cert.points) // r
+        if r == 1:  # G is its own quotient, at positions a
+            cc = closure_of_graph(g, int(outer.max()) + 1)
+            outer = outer[np.ix_(a, a)]
+        else:
+            cc = closure_of_graph(Graph(circulant(m, k)), int(outer.max()) + 1)
+        if cc != CoherentConfiguration(outer):
+            raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] "
+                                 "differs from prediction")
+        return DecomposeOutcome(cert, None, cc if r == 1 else _lift(cc.colors, a))
     cc = closure_of_graph(g)
     if not is_association(cc):
         stage = STAGE_NON_ASSOCIATION
@@ -253,42 +271,26 @@ def _lift(outer: np.ndarray, a: np.ndarray) -> CoherentConfiguration:
     return CoherentConfiguration(outer[np.ix_(a, a)] * 3 + 2 - same - np.eye(a.size, dtype=bool))
 
 
-def predicted_scheme(m: int, k: int, r: int) -> CoherentConfiguration:
-    """The scheme the certificate (m, k, r) predicts for the graph:
-    rank2(r) wr X, with point a * r + b for position a on Z_m and b inside
-    the fiber, as lex_product numbers C_{m,k}[K_r].  Each outer scheme X is
-    a fusion of the dihedral scheme on Z_m by circular distance d: the
-    rank-2 scheme splits d = 0 from d > 0, the matching scheme also splits
-    off the partner at d = k + 1, and the dihedral scheme keeps every d."""
+def _outer_colors(m: int, k: int, r: int) -> np.ndarray:
+    """The outer scheme X of C_{m,k}[K_r] (see _outer_kind) as its m x m
+    color matrix, colors 0 .. rank(X) - 1.  Each X is a fusion of the
+    dihedral scheme on Z_m by circular distance d: the rank-2 scheme splits
+    d = 0 from d > 0, the matching scheme also splits off the partner at
+    d = k + 1, and the dihedral scheme keeps every d."""
     kind = _outer_kind(m, k, r)
     d = circular_distances(m)
     if kind == OUTER_RANK2:
-        outer = d > 0
-    elif kind == OUTER_FORESTAL_MATCHING:
-        outer = np.where(d == k + 1, 2, d > 0)
-    else:
-        outer = d
-    return _lift(outer, np.repeat(np.arange(m), r))
+        return d > 0
+    if kind == OUTER_FORESTAL_MATCHING:
+        return np.where(d == k + 1, 2, d > 0)
+    return d
 
 
-def scheme_decomposition(outcome: DecomposeOutcome) -> str | None:
-    """The outer kind X of a member's scheme rank2(r) wr X(m), checked
-    against its closure; None for non-members.
-
-    The witness is the certificate: vertex v is point points[v] of
-    predicted_scheme(m, k, r), so the prediction pulled back to the
-    vertices is the lift of predicted_scheme(m, k, 1) through the
-    positions points // r.  The certificate is edge-verified and the
-    closure does not depend on labels, so a closure that differs from it
-    is a library bug or a counterexample to the theorem: AssertionError.
-    """
-    if not outcome.ok:
-        return None
-    cert = outcome.certificate
-    m, k, r = cert.m, cert.k, cert.r
-    if _lift(predicted_scheme(m, k, 1).colors, np.array(cert.points) // r) != outcome.scheme:
-        raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] differs from prediction")
-    return _outer_kind(m, k, r)
+def predicted_scheme(m: int, k: int, r: int) -> CoherentConfiguration:
+    """The scheme the certificate (m, k, r) predicts for the graph:
+    rank2(r) wr X, with point a * r + b for position a on Z_m and b inside
+    the fiber, as lex_product numbers C_{m,k}[K_r]."""
+    return _lift(_outer_colors(m, k, r), np.repeat(np.arange(m), r))
 
 
 def _certificate_generators(m: int, k: int, r: int) -> np.ndarray:
@@ -459,22 +461,6 @@ def verify_wreath_theorem(inner_complete_size: int, outer: Graph) -> WreathTheor
     case = f"outer graph on {outer.n} vertices with edges {outer.edges()}, r={r}"
     verdict = identity_verdict(actual, wreath, case)
     return WreathTheoremReport(fusion, asserted, verdict)
-
-
-def predicted_rank(m: int, k: int, r: int) -> int:
-    """Rank of predicted_scheme(m, k, r), in closed form: rank(inner) +
-    rank(outer) - 1, as for every wreath product of association schemes.
-    The outer scheme has rank 1 on one point, 2 for k = 0, 3 in the
-    matching case and m // 2 + 1 for the dihedral scheme."""
-    kind = _outer_kind(m, k, r)
-    inner = 1 if r == 1 else 2
-    if kind == OUTER_RANK2:
-        outer = 1 if m == 1 else 2
-    elif kind == OUTER_FORESTAL_MATCHING:
-        outer = 3
-    else:
-        outer = m // 2 + 1
-    return inner + outer - 1
 
 
 def predicted_aut_order(m: int, k: int, r: int) -> int:

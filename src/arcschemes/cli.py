@@ -22,7 +22,7 @@ import time
 
 from . import arcs as arcmod
 from . import suites
-from .characterize import decompose_caw, predicted_aut_order, scheme_decomposition
+from .characterize import decompose_caw, predicted_aut_order
 from .closure import closure_of_graph
 from .graphs import (
     complete,
@@ -180,9 +180,8 @@ def cmd_decompose(args) -> int:
         report["relabeling"] = " ".join(f"{v}:{p // cert.r},{p % cert.r}"
                                         for v, p in enumerate(cert.points))
         report["predicted-aut-order"] = predicted_aut_order(cert.m, cert.k, cert.r)
-        outer = scheme_decomposition(outcome)  # raises unless the closure is the prediction
-        report["scheme-decomposition"] = f"rank2({cert.r}) wr {outer}({cert.m})"
-        report["scheme-verdict"] = ISO
+        report["scheme-decomposition"] = f"rank2({cert.r}) wr {cert.outer}({cert.m})"
+        report["scheme-verdict"] = ISO  # decompose_caw raised unless the closure is X
     else:
         report["failure-stage"] = outcome.failure_stage
     elapsed = (time.perf_counter() - start) * 1000
@@ -232,6 +231,8 @@ def cmd_verify(args) -> int:
     bound = args.bound if args.bound is not None else _VERIFY_BOUNDS[args.suite]
     if bound < 2:
         raise ValueError(f"verify bound must be at least 2, got {bound}")
+    if bound > DEFAULT_CLOSURE_LIMIT:  # checked before any case is listed
+        raise ValueError(f"verify bound must be at most {DEFAULT_CLOSURE_LIMIT}, got {bound}")
     start = time.perf_counter()
     tables = suites.run(args.suite, bound, seed=seed)
     elapsed = (time.perf_counter() - start) * 1000

@@ -30,6 +30,19 @@ def circular_distance(i: int, j: int, n: int) -> int:
     return min(d, n - d)
 
 
+def predicted_rank(m: int, k: int, r: int) -> int:
+    """Rank of the scheme rank2(r) wr X of C_{m,k}[K_r], in closed form:
+    rank(inner) + rank(outer) - 1, as for every wreath product of
+    association schemes.  The outer scheme X has rank 1 on one point, 2 for
+    k = 0, 3 in the matching case m = 2k + 2 and m // 2 + 1 (the circular
+    distances) for the dihedral scheme."""
+    if k == 0:
+        outer = 1 if m == 1 else 2
+    else:
+        outer = 3 if m == 2 * k + 2 else m // 2 + 1
+    return (1 if r == 1 else 2) + outer - 1
+
+
 def dihedral_pair_orbits(n: int) -> set[frozenset]:
     """Orbits of the dihedral group D_2n acting on ordered pairs of Z_n."""
     perms = []

@@ -25,7 +25,6 @@ from arcschemes.characterize import (
     STAGE_NON_ASSOCIATION,
     decompose_caw,
     predicted_aut_order,
-    scheme_decomposition,
     verify_wreath_theorem,
 )
 from arcschemes.closure import closure_of_graph
@@ -94,7 +93,7 @@ def test_criterion_2_matching_case():
         verdict = oracles.schemes_isomorphic(cc, target)
         if verdict.kind != "iso":
             failures.append(f"k={k}: oracle verdict {verdict.kind}")
-        library = scheme_decomposition(decompose_caw(g))  # raises on a mismatch
+        library = decompose_caw(g).certificate.outer  # decompose_caw raises on a mismatch
         if library != OUTER_FORESTAL_MATCHING:
             failures.append(f"k={k}: library outer scheme {library}, expected matching")
     _finish(2, "matching-case scheme", failures, started, budget=1.0)
@@ -147,7 +146,7 @@ def test_criterion_3_round_trip():
             failures.append(f"(m={m},k={k},r={r}): recovered m={cert.m}")
         kind = (OUTER_RANK2 if k == 0 else OUTER_FORESTAL_MATCHING if m == 2 * k + 2
                 else OUTER_DIHEDRAL)
-        outer = scheme_decomposition(out)  # raises on a mismatch
+        outer = cert.outer  # decompose_caw raised if the closure were not rank2(r) wr X
         if outer != kind:
             failures.append(f"(m={m},k={k},r={r}): outer scheme {outer}, expected {kind}")
     _finish(3, "decomposition round-trip", failures, started, budget=60.0)

@@ -17,7 +17,8 @@ def test_traced_functions_exist():
     # the benchmark's tracer wraps these names from outside the package;
     # count_automorphisms and schemes_isomorphic left src/ for
     # tests/oracles.py, wreath_product was deleted for characterize._lift,
-    # and the tracer's own list still names all three
+    # scheme_decomposition for the check inside decompose_caw, and the
+    # tracer's own list still names all four
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -25,7 +26,7 @@ def test_traced_functions_exist():
     missing = [f"{mod}.{fn}" for mod, fns in tracer.TRACED.items() for fn in fns
                if not callable(getattr(modules[mod], fn, None))]
     assert missing == ["graphs.count_automorphisms", "schemes.schemes_isomorphic",
-                       "schemes.wreath_product"]
+                       "schemes.wreath_product", "characterize.scheme_decomposition"]
     # the tracer replaces every module binding, so these must stay shared
     for attr, homes in (("refine_step", ("closure", "schemes", "kernels")),
                         ("closure_of_graph", ("cli", "characterize", "suites"))):

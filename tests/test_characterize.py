@@ -10,19 +10,19 @@ from arcschemes.characterize import (
     OUTER_RANK2,
     STAGE_NON_ASSOCIATION,
     STAGE_QUOTIENT_NOT_ELEMENTARY,
+    STAGE_RELABELING_FAILED,
     STAGE_UNEQUAL_TWIN_CLASSES,
     Decomposition,
     _certificate_generators,
     _group_bounds,
     _lift,
+    _outer_colors,
     _recognize,
     decompose_caw,
     group_witness,
     is_elementary_caw,
     predicted_aut_order,
-    predicted_rank,
     predicted_scheme,
-    scheme_decomposition,
     verify_wreath_theorem,
 )
 import arcschemes.characterize as characterize_module
@@ -42,7 +42,6 @@ from arcschemes.graphs import (
 from arcschemes.schemes import (
     CoherentConfiguration,
     is_association,
-    rank2_scheme,
     verify,
 )
 from arcschemes.suites import aut_cases, run_aut_suite
@@ -78,6 +77,14 @@ def permuted_member(m, k, r, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def swapped_outer(m, k, r):
+    """X of C_{m,k}[K_r] pulled back through the transposition of positions
+    0 and 1: the same rank, on other pairs when X is a matching or
+    dihedral scheme (the transposition is none of its automorphisms)."""
+    p = np.r_[1, 0, 2:m]
+    return _outer_colors(m, k, r)[np.ix_(p, p)]
 
 
 # every certificate (m, k, r) on at most 60 points, m = 1 being K_r
@@ -276,8 +283,8 @@ class TestDecompose:
             out = decompose_caw(g)
             if out.ok:
                 assert is_association(closure_of_graph(g))
-                outer = scheme_decomposition(out)
-                assert outer in (OUTER_RANK2, OUTER_FORESTAL_MATCHING, OUTER_DIHEDRAL)
+                assert out.certificate.outer in (OUTER_RANK2, OUTER_FORESTAL_MATCHING,
+                                                 OUTER_DIHEDRAL)
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
@@ -289,26 +296,26 @@ class TestDecompose:
 class TestSchemeDecomposition:
     def test_dihedral_case(self):
         out = decompose_caw(lex_product(elementary_caw(7, 2), complete(2)))
-        assert scheme_decomposition(out) == OUTER_DIHEDRAL
+        assert out.certificate.outer == OUTER_DIHEDRAL
         assert (out.certificate.m, out.certificate.r) == (7, 2)
 
     def test_matching_case(self):
         out = decompose_caw(elementary_caw(6, 2))
-        assert scheme_decomposition(out) == OUTER_FORESTAL_MATCHING
+        assert out.certificate.outer == OUTER_FORESTAL_MATCHING
         assert (out.certificate.m, out.certificate.r) == (6, 1)
 
     def test_rank2_case(self):
         out = decompose_caw(lex_product(empty_graph(3), complete(2)))
-        assert scheme_decomposition(out) == OUTER_RANK2
+        assert out.certificate.outer == OUTER_RANK2
         assert (out.certificate.m, out.certificate.r) == (3, 2)
 
     def test_complete_graph(self):
         out = decompose_caw(complete(6))
-        assert scheme_decomposition(out) == OUTER_RANK2
+        assert out.certificate.outer == OUTER_RANK2
         assert (out.certificate.m, out.certificate.r) == (1, 6)
 
     def test_outside_class(self):
-        assert scheme_decomposition(decompose_caw(oracles.path(4))) is None
+        assert decompose_caw(oracles.path(4)).certificate is None
 
     @pytest.mark.parametrize("m, k, r", [(30, 3, 3), (84, 5, 1), (8, 3, 5), (12, 0, 3)])
     def test_witness_maps_predicted_classes_onto_closure(self, m, k, r):
@@ -318,7 +325,7 @@ class TestSchemeDecomposition:
         out = decompose_caw(from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
         kind = (OUTER_RANK2 if k == 0 else OUTER_FORESTAL_MATCHING if m == 2 * k + 2
                 else OUTER_DIHEDRAL)
-        assert scheme_decomposition(out) == kind
+        assert out.certificate.outer == kind
         sigma = out.certificate.points
         assert sorted(sigma) == list(range(g.n))
         back = {x: v for v, x in enumerate(sigma)}
@@ -327,13 +334,11 @@ class TestSchemeDecomposition:
         assert oracles.scheme_pair_classes(out.scheme) == mapped
 
     def test_mismatch_with_prediction_is_a_bug(self, monkeypatch):
-        # a certified member's closure always matches its prediction, so a
-        # wrong prediction must surface as a failed assertion, not a verdict
-        monkeypatch.setattr("arcschemes.characterize.predicted_scheme",
-                            lambda m, k, r: rank2_scheme(m * r))
-        out = decompose_caw(lex_product(cycle(5), complete(2)))
-        with pytest.raises(AssertionError):
-            scheme_decomposition(out)
+        # a certified member's closure always matches X, so a wrong X of the
+        # right rank must surface as a failed comparison, not a certificate
+        monkeypatch.setattr(characterize_module, "_outer_colors", swapped_outer)
+        with pytest.raises(AssertionError, match="differs from prediction"):
+            decompose_caw(lex_product(cycle(5), complete(2)))
 
     def test_predicted_scheme_rank(self):
         assert predicted_scheme(7, 2, 2).rank == 5  # rank2(2) wr dihedral(7)
@@ -400,17 +405,22 @@ class TestRecognizeFirst:
 
     def test_predicted_scheme_is_coherent_of_predicted_rank(self):
         # predicted_scheme numbers its points as lex_product does, so it is
-        # the closure of the unpermuted member under the identity
+        # the closure of the unpermuted member under the identity; X has the
+        # colors 0 .. rank(X) - 1, so its largest color sets the stop rank
         for m, k, r in MEMBER_GRID:
             predicted = predicted_scheme(m, k, r)
             assert verify(predicted).ok, (m, k, r)
-            assert predicted.rank == predicted_rank(m, k, r), (m, k, r)
+            assert predicted.rank == oracles.predicted_rank(m, k, r), (m, k, r)
+            outer = _outer_colors(m, k, r)
+            assert outer.shape == (m, m), (m, k, r)
+            assert np.unique(outer).tolist() == list(range(oracles.predicted_rank(m, k, 1)))
             g = complete(r) if m == 1 else lex_product(elementary_caw(m, k), complete(r))
             assert closure_of_graph(g) == predicted, (m, k, r)
 
     def test_predicted_rank_invalid(self):
+        # _outer_colors gives the stop rank, the closed form's successor
         for m, k, r in [(0, 0, 1), (5, 1, 0), (5, -1, 1), (4, 2, 1), (3, 1, 2)]:
-            for predicted in (predicted_rank, predicted_scheme, predicted_aut_order):
+            for predicted in (_outer_colors, predicted_scheme, predicted_aut_order):
                 with pytest.raises(ValueError):
                     predicted(m, k, r)
             with pytest.raises(ValueError):
@@ -478,7 +488,7 @@ class TestRecognizeFirst:
         closures = count_calls(monkeypatch, closure_module, "coherent_closure")
         rounds = count_calls(monkeypatch, closure_module, "refine_step")
         out = decompose_caw(g)
-        assert out.ok and out.scheme.rank == predicted_rank(m, 0, r)
+        assert out.ok and out.scheme.rank == oracles.predicted_rank(m, 0, r)
         assert (len(closures), len(rounds)) == (1, 0)
 
     @pytest.mark.parametrize("m, k, r", [(8, 3, 5), (12, 3, 3), (40, 3, 1), (18, 4, 4),
@@ -507,28 +517,75 @@ class TestRecognizeFirst:
     @pytest.mark.parametrize("m, k, r", [(1, 0, 1), (1, 0, 5), (6, 0, 1), (5, 0, 3), (6, 2, 1),
                                          (8, 3, 2), (7, 1, 1), (9, 2, 3), (12, 3, 1)])
     def test_stop_above_true_rank_is_a_bug(self, m, k, r, monkeypatch):
-        # refinement is stable below the stop: decompose_caw raises itself
-        monkeypatch.setattr("arcschemes.characterize.predicted_rank",
-                            lambda m, k, r: predicted_rank(m, k, r) + 1)
+        # an X with one color more: refinement is stable below the stop rank,
+        # and decompose_caw raises itself
+        def one_more(m, k, r):
+            outer = original(m, k, r).astype(np.int64)
+            outer[0, 0] = outer.max() + 1
+            return outer
+
+        original = _outer_colors
+        monkeypatch.setattr(characterize_module, "_outer_colors", one_more)
         with pytest.raises(AssertionError):
             decompose_caw(permuted_member(m, k, r, seed=11))
 
     @pytest.mark.parametrize("m, k, r", [(1, 0, 1), (1, 0, 5), (6, 0, 1), (5, 0, 3), (6, 2, 1),
                                          (8, 3, 2), (7, 1, 1), (9, 2, 3), (12, 3, 1)])
     def test_stop_below_true_rank_is_a_bug(self, m, k, r, monkeypatch, tmp_path, capsys):
-        # decompose_caw raises when refinement passes the stop; a round that
-        # lands on it leaves a partition coarser than the prediction, which
-        # scheme_decomposition rejects.  No certificate is ever reported.
-        monkeypatch.setattr("arcschemes.characterize.predicted_rank",
-                            lambda m, k, r: predicted_rank(m, k, r) - 1)
+        # an X with one color fewer, its diagonal merged into its top color:
+        # refinement passes the stop, or lands on it with a partition that
+        # differs from X, as no round merges the diagonal with another pair.
+        # Either way decompose_caw raises, and no certificate is reported.
+        def one_fewer(m, k, r):
+            outer = original(m, k, r)
+            return np.where(outer == 0, outer.max(), outer) - 1
+
+        original = _outer_colors
+        monkeypatch.setattr(characterize_module, "_outer_colors", one_fewer)
         g = permuted_member(m, k, r, seed=13)
         with pytest.raises(AssertionError):
-            scheme_decomposition(decompose_caw(g))
+            decompose_caw(g)
         path = tmp_path / "member.graph"
         path.write_text(graph_to_text(g))
         with pytest.raises(AssertionError):
             main(["--no-timing", "decompose", str(path)])
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("m, k, r", [(7, 2, 1), (7, 2, 3), (4, 1, 1), (4, 1, 2)])
+    def test_every_member_closure_is_checked(self, m, k, r, monkeypatch, tmp_path, capsys):
+        # a wrong X of the right rank for the one shape (m, k, r): the stop
+        # rank holds, and only the comparison with X can catch it, for every
+        # caller of decompose_caw, the aut suite and the CLI among them
+        original = _outer_colors
+        monkeypatch.setattr(characterize_module, "_outer_colors", lambda *shape: (
+            swapped_outer(*shape) if shape == (m, k, r) else original(*shape)))
+        g = permuted_member(m, k, r, seed=17)
+        with pytest.raises(AssertionError, match="differs from prediction"):
+            decompose_caw(g)
+        if m * r <= 8:
+            with pytest.raises(AssertionError, match="differs from prediction"):
+                run_aut_suite(8)
+        path = tmp_path / "member.graph"
+        path.write_text(graph_to_text(g))
+        with pytest.raises(AssertionError, match="differs from prediction"):
+            main(["--no-timing", "decompose", str(path)])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("m, k, r", [(7, 2, 1), (7, 2, 3), (6, 2, 1), (6, 2, 2)])
+    def test_wrong_positions_fail_the_relabeling_check(self, m, k, r, monkeypatch):
+        # recognition trusts no labeling: positions 0 and 1 of the quotient
+        # swapped give a map that is not an isomorphism, and no certificate
+        def swapped(q):
+            n, k, labels = original(q)
+            return n, k, tuple({0: 1, 1: 0}.get(x, x) for x in labels)
+
+        original = is_elementary_caw
+        monkeypatch.setattr(characterize_module, "is_elementary_caw", swapped)
+        g = permuted_member(m, k, r, seed=19)
+        assert _recognize(g) == (None, STAGE_RELABELING_FAILED)
+        out = decompose_caw(g)
+        assert not out.ok and out.failure_stage == STAGE_RELABELING_FAILED
+        assert out.scheme == closure_of_graph(g)
 
 
 class TestWreathTheorem:

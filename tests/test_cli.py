@@ -349,6 +349,33 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == "" and "error: verify bound must be at least 2" in err
 
+    @pytest.mark.parametrize("argv, env", [
+        (["verify", "dihedral", "100000"], None),
+        (["verify", "aut", "100000"], None),
+        (["verify", "all", "201"], None),
+        (["--limit", "100000", "verify", "dihedral", "100000"], None),
+        (["verify", "aut", "100000"], "100000"),
+    ], ids=["dihedral", "aut", "all-201", "flag-dihedral", "env-aut"])
+    def test_bound_above_cap_is_usage_error(self, argv, env, capsys, monkeypatch):
+        # a bound of 100000 would list billions of cases before the first row;
+        # it exits 2 before any case is listed, and no size cap lifts it
+        def never(bound):
+            raise AssertionError(f"cases listed for bound {bound}")
+
+        monkeypatch.setattr(suites, "dihedral_cases", never)
+        monkeypatch.setattr(suites, "aut_cases", never)
+        if env is not None:
+            monkeypatch.setenv("CAW_LIMIT", env)
+        assert main(["--no-timing"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: verify bound must be at most 200, got {argv[-1]}" in err
+
+    def test_bound_at_cap_runs(self, capsys, monkeypatch):
+        bounds = []
+        monkeypatch.setattr(suites, "run", lambda suite, bound, seed: bounds.append(bound) or {})
+        assert main(["--no-timing", "verify", "dihedral", "200"]) == 0
+        assert bounds == [200] and capsys.readouterr().out == "result: pass\n"
+
     def test_wreath_suite_rejects_bound_below_two(self):
         with pytest.raises(ValueError, match="at least 2"):
             suites.run_wreath_suite(1)
