@@ -2,12 +2,12 @@
 """CPU time of the reader, kernel, closure, decompose, automorphism-order
 and wreath layers.
 
-Each record is one function on one graph: the minimum CPU time
-(time.process_time, all threads of the process) over --repeats calls,
-the number of refinement rounds (refine_step calls) of one call, the
-closure's n and rank, and the CPU count, BLAS thread count and git
-revision the numbers were taken with.  Member labels are permuted by a
-fixed seed.  BLAS runs on one thread: process_time counts every thread,
+Each record is one function on one graph: the minimum and the median
+CPU time (time.process_time, all threads of the process) over --repeats
+calls, the number of refinement rounds (refine_step and refine_row calls)
+of one call, the closure's n and rank, and the CPU count, BLAS thread
+count and git revision the numbers were taken with.  Member labels are
+permuted by a fixed seed.  BLAS runs on one thread: process_time counts every thread,
 and idle OpenBLAS workers spin for a while after a matrix product, which
 would be charged to whichever layer is timed next.
 
@@ -22,6 +22,11 @@ would be charged to whichever layer is timed next.
   perfbench members-decompose workload (imported from its deck).  The
   scheme certificate is part of decompose_caw: it compares the
   quotient's closure with the outer scheme on m points before the lift.
+- circulant_closure closes C_{m,k} on one row of Z_m, for the quotients
+  of the members-decompose shapes and for C_{200,3} and C_{400,3}; a
+  tree without it has no such record.  decompose_caw also runs on
+  C_{200,3} and C_{400,3} (permuted, n = m), whose member check is that
+  closure.
 - decompose_caw and the automorphism-order layer run on the shapes of
   the perfbench verify-sweep aut rows, aut_cases(12), plus C_{30,3}[K_3]
   (n = 90) and C_{100,3}[K_3] (n = 300).  The aut rows are tiny members,
@@ -51,6 +56,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -73,6 +79,10 @@ AUT_SHAPES = aut_cases(12) + [(30, 3, 3), (100, 3, 3)]
 # members at the verify-sweep sizes: the aut rows and C_{n,k} up to 24 points
 SMALL_SHAPES = aut_cases(12) + [(n, k, 1) for n in range(13, 25) for k in (1, 2, 5) if 2 * k + 1 < n]
 WREATH_BOUND = 14  # the wreath rows of `verify all 14`, the verify-sweep request
+# members past the CLI's default size limit, whose check closes a large C_{m,k}
+LARGE_SHAPES = [(200, 3, 1), (400, 3, 1)]
+# the functions whose calls are refinement rounds, where a tree has them
+ROUNDS = ("refine_step", "refine_row")
 
 
 def git_revision(src: Path) -> str:
@@ -108,14 +118,17 @@ def permuted_member(graphs, m: int, k: int, r: int):
 
 
 def count_rounds(closure_mod, fn) -> int:
-    """refine_step calls made by one call of fn."""
-    original = closure_mod.refine_step
+    """Refinement rounds (ROUNDS calls) made by one call of fn."""
+    originals = {name: getattr(closure_mod, name) for name in ROUNDS
+                 if hasattr(closure_mod, name)}
     calls = []
-    closure_mod.refine_step = lambda *a: calls.append(None) or original(*a)
+    for name, original in originals.items():
+        setattr(closure_mod, name, lambda *a, f=original: calls.append(None) or f(*a))
     try:
         fn()
     finally:
-        closure_mod.refine_step = original
+        for name, original in originals.items():
+            setattr(closure_mod, name, original)
     return len(calls)
 
 
@@ -160,6 +173,16 @@ def tree_cases(mods, decks) -> dict:
             lambda g=g: mods["closure"].closure_of_graph(g), g, member_label(*shape))
         cases[member_label(*shape)["graph"], "decompose_caw"] = (
             lambda g=g: char.decompose_caw(g), g, member_label(*shape))
+    if hasattr(mods["closure"], "circulant_closure"):
+        for m, k in dict.fromkeys((m, k) for m, k, _ in list(MEMBERS) + LARGE_SHAPES if m > 1):
+            g = graphs.elementary_caw(m, k)
+            cases[f"C_{{{m},{k}}}", "circulant_closure"] = (
+                lambda row=g.adj[0]: mods["closure"].circulant_closure(row),
+                g, {"graph": f"C_{{{m},{k}}}", "m": m, "k": k})
+    for shape in LARGE_SHAPES:
+        g = permuted_member(graphs, *shape)
+        cases[member_label(*shape)["graph"], "decompose_caw"] = (
+            lambda g=g: char.decompose_caw(g), g, member_label(*shape))
     for shape in AUT_SHAPES:
         g = permuted_member(graphs, *shape)
         outcome = char.decompose_caw(g)
@@ -185,16 +208,16 @@ def build_decks(workdir: Path) -> dict:
 def measure(mods: dict, repeats: int) -> list[dict]:
     with tempfile.TemporaryDirectory() as workdir:  # read_graph reads its files to the end
         cases = tree_cases(mods, build_decks(Path(workdir)))
-        best = dict.fromkeys(cases, float("inf"))
+        times = {key: [] for key in cases}
         for _ in range(repeats):
             for key, (fn, _, _) in cases.items():
                 start = time.process_time()
                 fn()
-                best[key] = min(best[key], time.process_time() - start)
-        return [record(mods, key, case, best[key], repeats) for key, case in cases.items()]
+                times[key].append(time.process_time() - start)
+        return [record(mods, key, case, times[key]) for key, case in cases.items()]
 
 
-def record(mods, key, case, seconds: float, repeats: int) -> dict:
+def record(mods, key, case, seconds: list) -> dict:
     (_, name), (fn, g, fields) = key, case
     closure = mods["closure"].closure_of_graph(g) if g is not None else None
     rounds = (len(closure_rounds(mods, g)) if name == "refine_step"
@@ -203,8 +226,9 @@ def record(mods, key, case, seconds: float, repeats: int) -> dict:
         "revision": mods["revision"],
         "cpu_count": len(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS, **fields,
         "n": closure.n if closure else None, "rank": closure.rank if closure else None,
-        "function": name, "repeats": repeats, "seed": SEED,
-        "cpu_ms": round(seconds * 1000, 4), "rounds": rounds,
+        "function": name, "repeats": len(seconds), "seed": SEED,
+        "cpu_ms": round(min(seconds) * 1000, 4),
+        "cpu_ms_median": round(statistics.median(seconds) * 1000, 4), "rounds": rounds,
     }
 
 
@@ -219,12 +243,12 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
     mods = dict(load_tree(args.src), revision=git_revision(args.src))
     doc = {
-        "what": "CPU ms (min of repeats) of read_graph on the members-decompose deck "
-                "files, refine_step over all rounds of a closure, closure_of_graph, "
-                "decompose_caw with its scheme-certificate check (also on the aut "
-                "shapes), the automorphism-order layer "
+        "what": "CPU ms (min and median of repeats) of read_graph on the members-decompose "
+                "deck files, refine_step over all rounds of a closure, closure_of_graph, "
+                "circulant_closure, decompose_caw with its scheme-certificate check (also "
+                "on the aut shapes and C_{200,3}, C_{400,3}), the automorphism-order layer "
                 "(group_witness) and run_wreath_suite (verify wreath 14, seed 1), with "
-                "BLAS on one thread; rounds are refine_step calls per call",
+                "BLAS on one thread; rounds are refine_step and refine_row calls per call",
         "command": f"python3 benchmarks/layer_times.py --src DIR --repeats {args.repeats}",
         "python": platform.python_version(),
         "numpy": sys.modules["numpy"].__version__,

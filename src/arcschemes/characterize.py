@@ -3,11 +3,11 @@
 The characterized class consists exactly of the lexicographic products of
 an elementary circular-arc graph with a complete graph.  decompose_caw
 recovers such a product structure (or a named reason why none exists)
-and computes one closure.  A member's is that of its twin quotient,
-stopped at rank(X) for the outer scheme X (_outer_colors), checked
-against X on the m points of Z_m, and lifted to rank2(r) wr X through
-the certificate's points.  predicted_aut_order evaluates the
-closed-form automorphism group order.
+and computes one closure.  A member's is that of its twin quotient
+C_{m,k}, closed on one row of Z_m (closure.circulant_closure), checked
+against the outer scheme X (_outer_colors) on the m points of Z_m, and
+lifted to rank2(r) wr X through the certificate's points.
+predicted_aut_order evaluates the closed-form automorphism group order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import closure_of_graph
+from .closure import circulant_closure, closure_of_graph
 from .graphs import (
     Graph,
     circulant,
@@ -216,22 +216,21 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     reported at the first of these stages that fails.  Recognition comes
     first, as it needs no closure.  A non-member then gets the full
     closure, and non-association is reported before any recognition
-    stage.  A member closes its twin quotient Q (G itself when r = 1, else
-    C_{m,k} in position order) and stops at rank(X) colors, X =
-    _outer_colors(m, k, r), without the round that would only confirm it
-    is stable: each round's partition is coarser than the closure C_Q,
-    which is coarser than X pulled back to Q's points (coherent, and
-    holding Q's edges), so a round with rank(X) colors is C_Q.  One m x m
-    comparison checks C_Q against that pull-back; a mismatch is a library
-    bug or a counterexample to the theorem: AssertionError, and no
-    certificate.  For r >= 2, G's m * r points are never refined: its
-    closure C is the lift L of C_Q, rank2(r) wr C_Q pulled back through
-    the certificate.
+    stage.  A member closes its twin quotient Q, which is C_{m,k} in
+    position order, on one row of Z_m (circulant_closure), to stability:
+    its last round splits nothing, so C_Q is Q's closure whatever X is.
+    One m x m comparison of canonical color matrices checks C_Q against
+    X = _outer_colors(m, k, r); a mismatch is a library bug or a
+    counterexample to the theorem: AssertionError, and no certificate.
+    G's m * r points are never refined: its closure C is the lift L of
+    C_Q, rank2(r) wr C_Q pulled back through the positions a =
+    points // r.  For r = 1, L is C_Q pulled back through a, an
+    isomorphism from G onto Q, and a closure commutes with isomorphisms.
 
-    Why C = L.  L is coherent and holds G's edges, so C is coarser than
-    L.  The twins T are a union of C's colors: M = (A+I)(J-A-I) +
-    (J-A-I)(A+I) is in the coherent algebra and M(u, v) = |N[u] ^ N[v]|
-    is 0 exactly on T and the diagonal.  Swapping two twins is an
+    Why C = L for r >= 2.  L is coherent and holds G's edges, so C is
+    coarser than L.  The twins T are a union of C's colors: M =
+    (A+I)(J-A-I) + (J-A-I)(A+I) is in the coherent algebra and M(u, v) =
+    |N[u] ^ N[v]| is 0 exactly on T and the diagonal.  Swapping two twins is an
     automorphism, so C is constant on X x Y for twin classes X, Y.  C read
     at one point per class is a partition D of Q's pairs; points of X + Y
     add only colors in T or the diagonal, so D's intersection numbers are
@@ -245,17 +244,11 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     cert, stage = _recognize(g) if g.is_regular() else (None, STAGE_NON_ASSOCIATION)
     if cert is not None:
         m, k, r = cert.m, cert.k, cert.r
-        outer = _outer_colors(m, k, r)
-        a = np.array(cert.points) // r
-        if r == 1:  # G is its own quotient, at positions a
-            cc = closure_of_graph(g, int(outer.max()) + 1)
-            outer = outer[np.ix_(a, a)]
-        else:
-            cc = closure_of_graph(Graph(circulant(m, k)), int(outer.max()) + 1)
-        if cc != CoherentConfiguration(outer):
+        closed = circulant_closure(circulant(m, k)[0])
+        if not np.array_equal(closed, _outer_colors(m, k, r)):
             raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] "
                                  "differs from prediction")
-        return DecomposeOutcome(cert, None, cc if r == 1 else _lift(cc.colors, a))
+        return DecomposeOutcome(cert, None, _lift(closed, np.array(cert.points) // r))
     cc = closure_of_graph(g)
     if not is_association(cc):
         stage = STAGE_NON_ASSOCIATION
@@ -273,7 +266,8 @@ def _lift(outer: np.ndarray, a: np.ndarray) -> CoherentConfiguration:
 
 def _outer_colors(m: int, k: int, r: int) -> np.ndarray:
     """The outer scheme X of C_{m,k}[K_r] (see _outer_kind) as its m x m
-    color matrix, colors 0 .. rank(X) - 1.  Each X is a fusion of the
+    color matrix in canonical form: colors 0 .. rank(X) - 1, which first
+    appear in row 0 in that order, as d grows.  Each X is a fusion of the
     dihedral scheme on Z_m by circular distance d: the rank-2 scheme splits
     d = 0 from d > 0, the matching scheme also splits off the partner at
     d = k + 1, and the dihedral scheme keeps every d."""

@@ -5,17 +5,18 @@ color of a pair (u, v) records whether u = v and the membership of (u, v)
 and (v, u) in every generator relation, each an n x n boolean membership
 matrix (for a graph, its adjacency matrix).  Each round of
 arcschemes.kernels.refine_step then replaces the color with the sorted
-multiset of color pairs over all intermediate points, until the partition
-stabilizes.  The stable partition is a coherent configuration in which
-every generator is a union of colors.
+multiset of color pairs over all intermediate points, until a round
+splits nothing (the confirming round).  The stable partition is a
+coherent configuration in which every generator is a union of colors.
 
-A caller that knows the rank of the closure C in advance can pass it as
-stop_rank.  Refinement then returns the first partition W_i of that rank
-and skips the last round, which would only confirm that nothing splits.
-This is exact: refinement is monotone and C is stable, so every W_i is
-coarser than C, and a partition coarser than C with rank(C) colors is C.
-decompose_caw (arcschemes.characterize) takes the rank from a verified
-certificate.
+circulant_closure closes a Cayley graph on Z_m (a circulant) on the row
+of its coloring at 0.  The rotation u -> u + 1 is an automorphism of the
+graph, so the initial coloring and every round are fixed by it, and each
+is the circulant of its row (kernels.refine_row); the closure is a Schur
+ring over Z_m (H. Wielandt, Finite Permutation Groups, 1964, ch. IV).
+Row 0 holds every color, so the row is numbered as the full matrix's
+row-major scan numbers it, and each round gives row 0 of the round
+refine_step would take on the m x m matrix, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph
-from .kernels import first_appearance, refine_step
+from .kernels import first_appearance, refine_row, refine_step
 from .schemes import CoherentConfiguration
 
 
@@ -43,34 +44,43 @@ def _initial_coloring(n: int, relations) -> np.ndarray:
     return mat
 
 
-def coherent_closure(n: int, relations, stop_rank: int | None = None) -> CoherentConfiguration:
+def _stable(step, colors: np.ndarray) -> np.ndarray:
+    """colors refined by step(colors, rank) until a round splits nothing."""
+    rank = int(colors.max()) + 1
+    while True:
+        colors, new_rank = step(colors, rank)
+        if new_rank == rank:
+            return colors
+        rank = new_rank
+
+
+def coherent_closure(n: int, relations) -> CoherentConfiguration:
     """Smallest scheme on n points in which every generator is a union of
     basic relations.  Each generator is an n x n membership matrix, read
-    through bool; any other shape raises ValueError.
-
-    With stop_rank, refinement returns the first partition with exactly
-    stop_rank colors, so stop_rank must be the rank of the closure.  A
-    partition that is stable below stop_rank, or one that has more colors,
-    shows that it is not: AssertionError.
-    """
-    mat = _initial_coloring(n, relations)
-    rank = int(mat.max()) + 1
-    while rank != stop_rank:
-        if stop_rank is not None and rank > stop_rank:
-            raise AssertionError(f"refinement reached rank {rank}, past the stop rank {stop_rank}")
-        mat, new_rank = refine_step(mat, rank)
-        if new_rank == rank:
-            if stop_rank is not None:
-                raise AssertionError(f"refinement is stable at rank {rank}, "
-                                     f"below the stop rank {stop_rank}")
-            break
-        rank = new_rank
-    return CoherentConfiguration(mat)
+    through bool; any other shape raises ValueError."""
+    return CoherentConfiguration(_stable(refine_step, _initial_coloring(n, relations)))
 
 
-def closure_of_graph(g: Graph, stop_rank: int | None = None) -> CoherentConfiguration:
-    """Scheme of a graph: coherent closure of its (symmetric) edge relation,
-    stopped at stop_rank colors if given (see coherent_closure)."""
+def circulant_closure(connection) -> np.ndarray:
+    """Closure of the Cayley graph on Z_m whose arcs are u -> v for
+    connection[(v - u) mod m], read through bool, computed on one row (see
+    the module docstring).  Returns its m x m color matrix, the canonical
+    one: the colors of coherent_closure of the adjacency matrix, bit for
+    bit.  An empty or multi-dimensional connection raises ValueError."""
+    conn = np.asarray(connection, dtype=bool)
+    if conn.ndim != 1 or conn.size < 1:
+        raise ValueError(f"connection of shape {conn.shape}, expected (m,) with m >= 1")
+    d = np.arange(conn.size)
+    # the initial color of (0, v): against the diagonal, and the arcs 0 -> v
+    # and v -> 0.  Any dense numbering will do, as each round renumbers the
+    # row by first appearance, the last one included.
+    _, row = np.unique((d != 0) * 4 + conn * 2 + conn[-d], return_inverse=True)
+    row = _stable(refine_row, row)
+    return row[(d[None, :] - d[:, None]) % conn.size]
+
+
+def closure_of_graph(g: Graph) -> CoherentConfiguration:
+    """Scheme of a graph: coherent closure of its (symmetric) edge relation."""
     if g.n < 1:
         raise ValueError("closure needs a graph with at least one vertex")
-    return coherent_closure(g.n, [g.adj], stop_rank)
+    return coherent_closure(g.n, [g.adj])

@@ -45,6 +45,17 @@ entry can wrap: colors lie in [0, rank), so the old color is below rank
 and every product entry is at most (rank - 1) * rank + rank - 1 =
 rank**2 - 1.  A key compares the whole signature in any type, so the
 numbering is the same in all three.
+
+refine_row is the round of a circulant coloring on Z_m, c(u, v) =
+row[(v - u) mod m], given by its row at 0.  The rotation u -> u + 1 is an
+automorphism of such a coloring, and every round commutes with it, so the
+signature of (u, v) is that of (0, v - u): row[v] with the sorted
+row[w] * rank + row[(v - w) mod m] over all w.  That is m + 1 entries for
+each of the m pairs (0, v), m^2 per round in place of m^3.  Row 0 holds
+every color of a circulant, so numbering its signatures by first
+appearance along the row is the row-major numbering of the full matrix:
+the new row is row 0 of refine_step's result, bit for bit.  refine_step
+stays the only round on n x n matrices.
 """
 
 from __future__ import annotations
@@ -104,6 +115,27 @@ def _pair_blocks(c: np.ndarray, scaled: np.ndarray, transposed: np.ndarray, firs
         yield block
 
 
+def _circulant_blocks(row: np.ndarray, scale):
+    """The signatures of the pairs (0, v) of the circulant coloring of row,
+    in the order of v, a block of pairs at a time, as (pairs, m + 1)
+    arrays."""
+    m = len(row)
+    width = m + 1
+    step = max(1, _BLOCK_BYTES // (row.itemsize * width))
+    # over w = -u, the products row[w] * rank + row[(v - w) mod m] are
+    # row[-u] * rank + row[(v + u) mod m]; np.resize repeats row from v on
+    # in rows of m + 1 entries, so entry (v, u) of the result is row[(v + u)
+    # mod m], and the multiset, hence the sorted signature, is the same
+    scaled = (row * scale)[-np.arange(m)]
+    ext = np.concatenate([row, row])
+    for start in range(0, m, step):
+        count = min(step, m - start)
+        block = np.empty((count, width), dtype=row.dtype)
+        block[:, 0] = row[start:start + count]
+        np.add(scaled, np.resize(ext[start:start + m], (count, width))[:, :m], out=block[:, 1:])
+        yield block
+
+
 def _number(ids: dict, blocks) -> np.ndarray:
     """The ids of the signatures in blocks, each numbered in ids by first
     appearance."""
@@ -127,15 +159,7 @@ def refine_step(colors, rank: int):
     """
     c = np.asarray(colors, dtype=np.int64)
     n = c.shape[0]
-    # one pass: a negative color reads as at least 2**63 in uint64
-    if c.size and int(c.view(np.uint64).max()) >= rank:
-        raise ValueError(f"colors must lie in [0, {rank}), "
-                         f"found {int(c.min())}..{int(c.max())}")
-    for dt, top in _SIGNATURE_TYPES:
-        if rank * rank - 1 <= top:
-            break
-    else:
-        raise ValueError(f"rank {rank} is too large for uint64 signatures")
+    dt = _signature_type(c, rank)
     if not _transpose_closed(c, rank):
         raise ValueError("coloring is not transpose-closed: "
                          "color(v, u) is not a function of color(u, v)")
@@ -146,6 +170,37 @@ def refine_step(colors, rank: int):
         return _half_round(c, scale)
     ids: dict[bytes, int] = {}
     return _number(ids, _row_blocks(c, scale)).reshape(n, n), len(ids)
+
+
+def refine_row(row, rank: int):
+    """One refinement round of the circulant coloring c(u, v) = row[(v - u)
+    mod m] (see the module docstring).  Returns (new row, new rank); the
+    new coloring is the circulant of the new row.
+
+    Every color must lie in [0, rank) and rank**2 - 1 must fit in uint64;
+    otherwise ValueError.  Any row is a circulant coloring, so it need not
+    be transpose-closed.  The returned row is int64.
+    """
+    c = np.asarray(row, dtype=np.int64)
+    if c.ndim != 1:
+        raise ValueError(f"row of shape {c.shape}, expected one dimension")
+    dt = _signature_type(c, rank)
+    ids: dict[bytes, int] = {}
+    return _number(ids, _circulant_blocks(c.astype(dt), dt(rank))), len(ids)
+
+
+def _signature_type(c: np.ndarray, rank: int):
+    """The narrowest of _SIGNATURE_TYPES that holds rank**2 - 1, for int64
+    colors c; ValueError if a color lies outside [0, rank) or no type
+    holds it."""
+    # one pass: a negative color reads as at least 2**63 in uint64
+    if c.size and int(c.view(np.uint64).max()) >= rank:
+        raise ValueError(f"colors must lie in [0, {rank}), "
+                         f"found {int(c.min())}..{int(c.max())}")
+    for dt, top in _SIGNATURE_TYPES:
+        if rank * rank - 1 <= top:
+            return dt
+    raise ValueError(f"rank {rank} is too large for uint64 signatures")
 
 
 def _half_round_pays(c: np.ndarray, rank: int) -> bool:

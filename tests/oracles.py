@@ -228,6 +228,22 @@ def membership(n: int, pairs) -> np.ndarray:
     return mat
 
 
+def circulant_matrix(row) -> np.ndarray:
+    """The m x m matrix whose entry (u, v) is row[(v - u) mod m]."""
+    m = len(row)
+    return np.array([[row[(v - u) % m] for v in range(m)] for u in range(m)])
+
+
+def symmetric_connections(m: int):
+    """Every connection set on Z_m closed under d -> -d and without 0, as
+    boolean vectors: one for each set of distances 1 .. m // 2."""
+    for distances in itertools.product((False, True), repeat=m // 2):
+        conn = np.zeros(m, dtype=bool)
+        for d, present in enumerate(distances, 1):
+            conn[[d, -d]] = present
+        yield conn
+
+
 def initial_coloring_oracle(n: int, relations) -> np.ndarray:
     """Initial 2-WL coloring of n x n membership matrices, pair by pair:
     the key of (u, v) is u == v with the membership of (u, v) and of

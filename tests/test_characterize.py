@@ -28,7 +28,7 @@ from arcschemes.characterize import (
 import arcschemes.characterize as characterize_module
 import arcschemes.closure as closure_module
 from arcschemes.cli import main
-from arcschemes.closure import closure_of_graph
+from arcschemes.closure import _initial_coloring, closure_of_graph
 from arcschemes.graphs import (
     complete,
     cycle,
@@ -348,8 +348,8 @@ class TestSchemeDecomposition:
 
 
 class TestRecognizeFirst:
-    # a member's closure stops at predicted_rank; these check that the
-    # stopped partition is the full closure, and that the stages of a
+    # a member's closure is C_{m,k}'s, closed on one row and lifted; these
+    # check that it is the full closure, and that the stages of a
     # non-member are reported as they were with the full closure first
 
     @pytest.mark.parametrize("kind", ["rank2", "matching", "dihedral"])
@@ -368,7 +368,7 @@ class TestRecognizeFirst:
 
     @pytest.mark.parametrize("kind", ["rank2", "matching", "dihedral"])
     def test_lifted_closure_equals_full_closure(self, kind, monkeypatch):
-        # for r >= 2 only m x m matrices are refined, and the lift of the
+        # no matrix is refined, only the row of C_{m,k}, and the lift of the
         # quotient's closure through the certificate is the full closure of g
         grid = [(m, k, r) for m, k, r in MEMBER_GRID if r <= 6
                 and kind == ("rank2" if k == 0 else "matching" if m == 2 * k + 2 else "dihedral")]
@@ -378,7 +378,7 @@ class TestRecognizeFirst:
             g = permuted_member(m, k, r, seed=r * 3600 + m * 60 + k)
             del rounds[:]
             out = decompose_caw(g)
-            assert all(mat.shape == ((m, m) if r > 1 else (g.n, g.n)) for mat, _ in rounds)
+            assert rounds == []
             full = closure_of_graph(g)
             assert out.scheme == full, (m, k, r)
             if r > 1:
@@ -406,7 +406,7 @@ class TestRecognizeFirst:
     def test_predicted_scheme_is_coherent_of_predicted_rank(self):
         # predicted_scheme numbers its points as lex_product does, so it is
         # the closure of the unpermuted member under the identity; X has the
-        # colors 0 .. rank(X) - 1, so its largest color sets the stop rank
+        # colors 0 .. rank(X) - 1
         for m, k, r in MEMBER_GRID:
             predicted = predicted_scheme(m, k, r)
             assert verify(predicted).ok, (m, k, r)
@@ -414,11 +414,12 @@ class TestRecognizeFirst:
             outer = _outer_colors(m, k, r)
             assert outer.shape == (m, m), (m, k, r)
             assert np.unique(outer).tolist() == list(range(oracles.predicted_rank(m, k, 1)))
+            assert np.array_equal(outer, CoherentConfiguration(outer).colors), (m, k, r)
             g = complete(r) if m == 1 else lex_product(elementary_caw(m, k), complete(r))
             assert closure_of_graph(g) == predicted, (m, k, r)
 
     def test_predicted_rank_invalid(self):
-        # _outer_colors gives the stop rank, the closed form's successor
+        # _outer_colors gives the rank of X, the closed form's successor
         for m, k, r in [(0, 0, 1), (5, 1, 0), (5, -1, 1), (4, 2, 1), (3, 1, 2)]:
             for predicted in (_outer_colors, predicted_scheme, predicted_aut_order):
                 with pytest.raises(ValueError):
@@ -483,36 +484,39 @@ class TestRecognizeFirst:
 
     @pytest.mark.parametrize("m, r", [(1, 1), (1, 5), (6, 1), (4, 3), (9, 6)])
     def test_k0_member_needs_no_round(self, m, r, monkeypatch):
-        # the initial coloring of a k = 0 member already has the predicted rank
+        # the initial coloring of a k = 0 member already has the predicted
+        # rank: no matrix round, and one row round, which only confirms it
         g = permuted_member(m, 0, r, seed=m + r)
         closures = count_calls(monkeypatch, closure_module, "coherent_closure")
+        row_closures = count_calls(monkeypatch, characterize_module, "circulant_closure")
         rounds = count_calls(monkeypatch, closure_module, "refine_step")
+        row_rounds = count_calls(monkeypatch, closure_module, "refine_row")
         out = decompose_caw(g)
         assert out.ok and out.scheme.rank == oracles.predicted_rank(m, 0, r)
-        assert (len(closures), len(rounds)) == (1, 0)
+        assert (len(closures), len(row_closures)) == (0, 1)
+        assert (len(rounds), len(row_rounds)) == (0, 1)
 
     @pytest.mark.parametrize("m, k, r", [(8, 3, 5), (12, 3, 3), (40, 3, 1), (18, 4, 4),
                                          (12, 5, 6), (30, 3, 3)])
-    def test_member_skips_only_the_confirming_round(self, m, k, r, monkeypatch):
-        # r = 1 refines g; r >= 2 refines only the quotient C_{m,k}, one round
-        # short of its full closure, or none if its initial coloring has the
-        # predicted rank (the matching shapes)
+    def test_member_closes_on_row_rounds(self, m, k, r, monkeypatch):
+        # every r refines only the row of C_{m,k}, one row round for each
+        # matrix round of its plain closure, the confirming round included
         g = permuted_member(m, k, r, seed=7)
-        rounds = count_calls(monkeypatch, closure_module, "refine_step")
         full = closure_of_graph(g)
-        full_rounds = len(rounds)
-        closure_of_graph(elementary_caw(m, k))
-        quotient_rounds = len(rounds) - full_rounds
-        del rounds[full_rounds:]
+        rounds = count_calls(monkeypatch, closure_module, "refine_step")
+        quotient_rank = closure_of_graph(elementary_caw(m, k)).rank
+        quotient_rounds = len(rounds)
+        del rounds[:]
         closures = count_calls(monkeypatch, closure_module, "coherent_closure")
+        row_closures = count_calls(monkeypatch, characterize_module, "circulant_closure")
+        row_rounds = count_calls(monkeypatch, closure_module, "refine_row")
         out = decompose_caw(g)
         assert out.scheme == full
-        assert len(closures) == 1
-        if r == 1:
-            assert len(rounds) - full_rounds == full_rounds - 1
-        else:
-            assert len(rounds) - full_rounds == max(quotient_rounds - 1, 0)
-            assert all(mat.shape == (m, m) for mat, _ in rounds[full_rounds:])
+        assert (len(closures), len(row_closures)) == (0, 1)
+        assert (len(rounds), len(row_rounds)) == (0, quotient_rounds)
+        assert all(row.shape == (m,) for row, _ in row_rounds)
+        # the last round starts at the closure's rank, so it splits nothing
+        assert row_rounds[-1][1] == quotient_rank
 
     @pytest.mark.parametrize("m, k, r", [(1, 0, 1), (1, 0, 5), (6, 0, 1), (5, 0, 3), (6, 2, 1),
                                          (8, 3, 2), (7, 1, 1), (9, 2, 3), (12, 3, 1)])
@@ -570,6 +574,43 @@ class TestRecognizeFirst:
         with pytest.raises(AssertionError, match="differs from prediction"):
             main(["--no-timing", "decompose", str(path)])
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_x_equal_to_an_unstable_coloring_is_a_bug(self, r, monkeypatch, tmp_path, capsys):
+        # the dihedral X of C_{7,1} with distances 2 and 3 merged is the
+        # initial coloring of C_7: diagonal, edges, non-edges.  It is not
+        # coherent, and the closure splits it, so only a closure refined to
+        # stability, not one stopped at rank(X), shows the mismatch
+        def merged(*shape):
+            outer = original(*shape)
+            return np.minimum(outer, 2) if shape == (7, 1, r) else outer
+
+        original = _outer_colors
+        monkeypatch.setattr(characterize_module, "_outer_colors", merged)
+        g = permuted_member(7, 1, r, seed=23)
+        assert CoherentConfiguration(merged(7, 1, r)) == CoherentConfiguration(
+            _initial_coloring(7, [elementary_caw(7, 1).adj]))
+        with pytest.raises(AssertionError, match="differs from prediction"):
+            decompose_caw(g)
+        path = tmp_path / "member.graph"
+        path.write_text(graph_to_text(g))
+        with pytest.raises(AssertionError, match="differs from prediction"):
+            main(["--no-timing", "decompose", str(path)])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("m, k, r", [(2, 0, 1), (5, 0, 2), (6, 2, 1), (9, 2, 3)])
+    def test_x_wrong_off_row_zero_is_a_bug(self, m, k, r, monkeypatch):
+        # a new color on the last diagonal pair leaves row 0 of X as it was,
+        # so the comparison must read all of the m x m matrix
+        def last_split(*shape):
+            outer = original(*shape).astype(np.int64)
+            outer[-1, -1] = outer.max() + 1
+            return outer
+
+        original = _outer_colors
+        monkeypatch.setattr(characterize_module, "_outer_colors", last_split)
+        with pytest.raises(AssertionError, match="differs from prediction"):
+            decompose_caw(permuted_member(m, k, r, seed=29))
 
     @pytest.mark.parametrize("m, k, r", [(7, 2, 1), (7, 2, 3), (6, 2, 1), (6, 2, 2)])
     def test_wrong_positions_fail_the_relabeling_check(self, m, k, r, monkeypatch):

@@ -212,10 +212,16 @@ class TestDecompose:
 
     @pytest.mark.parametrize("graph_file,rc", [("lex_file", 0), ("p4_file", 1)])
     def test_one_closure_per_request(self, graph_file, rc, request, monkeypatch):
-        import arcschemes.closure as mod
+        # a member's closure is circulant_closure's, a non-member's
+        # coherent_closure's: exactly one of the two per request
+        import arcschemes.characterize
+        import arcschemes.closure
 
-        calls, original = [], mod.coherent_closure
-        monkeypatch.setattr(mod, "coherent_closure", lambda *a: calls.append(a) or original(*a))
+        calls = []
+        for mod, name in ((arcschemes.closure, "coherent_closure"),
+                          (arcschemes.characterize, "circulant_closure")):
+            original = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, f=original: calls.append(a) or f(*a))
         assert main(["--no-timing", "decompose", request.getfixturevalue(graph_file)]) == rc
         assert len(calls) == 1
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from arcschemes.closure import closure_of_graph, coherent_closure
+import arcschemes.closure as closure_module
+from arcschemes.closure import circulant_closure, closure_of_graph, coherent_closure
 from arcschemes.graphs import (
     complete,
     cycle,
@@ -157,18 +158,57 @@ class TestRelationSet:
             coherent_closure(0, [])
 
 
-class TestStopRank:
-    def test_stop_at_closure_rank_gives_the_closure(self, corpus):
-        for g in corpus:
-            full = closure_of_graph(g)
-            assert closure_of_graph(g, full.rank) == full
+class TestCirculantClosure:
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_every_symmetric_connection(self, m):
+        for conn in oracles.symmetric_connections(m):
+            full = coherent_closure(m, [oracles.circulant_matrix(conn)])
+            assert circulant_closure(conn).tobytes() == full.colors.tobytes()
 
-    def test_stop_above_closure_rank_raises(self, corpus):
-        for g in corpus:
-            with pytest.raises(AssertionError, match="stable"):
-                closure_of_graph(g, closure_of_graph(g).rank + 1)
+    def test_random_directed_connections(self):
+        # arcs 0 -> d without 0 -> -d make colors whose transpose is another
+        rng = random.Random(21)
+        for _ in range(150):
+            m = rng.randint(1, 40)
+            conn = np.array([rng.random() < 0.3 for _ in range(m)])
+            full = coherent_closure(m, [oracles.circulant_matrix(conn)])
+            assert circulant_closure(conn).tobytes() == full.colors.tobytes(), conn
 
-    def test_stop_below_initial_rank_raises(self):
-        # cycle(7) starts with 3 colors: diagonal, edges, non-edges
-        with pytest.raises(AssertionError, match="past the stop rank"):
-            coherent_closure(7, [cycle(7).adj], 2)
+    def test_members(self):
+        # every C_{m,k} with m < 40, the matching shapes m = 2k + 2 among them
+        for m in range(3, 40):
+            for k in range(1, (m - 2) // 2 + 1):
+                closed = circulant_closure(elementary_caw(m, k).adj[0])
+                assert np.array_equal(closed, closure_of_graph(elementary_caw(m, k)).colors)
+                if m > 2 * k + 2:
+                    assert np.array_equal(closed, dihedral_scheme(m).colors), (m, k)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 12, 31])
+    def test_ends_on_the_confirming_round(self, m, monkeypatch):
+        # one row round per matrix round of coherent_closure, and the last
+        # one splits nothing: it starts at the closure's rank and returns it
+        conn = np.zeros(m, dtype=bool)
+        conn[[1 % m, -1 % m, 3 % m, -3 % m]] = m > 1
+        rounds = []
+
+        def recorded(step):
+            def run(colors, rank):
+                out = step(colors, rank)
+                rounds.append((rank, out[1]))
+                return out
+            return run
+
+        monkeypatch.setattr(closure_module, "refine_step", recorded(closure_module.refine_step))
+        full = coherent_closure(m, [oracles.circulant_matrix(conn)])
+        matrix_rounds = rounds[:]
+        del rounds[:]
+        monkeypatch.setattr(closure_module, "refine_row", recorded(closure_module.refine_row))
+        assert np.array_equal(circulant_closure(conn), full.colors)
+        assert rounds == matrix_rounds
+        assert rounds[-1] == (full.rank, full.rank)
+        assert all(old < new for old, new in rounds[:-1])
+
+    @pytest.mark.parametrize("conn", [[], [[0, 1], [1, 0]]])
+    def test_needs_a_vector_of_at_least_one_point(self, conn):
+        with pytest.raises(ValueError, match="connection"):
+            circulant_closure(conn)

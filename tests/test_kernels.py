@@ -7,7 +7,7 @@ import oracles
 from arcschemes import kernels
 from arcschemes.closure import _initial_coloring, closure_of_graph
 from arcschemes.graphs import elementary_caw
-from arcschemes.kernels import first_appearance, refine_step
+from arcschemes.kernels import first_appearance, refine_row, refine_step
 
 
 def involution(rank):
@@ -155,6 +155,72 @@ class TestParity:
         out, rank = refine_step(cc.colors, cc.rank)
         assert rank == cc.rank
         assert np.array_equal(out, cc.colors)
+
+
+def assert_row_rounds_match(conn):
+    """Every round of the closure of the circulant with connection conn,
+    by refine_row on the row and by refine_step on the m x m matrix."""
+    m = len(conn)
+    mat = _initial_coloring(m, [oracles.circulant_matrix(conn)])
+    row, rank = mat[0], int(mat.max()) + 1
+    assert np.array_equal(mat, oracles.circulant_matrix(row))
+    while True:
+        mat, new_rank = refine_step(mat, rank)
+        row, row_rank = refine_row(row, rank)
+        assert row.dtype == np.int64 and row_rank == new_rank
+        assert oracles.circulant_matrix(row).tobytes() == mat.tobytes()
+        if new_rank == rank:
+            return
+        rank = new_rank
+
+
+class TestRefineRow:
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_every_symmetric_connection(self, m):
+        for conn in oracles.symmetric_connections(m):
+            assert_row_rounds_match(conn)
+
+    def test_random_connections_up_to_60_points(self):
+        rng = random.Random(60)
+        for _ in range(60):
+            m = rng.randint(15, 60)
+            conn = np.array([rng.random() < rng.random() for _ in range(m)])
+            conn[0] = False
+            if rng.random() < 0.7:
+                conn |= conn[-np.arange(m)]
+            assert_row_rounds_match(conn)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_any_row_against_the_oracle(self, m):
+        # a row need not be transpose-closed, nor come from a closure
+        rng = random.Random(m)
+        for rank in (1, 2, m, m * m, 257, 65537):
+            row = np.array([rng.randrange(rank) for _ in range(m)])
+            out, new_rank = refine_row(row, rank)
+            ref_out, ref_rank = oracles.refine_step_oracle(oracles.circulant_matrix(row), rank)
+            assert new_rank == ref_rank
+            assert np.array_equal(oracles.circulant_matrix(out), ref_out)
+
+    def test_blocks_of_pairs(self, monkeypatch):
+        # a block of one pair signs the same as one block of all of them
+        row = _initial_coloring(30, [elementary_caw(30, 4).adj])[0]
+        whole = refine_row(row, 3)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)
+        out = refine_row(row, 3)
+        assert out[1] == whole[1] and np.array_equal(out[0], whole[0])
+
+    @pytest.mark.parametrize("bad", [-1, 3, 10**12])
+    def test_color_outside_rank_raises(self, bad):
+        with pytest.raises(ValueError, match=r"colors must lie in \[0, 3\)"):
+            refine_row([0, 1, bad], 3)
+
+    def test_rank_beyond_int64_raises(self):
+        with pytest.raises(ValueError, match="too large for uint64"):
+            refine_row([0, 1], 2**32 + 1)
+
+    def test_matrix_raises(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            refine_row(np.zeros((2, 2), dtype=np.int64), 1)
 
 
 class TestInputChecks:
