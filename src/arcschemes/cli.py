@@ -23,7 +23,6 @@ import time
 from . import arcs as arcmod
 from . import suites
 from .characterize import decompose_caw, predicted_aut_order
-from .closure import closure_of_graph
 from .graphs import (
     complete,
     cycle,
@@ -151,7 +150,8 @@ def cmd_closure(args) -> int:
     except VertexLimitError as exc:
         raise ValueError(f"graph has {exc.n} vertices, closure limit is {limit}") from None
     start = time.perf_counter()
-    cc = closure_of_graph(g)
+    # a member's closure is its certificate's, a non-member's the full one
+    cc = decompose_caw(g).scheme
     elapsed = (time.perf_counter() - start) * 1000
     if args.output:
         _emit(scheme_to_text(cc), args.output)

@@ -27,7 +27,9 @@ def test_traced_functions_exist():
                if not callable(getattr(modules[mod], fn, None))]
     assert missing == ["graphs.count_automorphisms", "schemes.schemes_isomorphic",
                        "schemes.wreath_product", "characterize.scheme_decomposition"]
-    # the tracer replaces every module binding, so these must stay shared
+    # the tracer replaces every module binding, so these must stay shared;
+    # the CLI's closure command reaches closure_of_graph through decompose_caw
     for attr, homes in (("refine_step", ("closure", "schemes", "kernels")),
-                        ("closure_of_graph", ("cli", "characterize", "suites"))):
+                        ("closure_of_graph", ("characterize", "suites")),
+                        ("decompose_caw", ("cli", "suites"))):
         assert len({id(getattr(modules[home], attr)) for home in homes}) == 1, attr

@@ -27,6 +27,7 @@ from arcschemes.characterize import (
 )
 import arcschemes.characterize as characterize_module
 import arcschemes.closure as closure_module
+import arcschemes.schemes as schemes_module
 from arcschemes.cli import main
 from arcschemes.closure import _initial_coloring, closure_of_graph
 from arcschemes.graphs import (
@@ -42,6 +43,7 @@ from arcschemes.graphs import (
 from arcschemes.schemes import (
     CoherentConfiguration,
     is_association,
+    scheme_to_text,
     verify,
 )
 from arcschemes.suites import aut_cases, run_aut_suite
@@ -354,6 +356,8 @@ class TestRecognizeFirst:
 
     @pytest.mark.parametrize("kind", ["rank2", "matching", "dihedral"])
     def test_stopped_closure_equals_full_closure(self, kind):
+        # a member's scheme, the lift of the row closure of C_{m,k}, is the
+        # full closure on every shape of MEMBER_GRID, K_1 and K_60 among them
         grid = [(m, k, r) for m, k, r in MEMBER_GRID
                 if kind == ("rank2" if k == 0 else "matching" if m == 2 * k + 2 else "dihedral")]
         assert len(grid) > 50
@@ -518,11 +522,29 @@ class TestRecognizeFirst:
         # the last round starts at the closure's rank, so it splits nothing
         assert row_rounds[-1][1] == quotient_rank
 
+    def test_closure_command_takes_the_member_path(self, monkeypatch, tmp_path, capsys):
+        # closure of a member dumps the closure decompose_caw lifts from
+        # the row of C_{m,k}: no matrix round, one row closure, and the
+        # bytes of the full closure
+        rounds = count_calls(monkeypatch, closure_module, "refine_step")
+        rounds_in_verify = count_calls(monkeypatch, schemes_module, "refine_step")
+        row_closures = count_calls(monkeypatch, characterize_module, "circulant_closure")
+        path, dump = tmp_path / "member.graph", tmp_path / "member.scheme"
+        for m, k, r in MEMBER_GRID:
+            g = permuted_member(m, k, r, seed=m * 3600 + k * 60 + r + 1)
+            path.write_text(graph_to_text(g))
+            full = scheme_to_text(closure_of_graph(g))
+            del rounds[:], rounds_in_verify[:], row_closures[:]
+            assert main(["--no-timing", "closure", str(path), "-o", str(dump)]) == 0
+            assert (len(rounds), len(rounds_in_verify), len(row_closures)) == (0, 0, 1), (m, k, r)
+            assert dump.read_text() == full, (m, k, r)
+        capsys.readouterr()
+
     @pytest.mark.parametrize("m, k, r", [(1, 0, 1), (1, 0, 5), (6, 0, 1), (5, 0, 3), (6, 2, 1),
                                          (8, 3, 2), (7, 1, 1), (9, 2, 3), (12, 3, 1)])
     def test_stop_above_true_rank_is_a_bug(self, m, k, r, monkeypatch):
-        # an X with one color more: refinement is stable below the stop rank,
-        # and decompose_caw raises itself
+        # an X with one color more: the row closure of C_{m,k} has fewer
+        # colors than X, so the comparison fails and decompose_caw raises
         def one_more(m, k, r):
             outer = original(m, k, r).astype(np.int64)
             outer[0, 0] = outer.max() + 1
@@ -537,9 +559,9 @@ class TestRecognizeFirst:
                                          (8, 3, 2), (7, 1, 1), (9, 2, 3), (12, 3, 1)])
     def test_stop_below_true_rank_is_a_bug(self, m, k, r, monkeypatch, tmp_path, capsys):
         # an X with one color fewer, its diagonal merged into its top color:
-        # refinement passes the stop, or lands on it with a partition that
-        # differs from X, as no round merges the diagonal with another pair.
-        # Either way decompose_caw raises, and no certificate is reported.
+        # the row closure keeps the diagonal apart from every other pair, as
+        # the initial coloring does and no round merges colors, so it differs
+        # from X.  decompose_caw raises, and no certificate is reported.
         def one_fewer(m, k, r):
             outer = original(m, k, r)
             return np.where(outer == 0, outer.max(), outer) - 1
@@ -557,9 +579,10 @@ class TestRecognizeFirst:
 
     @pytest.mark.parametrize("m, k, r", [(7, 2, 1), (7, 2, 3), (4, 1, 1), (4, 1, 2)])
     def test_every_member_closure_is_checked(self, m, k, r, monkeypatch, tmp_path, capsys):
-        # a wrong X of the right rank for the one shape (m, k, r): the stop
-        # rank holds, and only the comparison with X can catch it, for every
-        # caller of decompose_caw, the aut suite and the CLI among them
+        # a wrong X with the closure's rank for the one shape (m, k, r): the
+        # colors are as many as the row closure's, so only the comparison of
+        # the two matrices catches it, for every caller of decompose_caw, the
+        # aut suite and the CLI among them
         original = _outer_colors
         monkeypatch.setattr(characterize_module, "_outer_colors", lambda *shape: (
             swapped_outer(*shape) if shape == (m, k, r) else original(*shape)))

@@ -213,7 +213,8 @@ class TestDecompose:
     @pytest.mark.parametrize("graph_file,rc", [("lex_file", 0), ("p4_file", 1)])
     def test_one_closure_per_request(self, graph_file, rc, request, monkeypatch):
         # a member's closure is circulant_closure's, a non-member's
-        # coherent_closure's: exactly one of the two per request
+        # coherent_closure's: exactly one of the two per request, for
+        # decompose and for closure alike
         import arcschemes.characterize
         import arcschemes.closure
 
@@ -221,9 +222,13 @@ class TestDecompose:
         for mod, name in ((arcschemes.closure, "coherent_closure"),
                           (arcschemes.characterize, "circulant_closure")):
             original = getattr(mod, name)
-            monkeypatch.setattr(mod, name, lambda *a, f=original: calls.append(a) or f(*a))
-        assert main(["--no-timing", "decompose", request.getfixturevalue(graph_file)]) == rc
-        assert len(calls) == 1
+            monkeypatch.setattr(mod, name, lambda *a, f=original, name=name: (
+                calls.append(name) or f(*a)))
+        closure = "circulant_closure" if graph_file == "lex_file" else "coherent_closure"
+        for command, want in (("decompose", rc), ("closure", 0)):
+            del calls[:]
+            assert main(["--no-timing", command, request.getfixturevalue(graph_file)]) == want
+            assert calls == [closure], command
 
 
 class TestArcs:

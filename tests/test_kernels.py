@@ -39,7 +39,7 @@ def closed_coloring(rng, n, rank, draw):
 
 def random_coloring(rng, n):
     rank = rng.randint(1, max(1, n * n))
-    mat = closed_coloring(rng, n, rank, lambda: rng.randrange(rank))
+    mat = np.array([[rng.randrange(rank) for _ in range(n)] for _ in range(n)], dtype=np.int64)
     return mat, int(mat.max()) + 1
 
 
@@ -98,14 +98,12 @@ class TestParity:
                 mat[u, v] = mat[v, u] = rank - 1  # a fixed point of the involution
                 assert_same_round(mat, rank)
 
-    # half rounds: at n >= HALF_ROUND_MIN_N and a rank below n**2 / 8.  A
-    # coloring pulled back from one on 3 points has at most 3 row classes,
-    # so refine_step takes the half round; a random one has as many classes
-    # as points and takes the full round, so it also goes through
-    # _half_round directly, where tau has many colors
+    # at least 32 points, a rank below n**2 / 8, and each side of the
+    # uint16 limit at rank 256: a coloring pulled back from one on 3 points,
+    # with at most 3 row classes, and a random one with as many classes as
+    # points
     @pytest.mark.parametrize("n, rank", [(32, 3), (32, 127), (40, 199), (46, 256), (46, 257)])
     def test_half_rounds(self, n, rank):
-        assert n >= kernels.HALF_ROUND_MIN_N and rank * 8 < n * n
         rng = random.Random(n * rank)
         palette = [0, 1, rank // 2, rank - 3, rank - 2, rank - 1]
         small = closed_coloring(rng, 3, rank, lambda: rng.choice(palette))
@@ -114,27 +112,6 @@ class TestParity:
         mat = closed_coloring(rng, n, rank, lambda: rng.randrange(rank))
         mat[0, 1] = mat[1, 0] = rank - 1
         assert_same_round(mat, rank)
-        dt = next(t for t, top in kernels._SIGNATURE_TYPES if rank * rank - 1 <= top)
-        for c in (small[points][:, points], mat):
-            out, new_rank = kernels._half_round(c.astype(dt), dt(rank))
-            ref_out, ref_rank = oracles.refine_step_oracle(c, rank)
-            assert new_rank == ref_rank
-            assert np.array_equal(out, ref_out)
-
-    def test_half_round_only_where_few_colors_are_expected(self):
-        pays = lambda mat, rank: kernels._half_round_pays(mat, rank)  # noqa: E731
-        # a member: every row alike, so one row class
-        g = elementary_caw(40, 3)
-        mat = _initial_coloring(g.n, [g.adj])
-        assert pays(mat, 3)
-        assert not pays(mat[:31, :31], 3)  # too few points
-        assert not pays(mat, 40 * 40 // 8)  # the old rank is already n^2 / 8
-        # a graph whose 40 points have the 16 degrees 0..15: 16**2 * 8 >= 40**2
-        adj = np.zeros((40, 40), dtype=bool)
-        for u in range(15):
-            adj[u, 15:15 + u + 1] = adj[15:15 + u + 1, u] = True
-        assert len(set(adj.sum(axis=1).tolist())) == 16
-        assert not pays(_initial_coloring(40, [adj]), 3)
 
     def test_half_rounds_of_directed_closures(self):
         # a directed generator makes colors whose transpose is another color
@@ -244,29 +221,24 @@ class TestInputChecks:
         ([[0, 1, 2], [3, 0, 1], [3, 2, 0]], False),  # 3 has transposes 1 and 2
     ])
     def test_coloring_must_be_transpose_closed(self, mat, closed):
+        # any coloring gets the oracle's round, transpose-closed or not
         mat = np.array(mat, dtype=np.int64)
         rank = int(mat.max()) + 1
         assert oracles.transpose_closed(mat) == closed
-        if closed:
-            assert_same_round(mat, rank)
-            # a rank above n**2 renumbers before the check; the round is the same
-            assert np.array_equal(refine_step(mat, 2**31)[0], refine_step(mat, rank)[0])
-        else:
-            for r in (rank, 2**31):
-                with pytest.raises(ValueError, match="not transpose-closed"):
-                    refine_step(mat, r)
+        assert_same_round(mat, rank)
+        # a rank above n**2 changes nothing but the signature type
+        assert np.array_equal(refine_step(mat, 2**31)[0], refine_step(mat, rank)[0])
 
     @pytest.mark.parametrize("n", [3, 9, 40])
     def test_random_colorings_that_are_not_closed_raise(self, n):
-        # the kind of input the parity tests drew before the precondition
+        # random colorings that are not transpose-closed get the oracle's round
         rng = random.Random(n)
         mat = np.array([[rng.randrange(n * n) for _ in range(n)] for _ in range(n)],
                        dtype=np.int64)
         mat[0, 1], mat[1, 0], mat[0, 2], mat[2, 0] = 1, 2, 1, 3
         assert not oracles.transpose_closed(mat)
-        for rank in (n * n, 2**31):  # a rank above n**2 renumbers before the check
-            with pytest.raises(ValueError, match="not transpose-closed"):
-                refine_step(mat, rank)
+        for rank in (n * n, 2**31):
+            assert_same_round(mat, rank)
 
 
 class TestInitialColoring:
