@@ -6,10 +6,13 @@ Each record is one function on one graph: the minimum and the median
 CPU time (time.process_time, all threads of the process) over --repeats
 calls, the number of refinement rounds (refine_step and refine_row calls)
 of one call, the closure's n and rank, and the CPU count, BLAS thread
-count and git revision the numbers were taken with.  Member labels are
-permuted by a fixed seed.  BLAS runs on one thread: process_time counts every thread,
-and idle OpenBLAS workers spin for a while after a matrix product, which
-would be charged to whichever layer is timed next.
+count, git revision and tree digest the numbers were taken with.  The
+tree digest (tree_digest) names the measured source where git cannot: a
+`git archive` copy has the revision `unknown`, and uncommitted work
+`<HEAD>-dirty`.  Member labels are permuted by a fixed seed.  BLAS runs
+on one thread: process_time counts every thread, and idle OpenBLAS
+workers spin for a while after a matrix product, which would be charged
+to whichever layer is timed next.
 
 - read_graph reads the ten graph files of the perfbench members-decompose
   deck (seed 1, written to a temporary directory).
@@ -51,6 +54,7 @@ order, as many times as the spread needs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -93,6 +97,15 @@ def git_revision(src: Path) -> str:
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return out.stdout.strip()
+
+
+def tree_digest(package: Path) -> str:
+    """SHA-256 of the package's *.py files, each its name, a NUL byte and
+    its bytes, in sorted name order."""
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def load_tree(src: Path) -> dict:
@@ -223,7 +236,7 @@ def record(mods, key, case, seconds: list) -> dict:
     rounds = (len(closure_rounds(mods, g)) if name == "refine_step"
               else count_rounds(mods["closure"], fn))
     return {
-        "revision": mods["revision"],
+        "revision": mods["revision"], "tree": mods["tree"],
         "cpu_count": len(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS, **fields,
         "n": closure.n if closure else None, "rank": closure.rank if closure else None,
         "function": name, "repeats": len(seconds), "seed": SEED,
@@ -241,7 +254,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    mods = dict(load_tree(args.src), revision=git_revision(args.src))
+    mods = load_tree(args.src)
+    mods.update(revision=git_revision(args.src),
+                tree=tree_digest(Path(mods["graphs"].__file__).parent))
     doc = {
         "what": "CPU ms (min and median of repeats) of read_graph on the members-decompose "
                 "deck files, refine_step over all rounds of a closure, closure_of_graph, "
@@ -250,6 +265,7 @@ def main(argv=None) -> int:
                 "(group_witness) and run_wreath_suite (verify wreath 14, seed 1), with "
                 "BLAS on one thread; rounds are refine_step and refine_row calls per call",
         "command": f"python3 benchmarks/layer_times.py --src DIR --repeats {args.repeats}",
+        "tree": mods["tree"],
         "python": platform.python_version(),
         "numpy": sys.modules["numpy"].__version__,
         "records": measure(mods, args.repeats),

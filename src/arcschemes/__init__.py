@@ -10,7 +10,6 @@ association scheme.
 from .arcs import (
     ArcFunction,
     ReducedArcFunction,
-    check_neighborhood_condition,
     intersection_graph,
     reduce,
     standard_model,
@@ -31,12 +30,10 @@ from .graphs import (
     Graph,
     complete,
     cycle,
-    edge_level_partition,
     elementary_caw,
     empty_graph,
     from_edges,
     lex_product,
-    quotient_graph,
     twin_relation,
 )
 from .schemes import (
@@ -44,8 +41,6 @@ from .schemes import (
     VerifyReport,
     dihedral_scheme,
     is_association,
-    is_fusion_of,
-    rank2_scheme,
     verify,
 )
 
@@ -60,14 +55,12 @@ __all__ = [
     "GroupWitness",
     "ReducedArcFunction",
     "VerifyReport",
-    "check_neighborhood_condition",
     "closure_of_graph",
     "coherent_closure",
     "complete",
     "cycle",
     "decompose_caw",
     "dihedral_scheme",
-    "edge_level_partition",
     "elementary_caw",
     "empty_graph",
     "from_edges",
@@ -75,12 +68,9 @@ __all__ = [
     "intersection_graph",
     "is_association",
     "is_elementary_caw",
-    "is_fusion_of",
     "lex_product",
     "predicted_aut_order",
     "predicted_scheme",
-    "quotient_graph",
-    "rank2_scheme",
     "reduce",
     "standard_model",
     "twin_relation",

@@ -2,13 +2,14 @@
 
 Subcommands: gen (graph generators), closure (scheme of a graph),
 decompose (certificate for the characterized class), arcs (arc-model
-operations) and verify (sweep suites).  Exit codes are a stable contract:
-0 for success or a certificate, 1 for a negative mathematical result,
-2 for input or usage errors.  A command returns 0 or 1 and raises on
-error; main alone turns an exception into an exit code, by its type:
-arcs.NeighborhoodConditionError (a model whose graph has no edge or
-violates condition (3.1): reduce does not apply) gives 1, and any other
-OSError or ValueError gives 2.
+operations) and verify (sweep suites).  --limit alone sets the size limit
+of gen, closure, decompose and arcs; verify takes its own bound.  Exit
+codes are a stable contract: 0 for success or a certificate, 1 for a
+negative mathematical result, 2 for input or usage errors.  A command
+returns 0 or 1 and raises on error; main alone turns an exception into an
+exit code, by its type: arcs.NeighborhoodConditionError (a model whose
+graph has no edge or violates condition (3.1): reduce does not apply)
+gives 1, and any other OSError or ValueError gives 2.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -31,38 +31,24 @@ from .graphs import (
     graph_to_text,
     lex_product,
     read_graph,
-    VertexLimitError,
 )
 from .schemes import ISO, CoherentConfiguration, is_association, scheme_to_text
 
 DEFAULT_CLOSURE_LIMIT = 200
 
-
-def _limit(args) -> int:
-    """The size limit of a command: --limit, then CAW_LIMIT, then
-    DEFAULT_CLOSURE_LIMIT.  verify takes none: its bound is its own."""
-    if args.limit is not None:
-        return args.limit
-    env = os.environ.get("CAW_LIMIT")
-    if env is None:
-        return DEFAULT_CLOSURE_LIMIT
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"invalid CAW_LIMIT value {env!r}") from None
-
-
-_GENERATORS = {  # family: (parameter count, builder); the first parameter is the vertex count
-    "cnk": (2, elementary_caw),
-    "cycle": (1, cycle),
-    "complete": (1, complete),
-    "empty": (1, empty_graph),
-    "mkn": (2, None),  # mkn:M:N is lex empty:M complete:N
+_GENERATORS = {  # family: (parameters, builder); the first parameter is the vertex count
+    "cnk": ("N K", elementary_caw),
+    "cycle": ("N", cycle),
+    "complete": ("N", complete),
+    "empty": ("N", empty_graph),
 }
+_GEN_USAGE = ("usage: gen {"
+              + " | ".join(f"{family} {params}" for family, (params, _) in _GENERATORS.items())
+              + " | lex SPEC SPEC}")
 
 
 def _parse_gen_spec(spec: str):
-    """Family spec strings like cnk:7:2, cycle:5, complete:3, empty:4, mkn:3:2.
+    """Family spec strings like cnk:7:2, cycle:5, complete:3, empty:4.
     Returns the vertex count and a function that builds the graph, so the
     count can be checked before anything is built."""
     family, *args = spec.split(":")
@@ -70,22 +56,11 @@ def _parse_gen_spec(spec: str):
         nums = [int(x) for x in args]
     except ValueError:
         raise ValueError(f"non-integer parameter in spec {spec!r}") from None
-    if family not in _GENERATORS or len(nums) != _GENERATORS[family][0]:
+    if family not in _GENERATORS or len(nums) != len(_GENERATORS[family][0].split()):
         raise ValueError(f"unknown generator spec {spec!r}")
     if min(nums) < 0:
         raise ValueError(f"negative parameter in spec {spec!r}")
-    if family == "mkn":
-        m, n = nums
-        return _product((m, lambda: empty_graph(m)), (n, lambda: complete(n)))
     return nums[0], lambda: _GENERATORS[family][1](*nums)
-
-
-def _product(outer, inner):
-    """The lexicographic product of two (vertex count, build) pairs.  Both
-    factors are built too, so an empty factor must not hide a large one."""
-    (n_outer, build_outer), (n_inner, build_inner) = outer, inner
-    return (max(n_outer, n_inner, n_outer * n_inner),
-            lambda: lex_product(build_outer(), build_inner()))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -122,33 +97,30 @@ def _render_table(rows: list[dict]) -> str:
 
 
 def cmd_gen(args) -> int:
-    limit = _limit(args)
     try:
         if args.family == "lex":
             if len(args.params) != 2:
                 raise ValueError("lex takes two generator specs, e.g. cnk:5:1 complete:2")
-            n, build = _product(*map(_parse_gen_spec, args.params))
+            (n_outer, outer), (n_inner, inner) = map(_parse_gen_spec, args.params)
+            # both factors are built too, so an empty factor must not hide a large one
+            n, build = (max(n_outer, n_inner, n_outer * n_inner),
+                        lambda: lex_product(outer(), inner()))
         else:
             n, build = _parse_gen_spec(":".join([args.family] + args.params))
-        if n > limit:
-            raise VertexLimitError(n, limit)
-        g = build()
-    except VertexLimitError:
-        raise  # a valid spec over the limit needs no usage line
     except ValueError as exc:
-        raise ValueError(
-            f"{exc}\nusage: gen {{cnk N K | cycle N | complete N | mkn M N | lex SPEC SPEC}}"
-        ) from None
+        raise ValueError(f"{exc}\n{_GEN_USAGE}") from None
+    if n > args.limit:  # a valid spec over the limit needs no usage line
+        raise ValueError(f"graph has {n} vertices, limit is {args.limit}")
+    try:
+        g = build()
+    except ValueError as exc:  # parameters the family rejects, such as cnk 4 2
+        raise ValueError(f"{exc}\n{_GEN_USAGE}") from None
     _emit(graph_to_text(g), args.output)
     return 0
 
 
 def cmd_closure(args) -> int:
-    limit = _limit(args)
-    try:
-        g = read_graph(args.graph, max_vertices=limit)  # checked before the graph is built
-    except VertexLimitError as exc:
-        raise ValueError(f"graph has {exc.n} vertices, closure limit is {limit}") from None
+    g = read_graph(args.graph, max_vertices=args.limit)  # checked before the graph is built
     start = time.perf_counter()
     # a member's closure is its certificate's, a non-member's the full one
     cc = decompose_caw(g).scheme
@@ -161,7 +133,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = read_graph(args.graph, max_vertices=_limit(args))
+    g = read_graph(args.graph, max_vertices=args.limit)
     start = time.perf_counter()
     outcome = decompose_caw(g)
     report = _scheme_summary(args.graph, outcome.scheme)
@@ -190,10 +162,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_arcs(args) -> int:
-    limit = _limit(args)
     model = arcmod.read_model(args.model)
-    if model.n_vertices > limit:
-        raise ValueError(f"model has {model.n_vertices} arcs, limit is {limit}")
+    if model.n_vertices > args.limit:
+        raise ValueError(f"model has {model.n_vertices} arcs, limit is {args.limit}")
 
     if args.action == "check":
         def rows_for(labels, failures, prefix=""):
@@ -220,21 +191,20 @@ def cmd_arcs(args) -> int:
     return 0
 
 
-# verify's bound when none is given (--limit and CAW_LIMIT do not set it);
+# verify's bound when none is given (--limit does not set it);
 # all stays at 12, where perfbench's verify-sweep workload expects
 # aut_cases(min(bound, 12)) rows (see suites.run)
 _VERIFY_BOUNDS = {"dihedral": 30, "wreath": 24, "aut": 30, "all": 12}
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     bound = args.bound if args.bound is not None else _VERIFY_BOUNDS[args.suite]
     if bound < 2:
         raise ValueError(f"verify bound must be at least 2, got {bound}")
     if bound > DEFAULT_CLOSURE_LIMIT:  # checked before any case is listed
         raise ValueError(f"verify bound must be at most {DEFAULT_CLOSURE_LIMIT}, got {bound}")
     start = time.perf_counter()
-    tables = suites.run(args.suite, bound, seed=seed)
+    tables = suites.run(args.suite, bound, seed=args.seed)
     elapsed = (time.perf_counter() - start) * 1000
     ok_all = True
     if args.format == "machine":
@@ -267,13 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     parser.add_argument("--no-timing", action="store_true",
                         help="omit timing fields (for golden-file comparisons)")
-    parser.add_argument("--limit", type=int, default=None,
-                        help="size limit override (default from CAW_LIMIT or built-in)")
-    parser.add_argument("--seed", type=int, default=None, help="seed for random sweeps")
+    parser.add_argument("--limit", type=int, default=DEFAULT_CLOSURE_LIMIT,
+                        help="size limit of gen, closure, decompose and arcs "
+                             "(default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph file")
-    p.add_argument("family", choices=("cnk", "cycle", "complete", "mkn", "lex"))
+    p.add_argument("family", choices=(*_GENERATORS, "lex"))
     p.add_argument("params", nargs="*", help="family parameters")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_gen)

@@ -278,18 +278,10 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-class VertexLimitError(ValueError):
-    """A graph file declares more vertices than the caller allows."""
-
-    def __init__(self, n: int, limit: int):
-        super().__init__(f"graph has {n} vertices, limit is {limit}")
-        self.n = n
-
-
 def graph_from_text(text: str, max_vertices: int | None = None) -> Graph:
     """Parse a graph file.  One declaring more than max_vertices vertices
-    raises VertexLimitError before its edges are checked or the graph is
-    built, so up to then memory grows with the file's length only.
+    raises ValueError before its edges are checked or the graph is built,
+    so up to then memory grows with the file's length only.
 
     Each line is split once; the integers are converted in one numpy call
     (int() semantics) and the edges are checked on arrays.  A file that
@@ -315,7 +307,7 @@ def graph_from_text(text: str, max_vertices: int | None = None) -> Graph:
     if len(edges) != e:
         raise ValueError(f"header declares {e} edges but file has {len(edges)}")
     if max_vertices is not None and n > max_vertices:
-        raise VertexLimitError(n, max_vertices)
+        raise ValueError(f"graph has {n} vertices, limit is {max_vertices}")
     bad = _first_bad_edge(n, edges)
     if bad is not None:
         raise ValueError(f"line {kept[bad[0] + 1] + 1}: {bad[1]}")

@@ -159,15 +159,6 @@ def is_association(cfg: CoherentConfiguration) -> bool:
     return len(cfg.diagonal_colors) == 1
 
 
-def rank2_scheme(n: int) -> CoherentConfiguration:
-    """Trivial scheme: diagonal plus its complement."""
-    if n < 2:
-        raise ValueError("rank-2 scheme needs n >= 2")
-    mat = np.ones((n, n), dtype=np.int64)
-    np.fill_diagonal(mat, 0)
-    return CoherentConfiguration(mat)
-
-
 def dihedral_scheme(n: int) -> CoherentConfiguration:
     """Orbit scheme of the dihedral group on Z_n: colors are circular distances.
 

@@ -19,15 +19,24 @@ import numpy as np
 
 from arcschemes.arcs import ArcFunction, check_neighborhood_condition, condition_failures
 from arcschemes.graphs import (
-    Graph, VertexLimitError, build_by_line, from_edges, int_records, twin_relation,
+    Graph, build_by_line, from_edges, int_records, twin_relation,
 )
-from arcschemes.schemes import ISO, NOT_ISO, VerifyReport
+from arcschemes.schemes import ISO, NOT_ISO, CoherentConfiguration, VerifyReport
 
 
 def circular_distance(i: int, j: int, n: int) -> int:
     """Distance between i and j on the n-cycle."""
     d = (j - i) % n
     return min(d, n - d)
+
+
+def rank2_scheme(n: int) -> CoherentConfiguration:
+    """Trivial scheme: diagonal plus its complement."""
+    if n < 2:
+        raise ValueError("rank-2 scheme needs n >= 2")
+    mat = np.ones((n, n), dtype=np.int64)
+    np.fill_diagonal(mat, 0)
+    return CoherentConfiguration(mat)
 
 
 def predicted_rank(m: int, k: int, r: int) -> int:
@@ -414,7 +423,7 @@ def graph_from_text_oracle(text: str, max_vertices: int | None = None) -> Graph:
     if len(edges) != e:
         raise ValueError(f"header declares {e} edges but file has {len(edges)}")
     if max_vertices is not None and n > max_vertices:
-        raise VertexLimitError(n, max_vertices)
+        raise ValueError(f"graph has {n} vertices, limit is {max_vertices}")
     return build_by_line(lineno, edges, lambda pairs: from_edges_oracle(n, pairs))
 
 

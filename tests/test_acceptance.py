@@ -41,7 +41,6 @@ from arcschemes.schemes import (
     CoherentConfiguration,
     dihedral_scheme,
     is_association,
-    rank2_scheme,
     verify,
 )
 from arcschemes.suites import run_dihedral_suite
@@ -89,7 +88,7 @@ def test_criterion_2_matching_case():
         if cc.rank != 3:
             failures.append(f"k={k}: rank {cc.rank} != 3")
         target = CoherentConfiguration(
-            oracles.wreath_product_oracle(rank2_scheme(2), rank2_scheme(k + 1)))
+            oracles.wreath_product_oracle(oracles.rank2_scheme(2), oracles.rank2_scheme(k + 1)))
         verdict = oracles.schemes_isomorphic(cc, target)
         if verdict.kind != "iso":
             failures.append(f"k={k}: oracle verdict {verdict.kind}")

@@ -1,6 +1,8 @@
 import json
 import random
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,9 @@ from arcschemes.graphs import (
 from arcschemes.schemes import CoherentConfiguration, dihedral_scheme, read_scheme
 
 import oracles
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+_USAGE = "usage: gen {cnk N K | cycle N | complete N | empty N | lex SPEC SPEC}\n"
 
 
 @pytest.fixture
@@ -51,12 +56,23 @@ class TestGen:
 
     def test_cnk_invalid(self, capsys):
         assert main(["gen", "cnk", "4", "2"]) == 2
-        assert "usage" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(_USAGE)
 
     def test_negative_parameter_is_usage_error(self, capsys):
-        assert main(["gen", "mkn", "-30", "-7"]) == 2
-        err = capsys.readouterr().err
-        assert "negative parameter in spec 'mkn:-30:-7'" in err and "usage" in err
+        assert main(["gen", "cnk", "-30", "-7"]) == 2
+        assert capsys.readouterr().err == (
+            "error: negative parameter in spec 'cnk:-30:-7'\n" + _USAGE)
+
+    def test_empty(self, capsys):
+        assert main(["gen", "empty", "4"]) == 0
+        assert capsys.readouterr().out == "4 0\n"
+
+    @pytest.mark.parametrize("family", ["cnk", "cycle", "complete", "empty"])
+    def test_usage_names_every_family(self, family, capsys):
+        # the parser's choices and the usage line come from one table
+        assert main(["gen", family]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown generator spec {family!r}\n" + _USAGE)
 
     def test_lex(self, capsys):
         assert main(["gen", "lex", "cnk:5:1", "complete:2"]) == 0
@@ -64,7 +80,8 @@ class TestGen:
         assert g == lex_product(cycle(5), complete(2))
 
     def test_mkn(self, capsys):
-        assert main(["gen", "mkn", "3", "2"]) == 0
+        # the graph mK_n, three disjoint edges
+        assert main(["gen", "lex", "empty:3", "complete:2"]) == 0
         g = graph_from_text(capsys.readouterr().out)
         assert g == lex_product(empty_graph(3), complete(2))
 
@@ -76,11 +93,11 @@ class TestGen:
 
     @pytest.mark.parametrize("env, argv, n, limit", [
         (None, ["gen", "cycle", "1000000"], 1000000, 200),
-        (None, ["gen", "mkn", "30", "7"], 210, 200),
+        (None, ["gen", "lex", "empty:30", "complete:7"], 210, 200),
         (None, ["gen", "lex", "cycle:50", "complete:5"], 250, 200),
         (None, ["gen", "lex", "cycle:1000000", "empty:0"], 1000000, 200),
         (None, ["--limit", "5", "gen", "cnk", "7", "2"], 7, 5),
-        ("5", ["gen", "cycle", "6"], 6, 5),
+        ("5", ["gen", "cycle", "300"], 300, 200),  # CAW_LIMIT is not read
     ], ids=["cycle", "mkn", "lex", "lex-empty-factor", "flag", "env"])
     def test_limit_checked_before_graph_is_built(self, env, argv, n, limit, capsys,
                                                  monkeypatch):
@@ -119,20 +136,18 @@ class TestClosure:
         assert "line 2" in capsys.readouterr().err
 
     def test_limit_via_env(self, c5_file, capsys, monkeypatch):
+        # --limit alone sets the size limit: CAW_LIMIT is not read
         monkeypatch.setenv("CAW_LIMIT", "3")
-        assert main(["closure", c5_file]) == 2
-        assert "limit" in capsys.readouterr().err
+        assert main(["--no-timing", "closure", c5_file]) == 0
+        assert capsys.readouterr().err == ""
 
-    def test_invalid_env_limit_exit_2(self, c5_file, capsys, monkeypatch):
+    def test_invalid_env_limit_is_not_read(self, c5_file, capsys, monkeypatch):
         monkeypatch.setenv("CAW_LIMIT", "abc")
-        assert main(["closure", c5_file]) == 2
-        assert "invalid CAW_LIMIT" in capsys.readouterr().err
+        assert main(["--no-timing", "closure", c5_file]) == 0
+        assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("command, message", [
-        ("closure", "closure limit is 200"), ("decompose", "limit is 200"),
-    ])
-    def test_limit_checked_before_graph_is_built(self, command, message, tmp_path,
-                                                 capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["closure", "decompose"])
+    def test_limit_checked_before_graph_is_built(self, command, tmp_path, capsys, monkeypatch):
         huge = tmp_path / "huge.graph"
         huge.write_text("2000000 0\n")
 
@@ -141,7 +156,7 @@ class TestClosure:
 
         monkeypatch.setattr("arcschemes.graphs.from_edges", refuse)
         assert main([command, str(huge)]) == 2
-        assert f"error: graph has 2000000 vertices, {message}\n" == capsys.readouterr().err
+        assert capsys.readouterr().err == "error: graph has 2000000 vertices, limit is 200\n"
 
     @pytest.mark.parametrize("command", ["closure", "decompose"])
     def test_edges_of_huge_graph_allocate_nothing_per_vertex(self, command, tmp_path, capsys):
@@ -195,8 +210,8 @@ class TestDecompose:
         assert doc["scheme-verdict"] == "iso"
         assert "timing-ms" not in doc
 
-    @pytest.mark.parametrize("flag, env", [([], None), (["--limit", "1000"], None), ([], "90")],
-                             ids=["default", "flag", "env"])
+    @pytest.mark.parametrize("flag, env", [([], None), (["--limit", "1000"], None), ([], "3")],
+                             ids=["default", "flag", "env"])  # CAW_LIMIT is not read
     def test_large_member_gets_iso_verdict(self, flag, env, tmp_path, capsys, monkeypatch):
         g = lex_product(elementary_caw(30, 3), complete(3))  # 90 points
         perm = list(range(g.n))
@@ -334,7 +349,6 @@ class TestVerify:
     def test_limit_leaves_default_bound(self, flag, env, capsys, monkeypatch):
         # the size cap is not verify's bound: the built-in bound holds, and
         # CAW_LIMIT is not read at all
-        monkeypatch.delenv("CAW_LIMIT", raising=False)
         if env is not None:
             monkeypatch.setenv("CAW_LIMIT", env)
         assert main(flag + ["--format", "machine", "--no-timing", "verify", "wreath"]) == 0
@@ -398,8 +412,7 @@ class TestVerify:
         assert all(r["status"] == "pass" and r["detail"].endswith(" iso=iso") for r in rows)
 
     @pytest.mark.parametrize("suite, bound", [("dihedral", 30), ("wreath", 24)])
-    def test_built_in_bounds(self, suite, bound, capsys, monkeypatch):
-        monkeypatch.delenv("CAW_LIMIT", raising=False)
+    def test_built_in_bounds(self, suite, bound, capsys):
         assert main(["--format", "machine", "--no-timing", "verify", suite]) == 0
         rows = json.loads(capsys.readouterr().out)[suite]
         runner = {"dihedral": suites.run_dihedral_suite, "wreath": suites.run_wreath_suite}
@@ -441,7 +454,6 @@ def test_unwritable_output_is_usage_error(argv, c5_file, tmp_path, capsys):
     assert err.startswith("error: ") and str(out) in err
 
 
-_USAGE = "usage: gen {cnk N K | cycle N | complete N | mkn M N | lex SPEC SPEC}\n"
 _NOT_UTF8 = b"\xff\xfe\n"
 _NOT_UTF8_ERR = "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
 _MISSING_ERR = "error: [Errno 2] No such file or directory: '{file}'\n"
@@ -456,7 +468,7 @@ _P4_MODEL = "5 4\n0 2\n1 2\n2 2\n3 2\n"  # violates (3.1): N(0) lies in {1} + N(
     (["decompose", "{file}"], _NOT_UTF8, None, 2, _NOT_UTF8_ERR),
     (["arcs", "{file}", "graph"], _NOT_UTF8, None, 2, _NOT_UTF8_ERR),
     (["--limit", "3", "closure", "{file}"], "5 0\n", None, 2,
-     "error: graph has 5 vertices, closure limit is 3\n"),
+     "error: graph has 5 vertices, limit is 3\n"),
     (["--limit", "3", "decompose", "{file}"], "5 0\n", None, 2,
      "error: graph has 5 vertices, limit is 3\n"),
     (["--limit", "2", "arcs", "{file}", "check"], _P4_MODEL, None, 2,
@@ -465,7 +477,8 @@ _P4_MODEL = "5 4\n0 2\n1 2\n2 2\n3 2\n"  # violates (3.1): N(0) lies in {1} + N(
      "error: model has 4 arcs, limit is 2\n"),
     (["--limit", "2", "arcs", "{file}", "reduce"], _P4_MODEL, None, 2,
      "error: model has 4 arcs, limit is 2\n"),
-    (["closure", "{file}"], "5 0\n", "abc", 2, "error: invalid CAW_LIMIT value 'abc'\n"),
+    # CAW_LIMIT is not read: an invalid value neither fails nor sets the limit
+    (["closure", "{file}"], "201 0\n", "abc", 2, "error: graph has 201 vertices, limit is 200\n"),
     (["arcs", "{file}", "reduce"], _P4_MODEL, None, 1,
      "error: condition (3.1) violated: neighborhood of 0 is contained "
      "in the closed neighborhood of 1\n"),
@@ -492,9 +505,7 @@ def test_error_exit_contract(argv, content, env, rc, err, tmp_path, capsys, monk
         path.write_text(content)
     elif content is not None:
         path.write_bytes(content)
-    if env is None:
-        monkeypatch.delenv("CAW_LIMIT", raising=False)
-    else:
+    if env is not None:
         monkeypatch.setenv("CAW_LIMIT", env)
     assert main(["--no-timing"] + [a.format(file=path) for a in argv]) == rc
     assert capsys.readouterr() == ("", err.replace("{file}", str(path)))
@@ -519,3 +530,32 @@ def test_timing_is_one_field_on_top_of_no_timing_output(argv, fmt, lex_file, cap
         assert head + "\n" == bare and last.startswith("timing-ms: ")
         value = float(last[len("timing-ms: "):])
     assert isinstance(value, float) and value >= 0
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argument lists of the README's Examples block, in order.  A
+    piped line `arcschemes A | arcschemes B /dev/stdin` runs as A writing
+    to a file and B reading it."""
+    block = README.read_text(encoding="utf-8").split("Examples:\n\n```sh\n", 1)[1]
+    runs = []
+    for line in block.split("```", 1)[0].splitlines():
+        commands = [shlex.split(part, comments=True) for part in line.split("|")]
+        assert all(argv[0] == "arcschemes" for argv in commands), line
+        if len(commands) == 2:
+            commands[0] += ["-o", "piped.graph"]
+            commands[1] = ["piped.graph" if a == "/dev/stdin" else a for a in commands[1]]
+        runs += [argv[1:] for argv in commands]
+    return runs
+
+
+def test_readme_usage_names_every_generator():
+    assert f"  {_USAGE.removeprefix('usage: ').rstrip()}  [-o FILE]\n" in README.read_text()
+
+
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
+    runs = _readme_examples()
+    assert len(runs) == 6
+    monkeypatch.chdir(tmp_path)
+    for argv in runs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -27,6 +27,5 @@ def test_cli_output_matches_golden(path, capsys, monkeypatch):
     prog, *argv = shlex.split(command.removeprefix("# "))
     assert prog == "arcschemes" and exit_line.startswith("# exit ")
     monkeypatch.chdir(GOLDEN)
-    monkeypatch.delenv("CAW_LIMIT", raising=False)
     assert main(argv) == int(exit_line.removeprefix("# exit "))
     assert capsys.readouterr().out == expected

@@ -15,7 +15,6 @@ from arcschemes.schemes import (
     dihedral_scheme,
     is_association,
     is_fusion_of,
-    rank2_scheme,
     scheme_from_text,
     scheme_to_text,
     verify,
@@ -30,13 +29,13 @@ def wreath(r, outer):
 @pytest.fixture(scope="module")
 def scheme_corpus():
     return [
-        rank2_scheme(2),
-        rank2_scheme(5),
+        oracles.rank2_scheme(2),
+        oracles.rank2_scheme(5),
         dihedral_scheme(4),
         dihedral_scheme(5),
         dihedral_scheme(6),
         dihedral_scheme(7),
-        wreath(2, rank2_scheme(3)),
+        wreath(2, oracles.rank2_scheme(3)),
         wreath(2, dihedral_scheme(5)),
         closure_of_graph(oracles.path(3)),
         closure_of_graph(oracles.star(3)),
@@ -45,7 +44,7 @@ def scheme_corpus():
 
 class TestVerify:
     def test_rank2_passes(self):
-        assert verify(rank2_scheme(3)).ok
+        assert verify(oracles.rank2_scheme(3)).ok
 
     def test_path_coloring_fails_with_witness(self):
         # "equal / edge / non-edge" on the 4-path is not coherent
@@ -139,7 +138,7 @@ class TestIntersectionNumbers:
             assert oracles.exhaustive_intersection_counts(d, 0, s, s) == {1}
 
     def test_rank2_value(self):
-        assert oracles.exhaustive_intersection_counts(rank2_scheme(6), 1, 1, 1) == {4}
+        assert oracles.exhaustive_intersection_counts(oracles.rank2_scheme(6), 1, 1, 1) == {4}
 
     def test_constant_over_all_representatives(self, scheme_corpus):
         for cfg in scheme_corpus:
@@ -182,20 +181,20 @@ class TestAssociation:
         assert not is_association(closure_of_graph(oracles.path(3)))
 
     def test_rank2(self):
-        assert is_association(rank2_scheme(4))
+        assert is_association(oracles.rank2_scheme(4))
 
 
 class TestConstructors:
     def test_rank2_small(self):
-        cfg = rank2_scheme(2)
+        cfg = oracles.rank2_scheme(2)
         assert cfg.rank == 2 and cfg.sizes == (2, 2)
 
     def test_rank2_sizes(self):
-        assert rank2_scheme(5).sizes == (5, 20)
+        assert oracles.rank2_scheme(5).sizes == (5, 20)
 
     def test_rank2_needs_two_points(self):
         with pytest.raises(ValueError):
-            rank2_scheme(1)
+            oracles.rank2_scheme(1)
 
     @pytest.mark.parametrize("n,rank", [(4, 3), (5, 3), (6, 4), (7, 4)])
     def test_dihedral_rank(self, n, rank):
@@ -213,12 +212,12 @@ class TestWreath:
     """characterize._lift, the package's one construction of rank2(r) wr X."""
 
     def test_rank3_on_six(self):
-        w = wreath(2, rank2_scheme(3))
+        w = wreath(2, oracles.rank2_scheme(3))
         assert w.n == 6 and w.rank == 3
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (4, 5)])
     def test_rank2_wreath_rank2(self, m, n):
-        assert wreath(m, rank2_scheme(n)).rank == 3
+        assert wreath(m, oracles.rank2_scheme(n)).rank == 3
 
     def test_rank2_wreath_dihedral(self):
         w = wreath(2, dihedral_scheme(5))
@@ -226,7 +225,7 @@ class TestWreath:
 
     def test_rank_formula_for_association_factors(self):
         # rank(rank2(r)) + rank(outer) - 1
-        for outer in (rank2_scheme(3), dihedral_scheme(5), dihedral_scheme(6)):
+        for outer in (oracles.rank2_scheme(3), dihedral_scheme(5), dihedral_scheme(6)):
             for r in range(2, 5):
                 assert wreath(r, outer).rank == 2 + outer.rank - 1
 
@@ -234,7 +233,7 @@ class TestWreath:
         # one point per fiber, and one fiber
         d = dihedral_scheme(5)
         assert wreath(1, d) == d
-        assert wreath(3, closure_of_graph(complete(1))) == rank2_scheme(3)
+        assert wreath(3, closure_of_graph(complete(1))) == oracles.rank2_scheme(3)
 
     def test_verified_for_corpus_products(self, scheme_corpus):
         for outer in scheme_corpus:
@@ -263,19 +262,19 @@ class TestFusion:
     def test_rank2_is_minimal(self, scheme_corpus):
         for cfg in scheme_corpus:
             if cfg.n >= 2:
-                assert is_fusion_of(rank2_scheme(cfg.n), cfg)
+                assert is_fusion_of(oracles.rank2_scheme(cfg.n), cfg)
 
     def test_reflexive(self, scheme_corpus):
         for cfg in scheme_corpus:
             assert is_fusion_of(cfg, cfg)
 
     def test_dihedral_not_fusion_of_rank2(self):
-        assert not is_fusion_of(dihedral_scheme(6), rank2_scheme(6))
-        assert is_fusion_of(rank2_scheme(6), dihedral_scheme(6))
+        assert not is_fusion_of(dihedral_scheme(6), oracles.rank2_scheme(6))
+        assert is_fusion_of(oracles.rank2_scheme(6), dihedral_scheme(6))
 
     def test_point_count_mismatch(self):
         with pytest.raises(ValueError):
-            is_fusion_of(rank2_scheme(3), rank2_scheme(4))
+            is_fusion_of(oracles.rank2_scheme(3), oracles.rank2_scheme(4))
 
 
 class TestIsomorphism:
@@ -293,10 +292,11 @@ class TestIsomorphism:
         assert verdict.witness is not None
 
     def test_rank_mismatch(self):
-        assert oracles.schemes_isomorphic(rank2_scheme(4), dihedral_scheme(4)).kind == NOT_ISO
+        verdict = oracles.schemes_isomorphic(oracles.rank2_scheme(4), dihedral_scheme(4))
+        assert verdict.kind == NOT_ISO
 
     def test_wreath_vs_closure_of_matching_complement(self):
-        w = wreath(2, rank2_scheme(3))
+        w = wreath(2, oracles.rank2_scheme(3))
         cc = closure_of_graph(elementary_caw(6, 2))
         assert oracles.schemes_isomorphic(w, cc).kind == ISO
 
@@ -358,7 +358,7 @@ class TestIO:
     def test_non_canonical_input_is_canonicalized(self):
         # swapped color ids on input; write-then-read is stable afterwards
         cfg = scheme_from_text("2 2\n1 0\n0 1\n")
-        assert cfg == rank2_scheme(2)
+        assert cfg == oracles.rank2_scheme(2)
         assert scheme_from_text(scheme_to_text(cfg)) == cfg
 
     def test_huge_color_value_costs_no_memory(self):
@@ -368,7 +368,7 @@ class TestIO:
         try:
             with pytest.raises(ValueError, match="header declares rank 1000000000"):
                 scheme_from_text("1 1000000000\n999999999\n")
-            assert CoherentConfiguration([[7, 2**62], [2**62, 7]]) == rank2_scheme(2)
+            assert CoherentConfiguration([[7, 2**62], [2**62, 7]]) == oracles.rank2_scheme(2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
