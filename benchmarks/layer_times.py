@@ -26,10 +26,11 @@ to whichever layer is timed next.
   scheme certificate is part of decompose_caw: it compares the
   quotient's closure with the outer scheme on m points before the lift.
 - circulant_closure closes C_{m,k} on one row of Z_m, for the quotients
-  of the members-decompose shapes and for C_{200,3} and C_{400,3}; a
-  tree without it has no such record.  decompose_caw also runs on
-  C_{200,3} and C_{400,3} (permuted, n = m), whose member check is that
-  closure.
+  of the members-decompose shapes, for C_{200,3} and C_{400,3}, and for
+  the quotients of the aut_cases(12) shapes with m > 1, where the fixed
+  cost of a row round shows; a tree without it has no such record.
+  decompose_caw also runs on C_{200,3} and C_{400,3} (permuted, n = m),
+  whose member check is that closure.
 - decompose_caw and the automorphism-order layer run on the shapes of
   the perfbench verify-sweep aut rows, aut_cases(12), plus C_{30,3}[K_3]
   (n = 90) and C_{100,3}[K_3] (n = 300).  The aut rows are tiny members,
@@ -187,7 +188,8 @@ def tree_cases(mods, decks) -> dict:
         cases[member_label(*shape)["graph"], "decompose_caw"] = (
             lambda g=g: char.decompose_caw(g), g, member_label(*shape))
     if hasattr(mods["closure"], "circulant_closure"):
-        for m, k in dict.fromkeys((m, k) for m, k, _ in list(MEMBERS) + LARGE_SHAPES if m > 1):
+        quotients = list(MEMBERS) + LARGE_SHAPES + aut_cases(12)
+        for m, k in dict.fromkeys((m, k) for m, k, _ in quotients if m > 1):
             g = graphs.elementary_caw(m, k)
             cases[f"C_{{{m},{k}}}", "circulant_closure"] = (
                 lambda row=g.adj[0]: mods["closure"].circulant_closure(row),

@@ -3,13 +3,14 @@
 Subcommands: gen (graph generators), closure (scheme of a graph),
 decompose (certificate for the characterized class), arcs (arc-model
 operations) and verify (sweep suites).  --limit alone sets the size limit
-of gen, closure, decompose and arcs; verify takes its own bound.  Exit
-codes are a stable contract: 0 for success or a certificate, 1 for a
-negative mathematical result, 2 for input or usage errors.  A command
-returns 0 or 1 and raises on error; main alone turns an exception into an
-exit code, by its type: arcs.NeighborhoodConditionError (a model whose
-graph has no edge or violates condition (3.1): reduce does not apply)
-gives 1, and any other OSError or ValueError gives 2.
+of gen, closure, decompose and arcs, and a negative one is a usage error;
+verify takes its own bound.  Exit codes are a stable contract: 0 for
+success or a certificate, 1 for a negative mathematical result, 2 for
+input or usage errors.  A command returns 0 or 1 and raises on error;
+main alone turns an exception into an exit code, by its type:
+arcs.NeighborhoodConditionError (a model whose graph has no edge or
+violates condition (3.1): reduce does not apply) gives 1, and any other
+OSError or ValueError gives 2.
 """
 
 from __future__ import annotations
@@ -56,8 +57,12 @@ def _parse_gen_spec(spec: str):
         nums = [int(x) for x in args]
     except ValueError:
         raise ValueError(f"non-integer parameter in spec {spec!r}") from None
-    if family not in _GENERATORS or len(nums) != len(_GENERATORS[family][0].split()):
+    if family not in _GENERATORS:
         raise ValueError(f"unknown generator spec {spec!r}")
+    params = _GENERATORS[family][0]
+    if len(nums) != len(params.split()):
+        raise ValueError(f"{family} takes {params}, got {len(nums)} parameter"
+                         + "s" * (len(nums) != 1))
     if min(nums) < 0:
         raise ValueError(f"negative parameter in spec {spec!r}")
     return nums[0], lambda: _GENERATORS[family][1](*nums)
@@ -238,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-timing", action="store_true",
                         help="omit timing fields (for golden-file comparisons)")
     parser.add_argument("--limit", type=int, default=DEFAULT_CLOSURE_LIMIT,
-                        help="size limit of gen, closure, decompose and arcs "
+                        help="size limit of gen, closure, decompose and arcs, at least 0 "
                              "(default: %(default)s)")
     parser.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,6 +281,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.limit < 0:  # before any file is read or graph is built
+            raise ValueError(f"--limit must be at least 0, got {args.limit}")
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

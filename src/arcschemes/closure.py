@@ -9,14 +9,10 @@ multiset of color pairs over all intermediate points, until a round
 splits nothing (the confirming round).  The stable partition is a
 coherent configuration in which every generator is a union of colors.
 
-circulant_closure closes a Cayley graph on Z_m (a circulant) on the row
-of its coloring at 0.  The rotation u -> u + 1 is an automorphism of the
-graph, so the initial coloring and every round are fixed by it, and each
-is the circulant of its row (kernels.refine_row); the closure is a Schur
-ring over Z_m (H. Wielandt, Finite Permutation Groups, 1964, ch. IV).
-Row 0 holds every color, so the row is numbered as the full matrix's
-row-major scan numbers it, and each round gives row 0 of the round
-refine_step would take on the m x m matrix, bit for bit.
+circulant_closure closes a Cayley graph on Z_m (a circulant) by rounds of
+kernels.refine_row on the row of its coloring at 0, exact as the kernels
+docstring says; the closure is a Schur ring over Z_m (H. Wielandt, Finite
+Permutation Groups, 1964, ch. IV).
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph
-from .kernels import first_appearance, refine_row, refine_step
+from .kernels import circulant_matrix, first_appearance, refine_row, refine_step
 from .schemes import CoherentConfiguration
 
 
@@ -63,10 +59,10 @@ def coherent_closure(n: int, relations) -> CoherentConfiguration:
 
 def circulant_closure(connection) -> np.ndarray:
     """Closure of the Cayley graph on Z_m whose arcs are u -> v for
-    connection[(v - u) mod m], read through bool, computed on one row (see
-    the module docstring).  Returns its m x m color matrix, the canonical
-    one: the colors of coherent_closure of the adjacency matrix, bit for
-    bit.  An empty or multi-dimensional connection raises ValueError."""
+    connection[(v - u) mod m], read through bool, computed on one row.
+    Returns its canonical m x m color matrix, the colors of coherent_closure
+    of the adjacency matrix bit for bit, as a read-only circulant_matrix
+    view.  An empty or multi-dimensional connection raises ValueError."""
     conn = np.asarray(connection, dtype=bool)
     if conn.ndim != 1 or conn.size < 1:
         raise ValueError(f"connection of shape {conn.shape}, expected (m,) with m >= 1")
@@ -75,8 +71,7 @@ def circulant_closure(connection) -> np.ndarray:
     # and v -> 0.  Any dense numbering will do, as each round renumbers the
     # row by first appearance, the last one included.
     _, row = np.unique((d != 0) * 4 + conn * 2 + conn[-d], return_inverse=True)
-    row = _stable(refine_row, row)
-    return row[(d[None, :] - d[:, None]) % conn.size]
+    return circulant_matrix(_stable(refine_row, row))
 
 
 def closure_of_graph(g: Graph) -> CoherentConfiguration:

@@ -71,8 +71,36 @@ class TestGen:
     def test_usage_names_every_family(self, family, capsys):
         # the parser's choices and the usage line come from one table
         assert main(["gen", family]) == 2
+        params = {"cnk": "N K", "cycle": "N", "complete": "N", "empty": "N"}[family]
         assert capsys.readouterr().err == (
-            f"error: unknown generator spec {family!r}\n" + _USAGE)
+            f"error: {family} takes {params}, got 0 parameters\n" + _USAGE)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lex", "cycle", "complete:2"], "cycle takes N, got 0 parameters"),
+        (["lex", "cnk:7", "complete:2"], "cnk takes N K, got 1 parameter"),
+        (["cnk", "7", "2", "1"], "cnk takes N K, got 3 parameters"),
+        (["lex", "cyc:5", "complete:2"], "unknown generator spec 'cyc:5'"),
+    ])
+    def test_wrong_parameter_count_names_the_family(self, argv, message, capsys):
+        assert main(["gen"] + argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n" + _USAGE
+
+    @pytest.mark.parametrize("argv", [["gen", "empty", "0"], ["gen", "cycle", "5"],
+                                      ["closure", "missing.graph"],
+                                      ["arcs", "missing.arcs", "check"]])
+    def test_negative_limit_is_usage_error(self, argv, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("graph built before --limit was checked")
+
+        # rejected before any file is read (a missing one would give its own
+        # error) or graph is built
+        monkeypatch.setattr("arcschemes.graphs.Graph.__init__", refuse)
+        assert main(["--limit", "-1"] + argv) == 2
+        assert capsys.readouterr() == ("", "error: --limit must be at least 0, got -1\n")
+
+    def test_zero_limit_admits_the_empty_graph(self, capsys):
+        assert main(["--limit", "0", "gen", "empty", "0"]) == 0
+        assert capsys.readouterr().out == "0 0\n"
 
     def test_lex(self, capsys):
         assert main(["gen", "lex", "cnk:5:1", "complete:2"]) == 0

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from arcschemes import kernels
-from arcschemes.closure import _initial_coloring, closure_of_graph
+from arcschemes.closure import _initial_coloring, circulant_closure, closure_of_graph
 from arcschemes.graphs import elementary_caw
 from arcschemes.kernels import first_appearance, refine_row, refine_step
 
@@ -151,6 +151,36 @@ def assert_row_rounds_match(conn):
         rank = new_rank
 
 
+class TestCirculantMatrix:
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint32])
+    def test_against_the_oracle(self, dtype):
+        rng = np.random.default_rng(40)
+        for m in range(1, 41):
+            row = rng.integers(0, 2 * m, size=2 * m).astype(dtype)
+            for part in (row[:m], row[::2]):  # contiguous, and a stride of two
+                mat = kernels.circulant_matrix(part)
+                assert mat.dtype == dtype and mat.shape == (m, m)
+                assert np.array_equal(mat, oracles.circulant_matrix(part))
+
+    def test_empty_row(self):
+        assert kernels.circulant_matrix(np.zeros(0, dtype=np.int64)).shape == (0, 0)
+        out, rank = refine_row([], 1)
+        assert out.shape == (0,) and rank == 0
+
+    def test_read_only(self):
+        mat = kernels.circulant_matrix(np.arange(5))
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 1] = 7
+
+    def test_closure_does_not_alias_the_caller_row(self):
+        conn = elementary_caw(12, 2).adj[0].copy()
+        closed = circulant_closure(conn)
+        assert not np.shares_memory(closed, conn)
+        with pytest.raises(ValueError, match="read-only"):
+            closed[0, 0] = 1
+        assert np.array_equal(conn, elementary_caw(12, 2).adj[0])
+
+
 class TestRefineRow:
     @pytest.mark.parametrize("m", range(1, 15))
     def test_every_symmetric_connection(self, m):
@@ -179,12 +209,14 @@ class TestRefineRow:
             assert np.array_equal(oracles.circulant_matrix(out), ref_out)
 
     def test_blocks_of_pairs(self, monkeypatch):
-        # a block of one pair signs the same as one block of all of them
-        row = _initial_coloring(30, [elementary_caw(30, 4).adj])[0]
-        whole = refine_row(row, 3)
+        # refine_step's blocks, which the row round shares: a block of one
+        # row signs the same as one block of all 30 rows
+        mat = _initial_coloring(30, [elementary_caw(30, 4).adj])
+        whole = refine_step(mat, 3)
         monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)
-        out = refine_row(row, 3)
+        out = refine_step(mat, 3)
         assert out[1] == whole[1] and np.array_equal(out[0], whole[0])
+        assert np.array_equal(refine_row(mat[0], 3)[0], whole[0][0])
 
     @pytest.mark.parametrize("bad", [-1, 3, 10**12])
     def test_color_outside_rank_raises(self, bad):
