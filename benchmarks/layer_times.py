@@ -4,8 +4,10 @@ and wreath layers.
 
 Each record is one function on one graph: the minimum and the median
 CPU time (time.process_time, all threads of the process) over --repeats
-calls, the number of refinement rounds (refine_step and refine_row calls)
-of one call, the closure's n and rank, and the CPU count, BLAS thread
+calls, the refinement rounds of one call (the refine_step and refine_row
+calls it makes through the closure module, as rounds_of observes them),
+the n and rank of decompose_caw(g).scheme (a member's closed on its
+quotient, as the CLI's closure does), and the CPU count, BLAS thread
 count, git revision and tree digest the numbers were taken with.  The
 tree digest (tree_digest) names the measured source where git cannot: a
 `git archive` copy has the revision `unknown`, and uncommitted work
@@ -16,11 +18,12 @@ to whichever layer is timed next.
 
 - read_graph reads the ten graph files of the perfbench members-decompose
   deck (seed 1, written to a temporary directory).
-- refine_step runs every round of a closure, each from the round's own
-  input, one after another: on the members-decompose shapes; on the
-  verify-sweep sizes, the aut_cases(12) members and C_{n,k} for
-  n = 13 .. 24; and on the 35 arc-model graphs of the arcs-nonmembers
-  deck (seed 1), whose rounds run at a rank of about n^2 / 2.
+- refine_step runs, through closure.refine_step, the rounds of
+  closure_of_graph(g) on their own inputs, one after another: on the
+  members-decompose shapes; on the verify-sweep sizes, the aut_cases(12)
+  members and C_{n,k} for n = 13 .. 24; and on the 35 arc-model graphs
+  of the arcs-nonmembers deck (seed 1), whose rounds run at a rank of
+  about n^2 / 2.
 - closure_of_graph and decompose_caw run on the ten shapes of the
   perfbench members-decompose workload (imported from its deck).  The
   scheme certificate is part of decompose_caw: it compares the
@@ -110,11 +113,11 @@ def tree_digest(package: Path) -> str:
 
 
 def load_tree(src: Path) -> dict:
-    """The graphs, kernels, closure, characterize and suites modules of the package in src."""
+    """The graphs, closure, characterize and suites modules of the package in src."""
     sys.path.insert(0, str(src))
     try:
         mods = {name: importlib.import_module(f"{PACKAGE}.{name}")
-                for name in ("graphs", "kernels", "closure", "characterize", "suites")}
+                for name in ("graphs", "closure", "characterize", "suites")}
     finally:
         sys.path.remove(str(src))
     where = Path(mods["graphs"].__file__).resolve()
@@ -131,32 +134,20 @@ def permuted_member(graphs, m: int, k: int, r: int):
     return graphs.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def count_rounds(closure_mod, fn) -> int:
-    """Refinement rounds (ROUNDS calls) made by one call of fn."""
+def rounds_of(closure_mod, fn) -> list:
+    """The arguments of every refinement round (ROUNDS call) that one call
+    of fn makes through closure_mod, in call order."""
     originals = {name: getattr(closure_mod, name) for name in ROUNDS
                  if hasattr(closure_mod, name)}
     calls = []
     for name, original in originals.items():
-        setattr(closure_mod, name, lambda *a, f=original: calls.append(None) or f(*a))
+        setattr(closure_mod, name, lambda *a, f=original: calls.append(a) or f(*a))
     try:
         fn()
     finally:
         for name, original in originals.items():
             setattr(closure_mod, name, original)
-    return len(calls)
-
-
-def closure_rounds(mods, g) -> list:
-    """The input (colors, rank) of every round of the closure of g."""
-    mat = mods["closure"]._initial_coloring(g.n, [g.adj])
-    rank = int(mat.max()) + 1
-    rounds = []
-    while True:
-        rounds.append((mat, rank))
-        mat, new_rank = mods["kernels"].refine_step(mat, rank)
-        if new_rank == rank:
-            return rounds
-        rank = new_rank
+    return calls
 
 
 def member_label(m: int, k: int, r: int) -> dict:
@@ -165,13 +156,13 @@ def member_label(m: int, k: int, r: int) -> dict:
 
 def tree_cases(mods, decks) -> dict:
     """(graph label, function) -> (zero-argument call, graph, label fields)."""
-    graphs, kernels, char = mods["graphs"], mods["kernels"], mods["characterize"]
+    graphs, closure, char = mods["graphs"], mods["closure"], mods["characterize"]
     cases = {}
 
     def kernel_case(label, g):
-        rounds = closure_rounds(mods, g)
+        rounds = rounds_of(closure, lambda: closure.closure_of_graph(g))
         cases[label["graph"], "refine_step"] = (
-            lambda: [kernels.refine_step(*args) for args in rounds], g, label)
+            lambda: [closure.refine_step(*args) for args in rounds], g, label)
 
     for i, path in enumerate(decks["members"]):
         label = dict(member_label(*MEMBERS[i]), file=path.name)
@@ -184,15 +175,15 @@ def tree_cases(mods, decks) -> dict:
     for shape in MEMBERS:
         g = permuted_member(graphs, *shape)
         cases[member_label(*shape)["graph"], "closure_of_graph"] = (
-            lambda g=g: mods["closure"].closure_of_graph(g), g, member_label(*shape))
+            lambda g=g: closure.closure_of_graph(g), g, member_label(*shape))
         cases[member_label(*shape)["graph"], "decompose_caw"] = (
             lambda g=g: char.decompose_caw(g), g, member_label(*shape))
-    if hasattr(mods["closure"], "circulant_closure"):
+    if hasattr(closure, "circulant_closure"):
         quotients = list(MEMBERS) + LARGE_SHAPES + aut_cases(12)
         for m, k in dict.fromkeys((m, k) for m, k, _ in quotients if m > 1):
             g = graphs.elementary_caw(m, k)
             cases[f"C_{{{m},{k}}}", "circulant_closure"] = (
-                lambda row=g.adj[0]: mods["closure"].circulant_closure(row),
+                lambda row=g.adj[0]: closure.circulant_closure(row),
                 g, {"graph": f"C_{{{m},{k}}}", "m": m, "k": k})
     for shape in LARGE_SHAPES:
         g = permuted_member(graphs, *shape)
@@ -234,16 +225,15 @@ def measure(mods: dict, repeats: int) -> list[dict]:
 
 def record(mods, key, case, seconds: list) -> dict:
     (_, name), (fn, g, fields) = key, case
-    closure = mods["closure"].closure_of_graph(g) if g is not None else None
-    rounds = (len(closure_rounds(mods, g)) if name == "refine_step"
-              else count_rounds(mods["closure"], fn))
+    scheme = mods["characterize"].decompose_caw(g).scheme if g is not None else None
     return {
         "revision": mods["revision"], "tree": mods["tree"],
         "cpu_count": len(os.sched_getaffinity(0)), "blas_threads": BLAS_THREADS, **fields,
-        "n": closure.n if closure else None, "rank": closure.rank if closure else None,
+        "n": scheme.n if scheme else None, "rank": scheme.rank if scheme else None,
         "function": name, "repeats": len(seconds), "seed": SEED,
         "cpu_ms": round(min(seconds) * 1000, 4),
-        "cpu_ms_median": round(statistics.median(seconds) * 1000, 4), "rounds": rounds,
+        "cpu_ms_median": round(statistics.median(seconds) * 1000, 4),
+        "rounds": len(rounds_of(mods["closure"], fn)),
     }
 
 

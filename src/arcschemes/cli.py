@@ -185,8 +185,10 @@ def cmd_arcs(args) -> int:
             rows.append(suites.row("condition (3.1)", check.ok,
                                    "" if check.ok else f"witness edge {check.witness}"))
             rows += rows_for(("(i)", "(ii)", "(iii)"), arcmod.reduction_failures(model), "reduced ")
-        sys.stdout.write(_render_table(rows))
-        return 0 if all(r["status"] == "pass" for r in rows) else 1
+        ok = all(r["status"] == "pass" for r in rows)
+        sys.stdout.write(json.dumps({"check": rows, "ok": ok}, sort_keys=True) + "\n"
+                         if args.format == "machine" else _render_table(rows))
+        return 0 if ok else 1
 
     if args.action == "graph":
         text = graph_to_text(arcmod.intersection_graph(model))

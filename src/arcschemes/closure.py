@@ -12,7 +12,8 @@ coherent configuration in which every generator is a union of colors.
 circulant_closure closes a Cayley graph on Z_m (a circulant) by rounds of
 kernels.refine_row on the row of its coloring at 0, exact as the kernels
 docstring says; the closure is a Schur ring over Z_m (H. Wielandt, Finite
-Permutation Groups, 1964, ch. IV).
+Permutation Groups, 1964, ch. IV).  Its initial row is numbered by
+kernels.first_appearance, like every initial coloring.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ def circulant_closure(connection) -> np.ndarray:
         raise ValueError(f"connection of shape {conn.shape}, expected (m,) with m >= 1")
     d = np.arange(conn.size)
     # the initial color of (0, v): against the diagonal, and the arcs 0 -> v
-    # and v -> 0.  Any dense numbering will do, as each round renumbers the
-    # row by first appearance, the last one included.
-    _, row = np.unique((d != 0) * 4 + conn * 2 + conn[-d], return_inverse=True)
+    # and v -> 0
+    row = first_appearance((d != 0) * 4 + conn * 2 + conn[-d])
     return circulant_matrix(_stable(refine_row, row))
 
 

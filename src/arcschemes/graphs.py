@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import first_appearance
+from .kernels import circulant_matrix, first_appearance
 
 
 class Graph:
@@ -125,10 +125,10 @@ def empty_graph(n: int) -> Graph:
 
 def circular_distances(m: int) -> np.ndarray:
     """The m x m matrix of circular distances min(d, m - d) on Z_m, where
-    d = (b - a) mod m for the labels a and b."""
+    d = (b - a) mod m for the labels a and b: circulant_matrix of the
+    distances from 0, copied, as its consumers run slower on a strided view."""
     d = np.arange(m)
-    row = np.minimum(d, m - d)  # the distances from 0
-    return row[(d[None, :] - d[:, None]) % m]
+    return circulant_matrix(np.minimum(d, m - d)).copy()
 
 
 def circulant(m: int, k: int) -> np.ndarray:

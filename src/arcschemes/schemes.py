@@ -206,7 +206,7 @@ def identity_verdict(
 
 def scheme_to_text(cfg: CoherentConfiguration) -> str:
     lines = [f"{cfg.n} {cfg.rank}"]
-    lines.extend(" ".join(str(int(c)) for c in row) for row in cfg.colors)
+    lines.extend(" ".join(map(str, row)) for row in cfg.colors.tolist())
     return "\n".join(lines) + "\n"
 
 

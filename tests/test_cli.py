@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -315,6 +316,26 @@ class TestArcs:
         path.write_text("4 3\n0 1\n1 2\n2 2\n")
         assert main(["arcs", str(path), "check"]) == 1
         assert "condition (2)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,rc,failed", [
+        ("7 7\n0 3\n1 3\n2 3\n3 3\n4 3\n5 3\n6 3\n", 0, []),
+        ("5 4\n0 2\n1 2\n2 2\n3 2\n", 1, ["condition (3.1)", "reduced (ii)", "reduced (iii)"]),
+        ("10 3\n0 2\n1 2\n2 2\n", 1, ["condition (1)"]),
+    ], ids=["pass", "condition-31", "condition-1"])
+    def test_check_machine_format_has_the_text_rows(self, text, rc, failed, tmp_path, capsys):
+        path = tmp_path / "model.arcs"
+        path.write_text(text)
+        assert main(["arcs", str(path), "check"]) == rc
+        lines = capsys.readouterr().out.splitlines()
+        assert main(["--format", "machine", "arcs", str(path), "check"]) == rc
+        out = capsys.readouterr().out
+        assert out.endswith("}\n") and out.count("\n") == 1
+        doc = json.loads(out)
+        assert sorted(doc) == ["check", "ok"] and doc["ok"] is (rc == 0)
+        # a text line is the case, padded, the status and the detail
+        parsed = [re.fullmatch(r"(.+?) +(pass|FAIL)  (.*)", line).groups() for line in lines]
+        assert [(r["case"], r["status"], r["detail"]) for r in doc["check"]] == parsed
+        assert [r["case"] for r in doc["check"] if r["status"] == "FAIL"] == failed
 
     def test_reduce_rejects_condition_31(self, tmp_path, capsys):
         path = tmp_path / "p4.arcs"

@@ -18,7 +18,7 @@ CASES = sorted(GOLDEN.glob("*.out"))
 
 
 def test_cases_present():
-    assert len(CASES) == 18
+    assert len(CASES) == 19
 
 
 @pytest.mark.parametrize("path", CASES, ids=[p.stem for p in CASES])

@@ -105,11 +105,14 @@ class TestElementary:
         assert all(g.degree(v) == 2 * k for v in range(n))
         assert twin_relation(g).tolist() == list(range(n))
 
-    @pytest.mark.parametrize("m", range(1, 10))
+    @pytest.mark.parametrize("m", range(41))
     def test_circular_distances_match_oracle(self, m):
         d = circular_distances(m)
         assert d.tolist() == [[oracles.circular_distance(a, b, m) for b in range(m)]
                               for a in range(m)]
+        # an array of its own, never the strided circulant_matrix view
+        assert d.dtype == np.int64 and d.shape == (m, m)
+        assert d.flags.c_contiguous and d.flags.owndata
 
 
 class TestLexProduct:
