@@ -6,7 +6,7 @@ Each record is one function on one graph: the minimum and the median
 CPU time (time.process_time, all threads of the process) over --repeats
 calls, the refinement rounds of one call (the refine_step and refine_row
 calls it makes through the closure module, as rounds_of observes them),
-the n and rank of decompose_caw(g).scheme (a member's closed on its
+the n and rank of decompose_caw(g).scheme (closed on the twin
 quotient, as the CLI's closure does), and the CPU count, BLAS thread
 count, git revision and tree digest the numbers were taken with.  The
 tree digest (tree_digest) names the measured source where git cannot: a
@@ -34,6 +34,9 @@ to whichever layer is timed next.
   cost of a row round shows; a tree without it has no such record.
   decompose_caw also runs on C_{200,3} and C_{400,3} (permuted, n = m),
   whose member check is that closure.
+- decompose_caw also runs on the 35 arc-model graphs of the
+  arcs-nonmembers deck (seed 1): non-members, closed on their twin
+  quotient colored by class size, most with no 2-WL round at all.
 - decompose_caw and the automorphism-order layer run on the shapes of
   the perfbench verify-sweep aut rows, aut_cases(12), plus C_{30,3}[K_3]
   (n = 90) and C_{100,3}[K_3] (n = 300).  The aut rows are tiny members,
@@ -171,7 +174,9 @@ def tree_cases(mods, decks) -> dict:
     for shape in list(MEMBERS) + SMALL_SHAPES:
         kernel_case(member_label(*shape), permuted_member(graphs, *shape))
     for n, m, edges in decks["arcs"]:
-        kernel_case({"graph": f"arcs n={n} m={m}"}, graphs.from_edges(n, edges))
+        g, label = graphs.from_edges(n, edges), {"graph": f"arcs n={n} m={m}"}
+        kernel_case(label, g)
+        cases[label["graph"], "decompose_caw"] = (lambda g=g: char.decompose_caw(g), g, label)
     for shape in MEMBERS:
         g = permuted_member(graphs, *shape)
         cases[member_label(*shape)["graph"], "closure_of_graph"] = (
@@ -253,7 +258,8 @@ def main(argv=None) -> int:
         "what": "CPU ms (min and median of repeats) of read_graph on the members-decompose "
                 "deck files, refine_step over all rounds of a closure, closure_of_graph, "
                 "circulant_closure, decompose_caw with its scheme-certificate check (also "
-                "on the aut shapes and C_{200,3}, C_{400,3}), the automorphism-order layer "
+                "on the aut shapes and C_{200,3}, C_{400,3}) and on the arcs-nonmembers "
+                "deck graphs, the automorphism-order layer "
                 "(group_witness) and run_wreath_suite (verify wreath 14, seed 1), with "
                 "BLAS on one thread; rounds are refine_step and refine_row calls per call",
         "command": f"python3 benchmarks/layer_times.py --src DIR --repeats {args.repeats}",

@@ -6,7 +6,10 @@ recovers such a product structure (or a named reason why none exists)
 and computes one closure.  A member's is that of its twin quotient
 C_{m,k}, closed on one row of Z_m (closure.circulant_closure), checked
 against the outer scheme X (_outer_colors) on the m points of Z_m, and
-lifted to rank2(r) wr X through the certificate's points.
+lifted to rank2(r) wr X through the certificate's points.  A
+non-member's is that of its twin quotient colored by class size, lifted
+through the twin labels: discrete when vertex refinement of the quotient
+separates every class, else closed by coherent_closure.
 predicted_aut_order evaluates the closed-form automorphism group order.
 """
 
@@ -17,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import closure
 from .closure import circulant_closure, closure_of_graph
 from .graphs import (
     Graph,
     circulant,
+    circular_distance_row,
     circular_distances,
     complete,
     edge_level_partition,
@@ -28,6 +33,7 @@ from .graphs import (
     quotient_graph,
     twin_relation,
 )
+from .kernels import _number
 from .schemes import CoherentConfiguration, identity_verdict, is_association, is_fusion_of
 
 OUTER_RANK2 = "RANK2"
@@ -178,11 +184,11 @@ def is_elementary_caw(g: Graph):
     return (n, k, tuple(labels))
 
 
-def _recognize(g: Graph):
+def _recognize(g: Graph, labels: np.ndarray):
     """(certificate, None) for a member of the class, else (None, the first
-    recognition stage that fails).  The assembled map onto C_{m,k}[K_r]
-    is verified edge-exactly before a certificate is made."""
-    labels = twin_relation(g)
+    recognition stage that fails), given g's twin labels (twin_relation).
+    The assembled map onto C_{m,k}[K_r] is verified edge-exactly before a
+    certificate is made."""
     sizes = np.bincount(labels)
     if g.n == 0 or (sizes != sizes[0]).any():  # closure_of_graph rejects n = 0
         return None, STAGE_UNEQUAL_TWIN_CLASSES
@@ -214,18 +220,19 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     The graph must have an association scheme, its twin classes a common
     size r, and its twin quotient must be elementary; a failure is
     reported at the first of these stages that fails.  Recognition comes
-    first, as it needs no closure.  A non-member then gets the full
-    closure, and non-association is reported before any recognition
-    stage.  A member closes its twin quotient Q, which is C_{m,k} in
-    position order, on one row of Z_m (circulant_closure), to stability:
-    its last round splits nothing, so C_Q is Q's closure whatever X is.
-    One m x m comparison of canonical color matrices checks C_Q against
-    X = _outer_colors(m, k, r); a mismatch is a library bug or a
-    counterexample to the theorem: AssertionError, and no certificate.
-    G's m * r points are never refined: its closure C is the lift L of
-    C_Q, rank2(r) wr C_Q pulled back through the positions a =
-    points // r.  For r = 1, L is C_Q pulled back through a, an
-    isomorphism from G onto Q, and a closure commutes with isomorphisms.
+    first, as it needs no closure, and shares the twin labels with the
+    non-member closure (_nonmember_closure); non-association is reported
+    before any recognition stage.  A member closes its twin quotient Q,
+    which is C_{m,k} in position order, on one row of Z_m
+    (circulant_closure), to stability: its last round splits nothing, so
+    C_Q is Q's closure whatever X is.  One m x m comparison of canonical
+    color matrices checks C_Q against X = _outer_colors(m, k, r); a
+    mismatch is a library bug or a counterexample to the theorem:
+    AssertionError, and no certificate.  G's m * r points are never
+    refined: its closure C is the lift L of C_Q, rank2(r) wr C_Q pulled
+    back through the positions a = points // r.  For r = 1, L is C_Q
+    pulled back through a, an isomorphism from G onto Q, and a closure
+    commutes with isomorphisms.
 
     Why C = L for r >= 2.  L is coherent and holds G's edges, so C is
     coarser than L.  The twins T are a union of C's colors: M =
@@ -239,20 +246,85 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     of C (they are D's) is the left diagonal of one of those.  So rank(C)
     >= rank(C_Q) + the diagonal colors of C_Q, which is rank(L): C = L.
     """
+    labels = twin_relation(g)
     # the edges of an association scheme are a union of basic relations, each
     # of constant valency, so an irregular graph has none: skip recognition
-    cert, stage = _recognize(g) if g.is_regular() else (None, STAGE_NON_ASSOCIATION)
+    cert, stage = _recognize(g, labels) if g.is_regular() else (None, STAGE_NON_ASSOCIATION)
     if cert is not None:
         m, k, r = cert.m, cert.k, cert.r
-        closed = circulant_closure(circulant(m, k)[0])
+        d = circular_distance_row(m)  # row 0 of circulant(m, k) is its connection
+        closed = circulant_closure((d <= k) & (d != 0))
         if not np.array_equal(closed, _outer_colors(m, k, r)):
             raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] "
                                  "differs from prediction")
         return DecomposeOutcome(cert, None, _lift(closed, np.array(cert.points) // r))
-    cc = closure_of_graph(g)
+    cc = _nonmember_closure(g, labels)
     if not is_association(cc):
         stage = STAGE_NON_ASSOCIATION
     return DecomposeOutcome(None, stage, cc)
+
+
+def _nonmember_closure(g: Graph, labels: np.ndarray) -> CoherentConfiguration:
+    """The closure C of g, from its twin labels: the closure C_Q of the twin
+    quotient Q, each class colored by its size (one diagonal relation per
+    size), lifted through labels by _lift.  C_Q is discrete, no 2-WL round
+    run, when vertex refinement of Q from the sizes ends discrete
+    (_vertex_refinement_discrete); else it is coherent_closure's.  An
+    empty g goes to closure_of_graph, which rejects it.
+
+    Why C is the lift L of C_Q.  L is coherent: a class's size is constant
+    on a diagonal color of C_Q, as the size relations are unions of its
+    colors.  L holds G's edges, so C is coarser than L.  The twins T are a
+    union of C's colors (see decompose_caw), so a class's size |T(u)| + 1
+    is read off u's diagonal color, and C is constant on X x Y for twin
+    classes X, Y.  C read at one point per class is a partition D of Q's
+    pairs.  The points w counted by an intersection number of C, for
+    colors outside T and the diagonal, fill whole classes of one size,
+    which the color of (u, w) names; so D's intersection numbers are C's
+    divided by that size, D is coherent, holds Q's edges and the size
+    relations, and is finer than C_Q.  rank(C) = rank(D) + the colors in
+    T, and each diagonal color of C on classes of size >= 2 is the left
+    diagonal of one of those; so rank(C) >= rank(C_Q) + the diagonal
+    colors of C_Q on classes of size >= 2, which is rank(L): C = L.
+
+    Why C_Q is discrete when vertex refinement is.  Q's edges and the size
+    relations are unions of C_Q's colors, so the fibers of C_Q (its
+    diagonal colors) are an equitable partition of Q that refines the
+    sizes: each point of a fiber X has as many Q-neighbors in a fiber Y.
+    Vertex refinement from the sizes ends in the coarsest such partition,
+    so the fibers refine it.  When it is discrete, every fiber is a point,
+    and every color of C_Q lies in one {x} x {y}.
+    """
+    if g.n == 0:
+        return closure_of_graph(g)
+    sizes = np.bincount(labels)
+    t = sizes.size
+    quot = quotient_graph(g, labels)
+    if _vertex_refinement_discrete(quot.adj, sizes):
+        closed = np.arange(t * t).reshape(t, t)
+    else:
+        sized = [np.diag(sizes == s) for s in np.unique(sizes)]
+        # through the closure module: every 2-WL closure goes through one binding
+        closed = closure.coherent_closure(t, [quot.adj] + sized).colors
+    return _lift(closed, labels)
+
+
+def _vertex_refinement_discrete(adj: np.ndarray, colors: np.ndarray) -> bool:
+    """Whether 1-dimensional refinement (color refinement) of the graph adj
+    from the vertex colors ends with every vertex in its own class.  A
+    round numbers the rows [color(v), color(w) + 1 where w ~ v, else 0],
+    each sorted after its first entry, by kernels._number, the numbering
+    of every 2-WL round.  A row holds its old color, so a round only
+    splits, and one that splits nothing is stable.  t^2 per round."""
+    t = len(colors)
+    count = len(np.unique(colors))
+    while count < t:
+        ids: dict[bytes, int] = {}
+        colors = _number(ids, [np.column_stack((colors, np.where(adj, colors + 1, 0)))])
+        if len(ids) == count:
+            return False
+        count = len(ids)
+    return True
 
 
 def _lift(outer: np.ndarray, a: np.ndarray) -> CoherentConfiguration:
@@ -433,8 +505,9 @@ def verify_wreath_theorem(inner_complete_size: int, outer: Graph) -> WreathTheor
     """Check, on one instance, that the scheme of outer[K_r] is a fusion of
     fis(K_r) wr fis(outer), and compare the two schemes for isomorphism.
 
-    Both closures come from plain refinement; the wreath product is _lift
-    of fis(outer), so every outer, association or not, checks the lift.
+    Both closures come from plain refinement (closure_of_graph, with no
+    twin quotient); the wreath product is _lift of fis(outer), so every
+    outer, association or not, checks the lift.
     The isomorphism is a theorem only when outer is twin-free and has an
     association scheme (iso_asserted reports whether that hypothesis
     holds); the iso verdict itself is always computed so counterexamples

@@ -123,12 +123,18 @@ def empty_graph(n: int) -> Graph:
     return from_edges(n, [])
 
 
+def circular_distance_row(m: int) -> np.ndarray:
+    """The circular distances min(d, m - d) from 0 to d = 0 .. m - 1 on Z_m."""
+    d = np.arange(m)
+    return np.minimum(d, m - d)
+
+
 def circular_distances(m: int) -> np.ndarray:
     """The m x m matrix of circular distances min(d, m - d) on Z_m, where
-    d = (b - a) mod m for the labels a and b: circulant_matrix of the
-    distances from 0, copied, as its consumers run slower on a strided view."""
-    d = np.arange(m)
-    return circulant_matrix(np.minimum(d, m - d)).copy()
+    d = (b - a) mod m for the labels a and b: circulant_matrix of
+    circular_distance_row, copied, as its consumers run slower on a strided
+    view."""
+    return circulant_matrix(circular_distance_row(m)).copy()
 
 
 def circulant(m: int, k: int) -> np.ndarray:

@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,9 @@ from arcschemes.characterize import (
 )
 import arcschemes.characterize as characterize_module
 import arcschemes.closure as closure_module
+import arcschemes.graphs as graphs_module
 import arcschemes.schemes as schemes_module
+from arcschemes.arcs import intersection_graph, reduction_failures
 from arcschemes.cli import main
 from arcschemes.closure import _initial_coloring, closure_of_graph
 from arcschemes.graphs import (
@@ -455,7 +460,7 @@ class TestRecognizeFirst:
     def test_non_association_reported_before_recognition(self, name, builder, stage):
         g = builder()
         assert not is_association(closure_of_graph(g)), name
-        assert _recognize(g) == (None, stage)
+        assert _recognize(g, twin_relation(g)) == (None, stage)
         out = decompose_caw(g)
         assert not out.ok and out.failure_stage == STAGE_NON_ASSOCIATION
         assert out.scheme == closure_of_graph(g)
@@ -471,20 +476,21 @@ class TestRecognizeFirst:
 
     def test_irregular_graph_skips_recognition(self, monkeypatch):
         # an irregular graph has no association scheme: the stage is the
-        # same as with recognition, and twin_relation is never called
+        # same as with recognition, and no recognition stage runs (the twin
+        # labels are computed for the non-member closure all the same)
         rng = random.Random(5)
         graphs = [oracles.path(4), oracles.star(3), from_edges(3, [(0, 1)])]
         graphs += [oracles.random_graph(rng, rng.randint(3, 12)) for _ in range(40)]
         irregular = [g for g in graphs if not g.is_regular()]
         assert len(irregular) > 30
-        twins = count_calls(monkeypatch, characterize_module, "twin_relation")
+        recognitions = count_calls(monkeypatch, characterize_module, "is_elementary_caw")
         for g in irregular:
             out = decompose_caw(g)
             assert not out.ok and out.failure_stage == STAGE_NON_ASSOCIATION
             assert out.scheme == closure_of_graph(g)
-        assert twins == []
+        assert recognitions == []
         decompose_caw(oracles.petersen())  # regular: recognition runs
-        assert len(twins) == 1
+        assert len(recognitions) == 1
 
     @pytest.mark.parametrize("m, r", [(1, 1), (1, 5), (6, 1), (4, 3), (9, 6)])
     def test_k0_member_needs_no_round(self, m, r, monkeypatch):
@@ -646,10 +652,93 @@ class TestRecognizeFirst:
         original = is_elementary_caw
         monkeypatch.setattr(characterize_module, "is_elementary_caw", swapped)
         g = permuted_member(m, k, r, seed=19)
-        assert _recognize(g) == (None, STAGE_RELABELING_FAILED)
+        assert _recognize(g, twin_relation(g)) == (None, STAGE_RELABELING_FAILED)
         out = decompose_caw(g)
         assert not out.ok and out.failure_stage == STAGE_RELABELING_FAILED
         assert out.scheme == closure_of_graph(g)
+
+
+class TestNonmemberClosure:
+    # a non-member is closed on its twin quotient colored by class size:
+    # discrete when vertex refinement of the quotient is, else by one
+    # coherent_closure, and lifted through the twin labels; the result is
+    # the plain closure byte for byte
+
+    @staticmethod
+    def blown_up(rng, n):
+        # a random graph, each vertex blown up by K_s with s in 1..3, permuted
+        outer = oracles.random_graph(rng, n)
+        a = np.repeat(np.arange(n), [rng.randint(1, 3) for _ in range(n)])
+        adj = outer.adj[np.ix_(a, a)] | (a[:, None] == a)
+        perm = np.array(rng.sample(range(a.size), a.size))
+        u, v = np.nonzero(np.triu(adj[np.ix_(perm, perm)], 1))
+        return from_edges(a.size, list(zip(u.tolist(), v.tolist())))
+
+    @staticmethod
+    def non_reduced_arc_graphs(rng, count):
+        graphs = []
+        while len(graphs) < count:
+            f = oracles.random_arc_function(rng, 14)
+            if reduction_failures(f):
+                graphs.append(intersection_graph(f))
+        return graphs
+
+    def closures_match(self, graphs, monkeypatch):
+        """Assert decompose_caw's scheme is the plain closure on every graph;
+        returns (discrete, fallback), the non-members closed each way."""
+        calls = count_calls(monkeypatch, closure_module, "coherent_closure")
+        discrete = fallback = 0
+        for g in graphs:
+            before = len(calls)
+            out = decompose_caw(g)
+            closures = len(calls) - before
+            assert out.scheme.colors.tobytes() == closure_of_graph(g).colors.tobytes(), g
+            if out.ok:  # a member, closed through its certificate
+                continue
+            assert closures <= 1, g
+            discrete += closures == 0
+            fallback += closures == 1
+        return discrete, fallback
+
+    @pytest.mark.parametrize("corpus", ["blown-up", "arc-models"])
+    def test_twin_quotient_closure_is_the_closure(self, corpus, monkeypatch):
+        rng = random.Random(26)
+        if corpus == "blown-up":
+            graphs = [self.blown_up(rng, rng.randint(1, 10)) for _ in range(200)]
+        else:
+            graphs = self.non_reduced_arc_graphs(rng, 200)
+        unequal = [g for g in graphs if np.unique(np.bincount(twin_relation(g))).size > 1]
+        assert len(unequal) >= 20
+        discrete, fallback = self.closures_match(graphs, monkeypatch)
+        assert discrete >= 20 and fallback >= 20, (discrete, fallback)
+
+    def test_arcs_nonmembers_deck(self, tmp_path, monkeypatch):
+        # the benchmark's arc-model graphs (n = 30 .. 64) of seeds 1 and 2
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        graphs = [from_edges(q.n, sorted(q.data["edges"]))
+                  for seed in (1, 2)
+                  for q in workloads.ArcsNonmembers().build(seed, tmp_path)]
+        assert len(graphs) == 70
+        discrete, _ = self.closures_match(graphs, monkeypatch)
+        assert discrete >= 60
+
+    def test_plain_closures_take_no_twin_quotient(self, monkeypatch):
+        # closure_of_graph and the wreath check stay plain 2-WL, so the wreath
+        # suite checks the lift against refinement, not against itself
+        calls = [count_calls(monkeypatch, module, name)
+                 for module, name in ((graphs_module, "quotient_graph"),
+                                      (characterize_module, "quotient_graph"),
+                                      (characterize_module, "_nonmember_closure"))]
+        rng = random.Random(4)
+        outers = [oracles.random_graph(rng, rng.randint(2, 7)) for _ in range(10)]
+        for outer in outers + [complete(3), cycle(5)]:
+            closure_of_graph(lex_product(outer, complete(2)))
+            verify_wreath_theorem(2, outer)
+        assert not any(calls)
 
 
 class TestWreathTheorem:
