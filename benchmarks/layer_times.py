@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""CPU time of the reader, kernel, closure, decompose, automorphism-order
-and wreath layers.
+"""CPU time of the text-format, kernel, closure, decompose,
+automorphism-order and wreath layers.
 
 Each record is one function on one graph: the minimum and the median
 CPU time (time.process_time, all threads of the process) over --repeats
@@ -18,6 +18,11 @@ to whichever layer is timed next.
 
 - read_graph reads the ten graph files of the perfbench members-decompose
   deck (seed 1, written to a temporary directory).
+- The arcs-nonmembers deck (seed 1) gives the other text-format records:
+  read_model reads its 35 arc-model files, graph_to_text writes their 35
+  graphs, and scheme_to_text dumps those graphs' closures
+  (decompose_caw(g).scheme, as the CLI's closure -o writes them) and the
+  closure of C_{400,3} (permuted), a dump of 160,000 colors.
 - refine_step runs, through closure.refine_step, the rounds of
   closure_of_graph(g) on their own inputs, one after another: on the
   members-decompose shapes; on the verify-sweep sizes, the aut_cases(12)
@@ -92,6 +97,7 @@ SMALL_SHAPES = aut_cases(12) + [(n, k, 1) for n in range(13, 25) for k in (1, 2,
 WREATH_BOUND = 14  # the wreath rows of `verify all 14`, the verify-sweep request
 # members past the CLI's default size limit, whose check closes a large C_{m,k}
 LARGE_SHAPES = [(200, 3, 1), (400, 3, 1)]
+DUMP_SHAPE = (400, 3, 1)  # the member whose closure scheme_to_text also dumps
 # the functions whose calls are refinement rounds, where a tree has them
 ROUNDS = ("refine_step", "refine_row")
 
@@ -116,11 +122,12 @@ def tree_digest(package: Path) -> str:
 
 
 def load_tree(src: Path) -> dict:
-    """The graphs, closure, characterize and suites modules of the package in src."""
+    """The graphs, arcs, schemes, closure, characterize and suites modules
+    of the package in src."""
     sys.path.insert(0, str(src))
     try:
         mods = {name: importlib.import_module(f"{PACKAGE}.{name}")
-                for name in ("graphs", "closure", "characterize", "suites")}
+                for name in ("graphs", "arcs", "schemes", "closure", "characterize", "suites")}
     finally:
         sys.path.remove(str(src))
     where = Path(mods["graphs"].__file__).resolve()
@@ -160,6 +167,7 @@ def member_label(m: int, k: int, r: int) -> dict:
 def tree_cases(mods, decks) -> dict:
     """(graph label, function) -> (zero-argument call, graph, label fields)."""
     graphs, closure, char = mods["graphs"], mods["closure"], mods["characterize"]
+    arcs, schemes = mods["arcs"], mods["schemes"]
     cases = {}
 
     def kernel_case(label, g):
@@ -173,10 +181,15 @@ def tree_cases(mods, decks) -> dict:
             lambda p=path: graphs.read_graph(p, 200), graphs.read_graph(path, 200), label)
     for shape in list(MEMBERS) + SMALL_SHAPES:
         kernel_case(member_label(*shape), permuted_member(graphs, *shape))
-    for n, m, edges in decks["arcs"]:
+    for n, m, edges, model in decks["arcs"]:
         g, label = graphs.from_edges(n, edges), {"graph": f"arcs n={n} m={m}"}
         kernel_case(label, g)
         cases[label["graph"], "decompose_caw"] = (lambda g=g: char.decompose_caw(g), g, label)
+        cases[label["graph"], "read_model"] = (
+            lambda p=model: arcs.read_model(p), g, dict(label, file=model.name))
+        cases[label["graph"], "graph_to_text"] = (lambda g=g: graphs.graph_to_text(g), g, label)
+        cases[label["graph"], "scheme_to_text"] = (
+            lambda s=char.decompose_caw(g).scheme: schemes.scheme_to_text(s), g, label)
     for shape in MEMBERS:
         g = permuted_member(graphs, *shape)
         cases[member_label(*shape)["graph"], "closure_of_graph"] = (
@@ -194,6 +207,10 @@ def tree_cases(mods, decks) -> dict:
         g = permuted_member(graphs, *shape)
         cases[member_label(*shape)["graph"], "decompose_caw"] = (
             lambda g=g: char.decompose_caw(g), g, member_label(*shape))
+    g = permuted_member(graphs, *DUMP_SHAPE)
+    cases[member_label(*DUMP_SHAPE)["graph"], "scheme_to_text"] = (
+        lambda s=char.decompose_caw(g).scheme: schemes.scheme_to_text(s), g,
+        member_label(*DUMP_SHAPE))
     for shape in AUT_SHAPES:
         g = permuted_member(graphs, *shape)
         outcome = char.decompose_caw(g)
@@ -209,15 +226,15 @@ def tree_cases(mods, decks) -> dict:
 
 def build_decks(workdir: Path) -> dict:
     """The members-decompose graph files and the arcs-nonmembers graphs
-    (n, m, sorted edges) of the perfbench decks, seed 1."""
+    (n, m, sorted edges, arc-model file) of the perfbench decks, seed 1."""
     members = [Path(q.data["path"]) for q in MembersDecompose().build(SEED, workdir)]
-    arcs = [(q.n, q.data["m"], sorted(q.data["edges"]))
+    arcs = [(q.n, q.data["m"], sorted(q.data["edges"]), Path(q.data["model"]))
             for q in ArcsNonmembers().build(SEED, workdir)]
     return {"members": members, "arcs": arcs}
 
 
 def measure(mods: dict, repeats: int) -> list[dict]:
-    with tempfile.TemporaryDirectory() as workdir:  # read_graph reads its files to the end
+    with tempfile.TemporaryDirectory() as workdir:  # the readers read their files to the end
         cases = tree_cases(mods, build_decks(Path(workdir)))
         times = {key: [] for key in cases}
         for _ in range(repeats):
@@ -256,7 +273,9 @@ def main(argv=None) -> int:
                 tree=tree_digest(Path(mods["graphs"].__file__).parent))
     doc = {
         "what": "CPU ms (min and median of repeats) of read_graph on the members-decompose "
-                "deck files, refine_step over all rounds of a closure, closure_of_graph, "
+                "deck files, read_model, graph_to_text and scheme_to_text on the "
+                "arcs-nonmembers deck (and scheme_to_text on C_{400,3}), refine_step "
+                "over all rounds of a closure, closure_of_graph, "
                 "circulant_closure, decompose_caw with its scheme-certificate check (also "
                 "on the aut shapes and C_{200,3}, C_{400,3}) and on the arcs-nonmembers "
                 "deck graphs, the automorphism-order layer "

@@ -22,11 +22,12 @@ most 2n x n.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, build_by_line, common_neighbors, int_records
+from .graphs import Graph, build_by_line, common_neighbors, int_pairs
 
 
 class ArcFunction:
@@ -249,19 +250,18 @@ def reduce(f: ArcFunction) -> ReducedArcFunction:
 
 
 def model_to_text(f: ArcFunction) -> str:
-    lines = [f"{f.m} {f.n_vertices}"]
-    lines.extend(f"{start} {size}" for start, size in f.arcs)
-    return "\n".join(lines) + "\n"
+    values = (f.m, f.n_vertices, *itertools.chain.from_iterable(f.arcs))
+    return ("%d %d\n" * (f.n_vertices + 1)) % values
 
 
 def model_from_text(text: str) -> ArcFunction:
-    records = list(int_records(text, "two integers", 2))
-    if not records:
+    kept, values = int_pairs(text)
+    if not len(kept):
         raise ValueError("empty arc-model file (missing 'm n' header)")
-    (lineno, (m, n)), rows = records[0], records[1:]
+    (m, n), rows = values[0].tolist(), values[1:].tolist()
     if len(rows) != n:
         raise ValueError(f"header declares {n} arcs but file has {len(rows)}")
-    return build_by_line(lineno, rows, lambda arcs: ArcFunction(m, arcs))
+    return build_by_line(kept[0], zip(kept[1:], rows), lambda arcs: ArcFunction(m, arcs))
 
 
 def read_model(path) -> ArcFunction:

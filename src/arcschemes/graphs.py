@@ -11,6 +11,8 @@ label per vertex, with classes numbered by their smallest vertex.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 from .kernels import circulant_matrix, first_appearance
@@ -88,17 +90,22 @@ def _first_bad_edge(n: int, uv: np.ndarray):
     that has an endpoint outside 0..n-1, is a loop, or repeats an earlier
     edge in either orientation, checked in that order; None if none does.
 
-    Exact for endpoints of any size: uv holds int64 or Python ints."""
-    if n > np.iinfo(np.int64).max:
+    Exact for endpoints of any size: uv holds int64 or Python ints.
+
+    An edge repeats when its key low * n + high matches an earlier edge's.
+    The key is one-to-one on edges inside 0..n-1; a match with an edge
+    outside (int64 wraps for large endpoints) flags only edges after one
+    that is already bad, so the first bad edge and its message stay."""
+    if n >= 1 << 31:  # keys of edges inside 0..n-1 would exceed int64
         uv = uv.astype(object)
     u, v = uv[:, 0], uv[:, 1]
     outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     loop = u == v
-    low, high = np.minimum(u, v), np.maximum(u, v)
-    # lexsort is stable, so each repeat sorts after the edges it repeats
-    order = np.lexsort((high, low))
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    # a stable sort puts each repeat after the edges it repeats
+    order = np.argsort(key, kind="stable")
     repeat = np.zeros(len(uv), dtype=bool)
-    repeat[order[1:]] = (low[order[1:]] == low[order[:-1]]) & (high[order[1:]] == high[order[:-1]])
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
     bad = outside | loop | repeat
     if not bad.any():
         return None
@@ -238,7 +245,8 @@ def edge_level_partition(g: Graph) -> dict[int, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # Text formats.  Graph files, arc models and scheme dumps are all a header
-# line and then records, one line of integers each, read by int_records.
+# line and then records, one line of integers each.  int_records lexes them
+# line by line; the two-integer formats read through int_pairs below.
 
 
 def int_records(text: str, what: str, width: int | None = None):
@@ -274,14 +282,75 @@ def build_by_line(lineno: int, rows, build):
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
-# Edge-list format: "n e" header, then e lines "u v".
+# Two-integer formats: graph files ("n e", then "u v") and arc models
+# ("m n", then "start size") share one lexer, int_pairs.
+
+# A plain text is ASCII digits, spaces and newlines only; mapping every digit
+# to b"0" leaves b"0 \n" and lets a bytes search find the long tokens
+_ZEROS = bytes.maketrans(b"123456789", b"0" * 9)
+
+
+def int_pairs(text: str):
+    """The records of a two-integer format: the line number of each line
+    that is neither blank nor a '#' comment, and an R x 2 array of their
+    integers, int64 or, where they do not fit, exact Python ints.
+
+    A plain text (ASCII digits, spaces and '\n' only, no token of 19 or
+    more digits) is read by one C call, np.loadtxt.  Any other text, and a
+    plain one whose rows are not all two wide, goes through _token_pairs,
+    which names the first malformed line or gives the exact ints (int()
+    semantics).  Both read the same records: a plain text holds nothing
+    that int() would read otherwise."""
+    values = _plain_table(text)
+    if values is not None and values.shape[1] == 2:
+        if len(values) == text.count("\n") + (not text.endswith("\n")):
+            return range(1, len(values) + 1), values  # no blank line
+        lines = text.split("\n")
+        return [i for i, line in enumerate(lines, start=1) if line.strip()], values
+    return _token_pairs(text)
+
+
+def _token_pairs(text: str):
+    """int_pairs of any text: each line is split once and the integers are
+    converted in one numpy call (int() semantics).  A text that numpy
+    cannot read as R x 2 int64 goes through int_records, which names the
+    first malformed line or returns the exact Python ints."""
+    tokens = [line.split() for line in text.splitlines()]
+    if "#" in text or not all(tokens):  # skip blank and comment lines
+        kept = [i for i, words in enumerate(tokens, start=1) if words and words[0][0] != "#"]
+        tokens = [tokens[i - 1] for i in kept]
+    else:
+        kept = range(1, len(tokens) + 1)
+    try:
+        values = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        values = None
+    if values is None or values.shape != (len(kept), 2):
+        rows = [row for _, row in int_records(text, "two integers", 2)]
+        values = np.array(rows, dtype=object).reshape(-1, 2)
+    return kept, values
+
+
+def _plain_table(text: str):
+    """The int64 table of a plain text with at least one token, by one C
+    call; None for any other text, or one whose rows differ in width."""
+    if not text.isascii():
+        return None
+    zeroed = text.encode("ascii").translate(_ZEROS)
+    # 19 digits can exceed int64, and numpy 1.x's loadtxt then parses the
+    # token as a float, with a DeprecationWarning: such a text is not plain
+    if zeroed.translate(None, b"0 \n") or b"0" not in zeroed or b"0" * 19 in zeroed:
+        return None
+    try:
+        return np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
+    except ValueError:
+        return None
 
 
 def graph_to_text(g: Graph) -> str:
-    edges = g.edges()
-    lines = [f"{g.n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
+    """The graph file: header "n e", then the edges u < v in row-major order."""
+    edges = np.argwhere(np.triu(g.adj))
+    return ("%d %d\n" * (len(edges) + 1)) % (g.n, len(edges), *edges.ravel().tolist())
 
 
 def graph_from_text(text: str, max_vertices: int | None = None) -> Graph:
@@ -289,38 +358,25 @@ def graph_from_text(text: str, max_vertices: int | None = None) -> Graph:
     raises ValueError before its edges are checked or the graph is built,
     so up to then memory grows with the file's length only.
 
-    Each line is split once; the integers are converted in one numpy call
-    (int() semantics) and the edges are checked on arrays.  A file that
-    numpy cannot read as n x 2 int64 goes through int_records, which names
-    the first malformed line or returns the exact Python ints."""
-    tokens = [line.split() for line in text.splitlines()]
-    if "#" in text or not all(tokens):  # skip blank and comment lines
-        kept = [i for i, words in enumerate(tokens) if words and words[0][0] != "#"]
-        tokens = [tokens[i] for i in kept]
-    else:
-        kept = range(len(tokens))
-    if not kept:
+    int_pairs reads the integers (a plain file by one C call), and the
+    edges are checked on arrays."""
+    kept, values = int_pairs(text)
+    if not len(kept):
         raise ValueError("empty graph file (missing 'n e' header)")
-    try:
-        values = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        values = None
-    if values is None or values.shape != (len(kept), 2):
-        values = np.array([row for _, row in int_records(text, "two integers", 2)], dtype=object)
     (n, e), edges = values[0].tolist(), values[1:]
     if n < 0 or e < 0:
-        raise ValueError(f"line {kept[0] + 1}: negative count in header")
+        raise ValueError(f"line {kept[0]}: negative count in header")
     if len(edges) != e:
         raise ValueError(f"header declares {e} edges but file has {len(edges)}")
     if max_vertices is not None and n > max_vertices:
         raise ValueError(f"graph has {n} vertices, limit is {max_vertices}")
     bad = _first_bad_edge(n, edges)
     if bad is not None:
-        raise ValueError(f"line {kept[bad[0] + 1] + 1}: {bad[1]}")
+        raise ValueError(f"line {kept[bad[0] + 1]}: {bad[1]}")
     try:
         return _graph_of_edges(n, edges)
     except ValueError as exc:  # numpy refuses an n x n matrix this large
-        raise ValueError(f"line {kept[-1] + 1}: {exc}") from None
+        raise ValueError(f"line {kept[-1]}: {exc}") from None
 
 
 def read_graph(path, max_vertices: int | None = None) -> Graph:

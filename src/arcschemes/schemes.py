@@ -205,9 +205,15 @@ def identity_verdict(
 
 
 def scheme_to_text(cfg: CoherentConfiguration) -> str:
-    lines = [f"{cfg.n} {cfg.rank}"]
-    lines.extend(" ".join(map(str, row)) for row in cfg.colors.tolist())
-    return "\n".join(lines) + "\n"
+    """The dump, formatted by one %d template per block of rows.  A block
+    holds at most 2^16 colors, so only its Python ints are alive at a time:
+    a dump of thousands of points needs little more memory than its text."""
+    n = cfg.n
+    step = max(1, (1 << 16) // n)
+    row = " ".join(["%d"] * n) + "\n"
+    blocks = [cfg.colors[i:i + step] for i in range(0, n, step)]
+    return "%d %d\n" % (n, cfg.rank) + "".join(
+        [(row * len(block)) % tuple(block.ravel().tolist()) for block in blocks])
 
 
 def scheme_from_text(text: str) -> CoherentConfiguration:

@@ -427,6 +427,41 @@ def graph_from_text_oracle(text: str, max_vertices: int | None = None) -> Graph:
     return build_by_line(lineno, edges, lambda pairs: from_edges_oracle(n, pairs))
 
 
+def graph_to_text_oracle(g: Graph) -> str:
+    """The graph file line by line: the header, then one f-string per edge."""
+    edges = g.edges()
+    lines = [f"{g.n} {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
+    return "\n".join(lines) + "\n"
+
+
+def model_to_text_oracle(f: ArcFunction) -> str:
+    """The arc-model file line by line."""
+    lines = [f"{f.m} {f.n_vertices}"]
+    lines.extend(f"{start} {size}" for start, size in f.arcs)
+    return "\n".join(lines) + "\n"
+
+
+def scheme_to_text_oracle(cfg: CoherentConfiguration) -> str:
+    """The scheme dump, one str() per color."""
+    lines = [f"{cfg.n} {cfg.rank}"]
+    lines.extend(" ".join(map(str, row)) for row in cfg.colors.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def model_from_text_oracle(text: str) -> ArcFunction:
+    """The arc-model reader line by line: int_records lexes every line
+    first, then the header count, then ArcFunction with the line of the
+    arc it was reading."""
+    records = list(int_records(text, "two integers", 2))
+    if not records:
+        raise ValueError("empty arc-model file (missing 'm n' header)")
+    (lineno, (m, n)), rows = records[0], records[1:]
+    if len(rows) != n:
+        raise ValueError(f"header declares {n} arcs but file has {len(rows)}")
+    return build_by_line(lineno, rows, lambda arcs: ArcFunction(m, arcs))
+
+
 def lex_product_oracle(outer: Graph, inner: Graph) -> Graph:
     """Lexicographic product edge by edge: (a, b) is a * inner.n + b, and
     (a, b) ~ (c, d) iff a ~ c, or a = c and b ~ d."""

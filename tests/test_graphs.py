@@ -448,3 +448,22 @@ class TestReaderParity:
                 oracles.from_edges_oracle(3, edges)
             with pytest.raises(ValueError, match="^an edge is a pair of vertices$"):
                 from_edges(3, edges)
+
+
+@pytest.mark.parametrize("n, edges", [
+    # (-1, 4) has the pair key -1 * 3 + 4 = 1 of (0, 1), and 2^62 * 3 + 2^62 + 1
+    # wraps in int64 to 1 as well
+    (3, [(-1, 4), (0, 1)]), (3, [(0, 1), (-1, 4)]), (3, [(0, 1), (4, -1), (1, 0)]),
+    (3, [(0, 1), (2**62, 2**62 + 1)]), (3, [(2**62 + 1, 2**62), (1, 0)]),
+    (2**31, [(0, 1), (2**31 - 1, 0), (1, 0)]), (2**31 + 5, [(2**31 + 4, 0), (0, 2**31 + 4)]),
+    # inside 0..2^33 - 1, int64 keys would make (0, 2^31 + 1) and (2^31, 2^31 + 1) equal
+    (2**33, [(0, 2**31 + 1), (2**31, 2**31 + 1), (5, 5)]),
+])
+def test_pair_keys_that_collide_keep_the_first_bad_edge(n, edges):
+    outcomes = []
+    for build in (from_edges, oracles.from_edges_oracle):
+        try:
+            outcomes.append(build(n, edges).adj.shape)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
