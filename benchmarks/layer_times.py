@@ -39,6 +39,11 @@ to whichever layer is timed next.
   cost of a row round shows; a tree without it has no such record.
   decompose_caw also runs on C_{200,3} and C_{400,3} (permuted, n = m),
   whose member check is that closure.
+- decompose_caw runs on three permuted members of 2000 points,
+  C_{1000,3}[K_2], C_{400,5}[K_5] and C_{2000,3}, where the n-point
+  costs of recognition (the twin labels, the quotient's edge level) and
+  of the report show.  The n and rank of their records come from the
+  lift, built outside the timing.
 - decompose_caw also runs on the 35 arc-model graphs of the
   arcs-nonmembers deck (seed 1): non-members, closed on their twin
   quotient colored by class size, most with no 2-WL round at all.
@@ -97,6 +102,9 @@ SMALL_SHAPES = aut_cases(12) + [(n, k, 1) for n in range(13, 25) for k in (1, 2,
 WREATH_BOUND = 14  # the wreath rows of `verify all 14`, the verify-sweep request
 # members past the CLI's default size limit, whose check closes a large C_{m,k}
 LARGE_SHAPES = [(200, 3, 1), (400, 3, 1)]
+# members of 2000 points, whose decompose_caw shows the n-point costs of
+# recognition and the report (twin labels, edge levels, the lift)
+SCALE_SHAPES = [(1000, 3, 2), (400, 5, 5), (2000, 3, 1)]
 DUMP_SHAPE = (400, 3, 1)  # the member whose closure scheme_to_text also dumps
 # the functions whose calls are refinement rounds, where a tree has them
 ROUNDS = ("refine_step", "refine_row")
@@ -203,7 +211,7 @@ def tree_cases(mods, decks) -> dict:
             cases[f"C_{{{m},{k}}}", "circulant_closure"] = (
                 lambda row=g.adj[0]: closure.circulant_closure(row),
                 g, {"graph": f"C_{{{m},{k}}}", "m": m, "k": k})
-    for shape in LARGE_SHAPES:
+    for shape in LARGE_SHAPES + SCALE_SHAPES:
         g = permuted_member(graphs, *shape)
         cases[member_label(*shape)["graph"], "decompose_caw"] = (
             lambda g=g: char.decompose_caw(g), g, member_label(*shape))
@@ -277,7 +285,8 @@ def main(argv=None) -> int:
                 "arcs-nonmembers deck (and scheme_to_text on C_{400,3}), refine_step "
                 "over all rounds of a closure, closure_of_graph, "
                 "circulant_closure, decompose_caw with its scheme-certificate check (also "
-                "on the aut shapes and C_{200,3}, C_{400,3}) and on the arcs-nonmembers "
+                "on the aut shapes, C_{200,3}, C_{400,3} and the 2000-point members "
+                "C_{1000,3}[K_2], C_{400,5}[K_5], C_{2000,3}) and on the arcs-nonmembers "
                 "deck graphs, the automorphism-order layer "
                 "(group_witness) and run_wreath_suite (verify wreath 14, seed 1), with "
                 "BLAS on one thread; rounds are refine_step and refine_row calls per call",

@@ -9,14 +9,16 @@ against the outer scheme X (_outer_colors) on the m points of Z_m, and
 lifted to rank2(r) wr X through the certificate's points.  A
 non-member's is that of its twin quotient colored by class size, lifted
 through the twin labels: discrete when vertex refinement of the quotient
-separates every class, else closed by coherent_closure.
+separates every class, else closed by coherent_closure.  The outcome
+holds the quotient's closure and builds the n x n lift when it is read.
 predicted_aut_order evaluates the closed-form automorphism group order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +29,8 @@ from .graphs import (
     circulant,
     circular_distance_row,
     circular_distances,
+    common_neighbors,
     complete,
-    edge_level_partition,
     lex_product,
     quotient_graph,
     twin_relation,
@@ -92,17 +94,66 @@ class Decomposition:
         return _outer_kind(self.m, self.k, self.r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class DecomposeOutcome:
-    """A certificate or the first failed stage, and the closure decided on."""
+    """A certificate or the first failed stage, and the closure decided on.
+
+    The closure C of the graph is held as the closure C_Q of its twin
+    quotient (quotient_colors: its canonical t x t color matrix) and the
+    point of C_Q under each vertex (positions: points // r for a member,
+    the twin labels for a non-member): C is their lift L =
+    _lift(quotient_colors, positions) (see decompose_caw and
+    _nonmember_closure).  The n x n
+    matrix is built only when scheme is first read; n, rank, association
+    and diagonal_count are read off C_Q by counting.
+
+    Why the counts are L's.  _lift gives the pair (u, v) at positions
+    (x, y) the color 3 C_Q(x, y) + t, with t = 0 on the diagonal, t = 1
+    for u != v in one fiber (then x = y) and t = 2 across fibers (then
+    x != y).  C_Q is a coherent configuration, so its diagonal colors D
+    and its off-diagonal colors are disjoint, and every position holds a
+    point.  So L's colors are 3c for each c in D, 3c + 1 for each c in D
+    on a position holding at least two points, and 3c + 2 for each
+    off-diagonal color c of C_Q, all distinct: rank(L) = rank(C_Q) + the
+    colors of D on positions of size >= 2.  L's diagonal colors are the
+    3c, one per color of D, and canonical numbering keeps both counts.
+    """
 
     certificate: Decomposition | None
     failure_stage: str | None
-    scheme: CoherentConfiguration
+    quotient_colors: np.ndarray
+    positions: np.ndarray
 
     @property
     def ok(self) -> bool:
         return self.certificate is not None
+
+    @cached_property
+    def scheme(self) -> CoherentConfiguration:
+        """The closure of the graph: the lift of quotient_colors, n x n,
+        built on first read."""
+        return _lift(self.quotient_colors, self.positions)
+
+    @property
+    def n(self) -> int:
+        return self.positions.size
+
+    @property
+    def rank(self) -> int:
+        """rank(C_Q) + the diagonal colors of C_Q on positions of size >= 2."""
+        diagonal = np.diagonal(self.quotient_colors)
+        shared = np.bincount(self.positions, minlength=diagonal.size) >= 2
+        return int(self.quotient_colors.max()) + 1 + np.unique(diagonal[shared]).size
+
+    @property
+    def diagonal_count(self) -> int:
+        """The number of diagonal colors, C_Q's."""
+        return np.unique(np.diagonal(self.quotient_colors)).size
+
+    @property
+    def association(self) -> bool:
+        """Whether the diagonal is a single color (schemes.is_association)."""
+        return self.diagonal_count == 1
 
 
 @dataclass(frozen=True)
@@ -136,9 +187,11 @@ def is_elementary_caw(g: Graph):
     Returns (n, k, labels) with labels[v] the recovered position on Z_n,
     or None.  Empty graphs are C_{n,0}; a 2k-regular graph on 2k+2
     vertices must be a complete graph minus a perfect matching; beyond
-    that the level of edges with exactly 2k-2 common neighbors must form
-    a single Hamiltonian cycle, which fixes the circular order; the walk
-    leaves vertex 0 towards its smaller-numbered cycle neighbor.  The
+    that the level of edges with exactly 2k-2 common neighbors, the one
+    edge level the walk reads (g.adj & (common_neighbors(g) == 2k - 2)),
+    must form a single Hamiltonian cycle, which fixes the circular order;
+    an empty level fails the degree check.  The walk leaves vertex 0
+    towards its smaller-numbered cycle neighbor.  The
     recovered labeling is always re-verified edge-exactly, so a wrong
     guess cannot escape.
     """
@@ -162,8 +215,8 @@ def is_elementary_caw(g: Graph):
         for i, v in enumerate(v for v in range(n) if v < partner[v]):
             labels[v], labels[partner[v]] = i, i + k + 1
     elif n > 2 * k + 2:
-        cyc = edge_level_partition(g).get(2 * k - 2)
-        if cyc is None or (cyc.sum(axis=1) != 2).any():
+        cyc = g.adj & (common_neighbors(g) == 2 * k - 2)
+        if (cyc.sum(axis=1) != 2).any():
             return None
         succ = np.nonzero(cyc)[1].reshape(n, 2).tolist()  # both cycle neighbors, ascending
         labels = [-1] * n
@@ -234,6 +287,12 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     pulled back through a, an isomorphism from G onto Q, and a closure
     commutes with isomorphisms.
 
+    The outcome keeps C_Q and the positions (the twin labels for a
+    non-member), and builds L only when its scheme is read; its n, rank
+    and diagonal colors are counted on C_Q (see DecomposeOutcome).  So
+    non-association, the diagonal of L not a single color, is read off
+    C_Q's diagonal, and L's n x n color matrix is not made here.
+
     Why C = L for r >= 2.  L is coherent and holds G's edges, so C is
     coarser than L.  The twins T are a union of C's colors: M =
     (A+I)(J-A-I) + (J-A-I)(A+I) is in the coherent algebra and M(u, v) =
@@ -257,20 +316,21 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
         if not np.array_equal(closed, _outer_colors(m, k, r)):
             raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] "
                                  "differs from prediction")
-        return DecomposeOutcome(cert, None, _lift(closed, np.array(cert.points) // r))
-    cc = _nonmember_closure(g, labels)
-    if not is_association(cc):
-        stage = STAGE_NON_ASSOCIATION
-    return DecomposeOutcome(None, stage, cc)
+        return DecomposeOutcome(cert, None, closed, np.array(cert.points) // r)
+    outcome = DecomposeOutcome(None, stage, _nonmember_closure(g, labels), labels)
+    if not outcome.association:
+        outcome = replace(outcome, failure_stage=STAGE_NON_ASSOCIATION)
+    return outcome
 
 
-def _nonmember_closure(g: Graph, labels: np.ndarray) -> CoherentConfiguration:
-    """The closure C of g, from its twin labels: the closure C_Q of the twin
-    quotient Q, each class colored by its size (one diagonal relation per
-    size), lifted through labels by _lift.  C_Q is discrete, no 2-WL round
-    run, when vertex refinement of Q from the sizes ends discrete
-    (_vertex_refinement_discrete); else it is coherent_closure's.  An
-    empty g goes to closure_of_graph, which rejects it.
+def _nonmember_closure(g: Graph, labels: np.ndarray) -> np.ndarray:
+    """The canonical color matrix of the closure C_Q of the twin quotient Q
+    of g, each class colored by its size (one diagonal relation per size),
+    from g's twin labels; the closure C of g is its lift through labels
+    by _lift.  C_Q is discrete, no 2-WL round run, when vertex refinement
+    of Q from the sizes ends discrete (_vertex_refinement_discrete); else
+    it is coherent_closure's.  An empty g goes to closure_of_graph, which
+    rejects it.
 
     Why C is the lift L of C_Q.  L is coherent: a class's size is constant
     on a diagonal color of C_Q, as the size relations are unions of its
@@ -296,17 +356,15 @@ def _nonmember_closure(g: Graph, labels: np.ndarray) -> CoherentConfiguration:
     and every color of C_Q lies in one {x} x {y}.
     """
     if g.n == 0:
-        return closure_of_graph(g)
+        return closure_of_graph(g).colors
     sizes = np.bincount(labels)
     t = sizes.size
     quot = quotient_graph(g, labels)
     if _vertex_refinement_discrete(quot.adj, sizes):
-        closed = np.arange(t * t).reshape(t, t)
-    else:
-        sized = [np.diag(sizes == s) for s in np.unique(sizes)]
-        # through the closure module: every 2-WL closure goes through one binding
-        closed = closure.coherent_closure(t, [quot.adj] + sized).colors
-    return _lift(closed, labels)
+        return np.arange(t * t).reshape(t, t)
+    sized = [np.diag(sizes == s) for s in np.unique(sizes)]
+    # through the closure module: every 2-WL closure goes through one binding
+    return closure.coherent_closure(t, [quot.adj] + sized).colors
 
 
 def _vertex_refinement_discrete(adj: np.ndarray, colors: np.ndarray) -> bool:
@@ -331,7 +389,8 @@ def _lift(outer: np.ndarray, a: np.ndarray) -> CoherentConfiguration:
     """rank2(r) wr outer (outer when r = 1), pulled back to points at
     positions a, r at each: a pair in one fiber is diagonal or not, tagged
     by its position's diagonal color; across fibers, the positions' color.
-    decompose_caw, predicted_scheme and verify_wreath_theorem all use it."""
+    DecomposeOutcome.scheme, predicted_scheme and verify_wreath_theorem all
+    use it."""
     same = a[:, None] == a
     return CoherentConfiguration(outer[np.ix_(a, a)] * 3 + 2 - same - np.eye(a.size, dtype=bool))
 

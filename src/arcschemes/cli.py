@@ -23,7 +23,7 @@ import time
 
 from . import arcs as arcmod
 from . import suites
-from .characterize import decompose_caw, predicted_aut_order
+from .characterize import DecomposeOutcome, decompose_caw, predicted_aut_order
 from .graphs import (
     complete,
     cycle,
@@ -33,7 +33,7 @@ from .graphs import (
     lex_product,
     read_graph,
 )
-from .schemes import ISO, CoherentConfiguration, is_association, scheme_to_text
+from .schemes import ISO, scheme_to_text
 
 DEFAULT_CLOSURE_LIMIT = 200
 
@@ -84,14 +84,15 @@ def _render_report(report: dict, fmt: str, timing_ms: float | None) -> str:
     return "".join(f"{key}: {value}\n" for key, value in report.items())
 
 
-def _scheme_summary(path: str, cc: CoherentConfiguration) -> dict:
-    """The summary keys closure and decompose reports open with."""
+def _scheme_summary(path: str, outcome: DecomposeOutcome) -> dict:
+    """The summary keys closure and decompose reports open with, counted on
+    the quotient's closure (DecomposeOutcome): no n x n matrix is built."""
     return {
         "input": path,
-        "n": cc.n,
-        "rank": cc.rank,
-        "association": is_association(cc),
-        "diagonal-colors": len(cc.diagonal_colors),
+        "n": outcome.n,
+        "rank": outcome.rank,
+        "association": outcome.association,
+        "diagonal-colors": outcome.diagonal_count,
     }
 
 
@@ -128,11 +129,11 @@ def cmd_closure(args) -> int:
     g = read_graph(args.graph, max_vertices=args.limit)  # checked before the graph is built
     start = time.perf_counter()
     # a member's closure is its certificate's, a non-member's the full one
-    cc = decompose_caw(g).scheme
+    outcome = decompose_caw(g)
     elapsed = (time.perf_counter() - start) * 1000
-    if args.output:
-        _emit(scheme_to_text(cc), args.output)
-    report = _scheme_summary(args.graph, cc)
+    if args.output:  # the dump alone needs the n x n lift
+        _emit(scheme_to_text(outcome.scheme), args.output)
+    report = _scheme_summary(args.graph, outcome)
     sys.stdout.write(_render_report(report, args.format, None if args.no_timing else elapsed))
     return 0
 
@@ -141,7 +142,7 @@ def cmd_decompose(args) -> int:
     g = read_graph(args.graph, max_vertices=args.limit)
     start = time.perf_counter()
     outcome = decompose_caw(g)
-    report = _scheme_summary(args.graph, outcome.scheme)
+    report = _scheme_summary(args.graph, outcome)
     # absent results are encoded explicitly so every report carries all keys
     report.update({
         "certificate": "none",

@@ -6,8 +6,8 @@ multiset of color(u, w) * rank + color(w, v) over all points w.  New
 color ids are assigned by first appearance of a signature in a row-major
 scan of the pair matrix, so equal partitions give equal matrices.  That
 is the one canonical form of every color matrix in the package:
-first_appearance numbers any array by it, and the initial coloring,
-CoherentConfiguration and the twin labels all go through it.
+first_appearance numbers any array by it, and the initial coloring and
+CoherentConfiguration go through it.
 
 Signatures are built and sorted in numpy, a block of pairs at a time, and
 each one is read as a single bytes key.  Two keys are equal exactly when

@@ -646,6 +646,22 @@ def twin_labels_oracle(g: Graph) -> list[int]:
     return [ids.setdefault(v, len(ids)) for v in smallest]
 
 
+def twin_labels_product_oracle(g: Graph) -> np.ndarray:
+    """Twin labels from one float32 product of closed neighborhoods (the
+    library's former twin_relation): N[u] = N[v] exactly when |N[u] & N[v]|
+    equals both sizes, exact as every partial sum is an integer below
+    2^24.  Each vertex goes to its smallest twin, and as a class's smallest
+    vertex is where it first appears, numbering those in sorted order
+    numbers the classes by first appearance."""
+    closed = (g.adj | np.eye(g.n, dtype=bool)).astype(np.float32)
+    overlap = closed @ closed
+    size = np.diagonal(overlap)
+    twins = (overlap == size[:, None]) & (overlap == size)
+    # initial lets a graph of no vertices through
+    smallest = np.where(twins, np.arange(g.n), g.n).min(axis=1, initial=g.n)
+    return np.unique(smallest, return_inverse=True)[1].reshape(g.n)
+
+
 def _pair_counts_oracle(mat: np.ndarray, pair) -> dict:
     """{(r, s): #w with color(x, w) = r and color(w, y) = s}, point by point."""
     x, y = pair

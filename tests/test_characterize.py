@@ -741,6 +741,58 @@ class TestNonmemberClosure:
         assert not any(calls)
 
 
+class TestSummaryWithoutLift:
+    # an outcome keeps the quotient's closure and the positions: n, rank,
+    # association and the diagonal colors are counted on them, and the
+    # n x n lift is built once, when scheme is first read
+
+    @staticmethod
+    def assert_counts_are_the_lifts(g, lifts):
+        out = decompose_caw(g)
+        counts = (out.n, out.rank, out.association, out.diagonal_count)
+        assert lifts == [], g
+        scheme = out.scheme
+        assert len(lifts) == 1 and out.scheme is scheme, g
+        assert counts == (scheme.n, scheme.rank, is_association(scheme),
+                          len(scheme.diagonal_colors)), g
+        del lifts[:]
+        return out
+
+    def test_permuted_members(self, monkeypatch):
+        lifts = count_calls(monkeypatch, characterize_module, "_lift")
+        for m, k, r in aut_cases(30):
+            g = permuted_member(m, k, r, seed=m * 900 + k * 30 + r)
+            assert self.assert_counts_are_the_lifts(g, lifts).ok, (m, k, r)
+
+    def test_complete_graphs(self, monkeypatch):
+        lifts = count_calls(monkeypatch, characterize_module, "_lift")
+        for n in (1, 60):
+            out = self.assert_counts_are_the_lifts(complete(n), lifts)
+            assert (out.n, out.rank, out.diagonal_count) == (n, min(n, 2), 1)
+
+    def test_golden_non_member_with_twins(self, monkeypatch):
+        lifts = count_calls(monkeypatch, characterize_module, "_lift")
+        path = Path(__file__).resolve().parent / "golden" / "arcs-twins.graph"
+        g = graphs_module.read_graph(path)
+        out = self.assert_counts_are_the_lifts(g, lifts)
+        assert not out.ok and np.unique(np.bincount(twin_relation(g))).size == 3
+
+    def test_blown_up_non_members(self, monkeypatch):
+        # quotients closed with no 2-WL round and with coherent_closure
+        lifts = count_calls(monkeypatch, characterize_module, "_lift")
+        closures = count_calls(monkeypatch, closure_module, "coherent_closure")
+        rng = random.Random(28)
+        discrete = fallback = 0
+        for _ in range(150):
+            g = TestNonmemberClosure.blown_up(rng, rng.randint(1, 10))
+            before = len(closures)
+            out = self.assert_counts_are_the_lifts(g, lifts)
+            if not out.ok:
+                discrete += len(closures) == before
+                fallback += len(closures) == before + 1
+        assert discrete >= 20 and fallback >= 20, (discrete, fallback)
+
+
 class TestWreathTheorem:
     def test_second_statement_instance(self):
         report = verify_wreath_theorem(2, cycle(5))

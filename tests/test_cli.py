@@ -274,6 +274,23 @@ class TestDecompose:
             assert main(["--no-timing", command, request.getfixturevalue(graph_file)]) == want
             assert calls == [closure], command
 
+    @pytest.mark.parametrize("graph_file,rc", [("lex_file", 0), ("p4_file", 1)])
+    def test_lift_only_for_the_dump(self, graph_file, rc, request, tmp_path, monkeypatch):
+        # the reports count on the quotient's closure; only a dump builds
+        # the n x n lift, once
+        import arcschemes.characterize
+
+        lifts = []
+        original = arcschemes.characterize._lift
+        monkeypatch.setattr(arcschemes.characterize, "_lift",
+                            lambda *a: lifts.append(a) or original(*a))
+        path, dump = request.getfixturevalue(graph_file), str(tmp_path / "out.scheme")
+        for argv, want, made in ((["decompose", path], rc, 0), (["closure", path], 0, 0),
+                                 (["closure", path, "-o", dump], 0, 1)):
+            del lifts[:]
+            assert main(["--no-timing"] + argv) == want
+            assert len(lifts) == made, argv
+
 
 class TestArcs:
     @pytest.fixture

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from arcschemes.graphs import (
     graph_to_text,
     lex_product,
     quotient_graph,
+    read_graph,
     twin_relation,
 )
+from arcschemes.suites import aut_cases
 
 
 def graphs(max_n=8):
@@ -154,6 +157,49 @@ class TestTwins:
                    for r in range(5)]
         for g in graphs:
             assert twin_relation(g).tolist() == oracles.twin_labels_oracle(g)
+
+    @staticmethod
+    def blown_up(rng, n):
+        """A random graph blown up to n vertices, each vertex by K_s with s
+        in 1..4 (the last cut to fit), labels permuted."""
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(rng.randint(1, 4), n - sum(sizes)))
+        outer = oracles.random_graph(rng, len(sizes))
+        a = np.repeat(np.arange(len(sizes)), sizes)[rng.sample(range(n), n)]
+        adj = outer.adj[np.ix_(a, a)] | (a[:, None] == a)
+        return from_edges(n, np.argwhere(np.triu(adj, 1)).tolist())
+
+    def test_matches_product_oracle_at_byte_boundaries(self):
+        # a packed row ends one bit into a byte, at its end, or one bit past
+        rng = random.Random(28)
+        twinned = unequal = 0
+        for n in (0, 1, 7, 8, 9, 15, 16, 17, 64, 65):
+            plain = [oracles.random_graph(rng, n, p) for p in (0.1, 0.5, 0.9)]
+            for g in plain + [self.blown_up(rng, n) for _ in range(4)]:
+                labels = twin_relation(g)
+                assert labels.tolist() == oracles.twin_labels_product_oracle(g).tolist(), g
+                sizes = np.bincount(labels)
+                twinned += sizes.size < n
+                unequal += np.unique(sizes).size > 1
+        assert twinned >= 25 and unequal >= 25, (twinned, unequal)
+
+    def test_matches_product_oracle_on_golden_files(self):
+        files = sorted((Path(__file__).parent / "golden").glob("*.graph"))
+        assert len(files) >= 6
+        for path in files:
+            g = read_graph(path)
+            assert twin_relation(g).tolist() == oracles.twin_labels_product_oracle(g).tolist(), path
+
+    def test_matches_product_oracle_on_permuted_members(self):
+        rng = random.Random(30)
+        for m, k, r in aut_cases(30):
+            g = complete(r) if m == 1 else lex_product(elementary_caw(m, k), complete(r))
+            perm = rng.sample(range(g.n), g.n)
+            g = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            labels = twin_relation(g)
+            assert labels.tolist() == oracles.twin_labels_product_oracle(g).tolist(), (m, k, r)
+            assert (np.bincount(labels) == r).all(), (m, k, r)
 
     @settings(max_examples=40, deadline=None)
     @given(graphs())
