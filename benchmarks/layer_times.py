@@ -17,7 +17,11 @@ workers spin for a while after a matrix product, which would be charged
 to whichever layer is timed next.
 
 - read_graph reads the ten graph files of the perfbench members-decompose
-  deck (seed 1, written to a temporary directory).
+  deck (seed 1, written to a temporary directory), one record per file,
+  and in two more records copies of all ten: with CRLF line ends, and
+  with a '#' line first.  A file opened in text mode has its CRLF made
+  '\n' by universal newlines; graph_from_text reads the CRLF copies' texts
+  as they are, in one more record.
 - The arcs-nonmembers deck (seed 1) gives the other text-format records:
   read_model reads its 35 arc-model files, graph_to_text writes their 35
   graphs, and scheme_to_text dumps those graphs' closures
@@ -187,6 +191,14 @@ def tree_cases(mods, decks) -> dict:
         label = dict(member_label(*MEMBERS[i]), file=path.name)
         cases[label["graph"], "read_graph"] = (
             lambda p=path: graphs.read_graph(p, 200), graphs.read_graph(path, 200), label)
+    for variant, paths in decks["copies"].items():
+        label = {"graph": f"members-decompose deck, {variant} copies"}
+        cases[label["graph"], "read_graph"] = (
+            lambda ps=paths: [graphs.read_graph(p, 200) for p in ps], None, label)
+    texts = [p.read_bytes().decode("ascii") for p in decks["copies"]["CRLF"]]
+    label = {"graph": "members-decompose deck, CRLF copies"}
+    cases[label["graph"], "graph_from_text"] = (
+        lambda: [graphs.graph_from_text(t, 200) for t in texts], None, label)
     for shape in list(MEMBERS) + SMALL_SHAPES:
         kernel_case(member_label(*shape), permuted_member(graphs, *shape))
     for n, m, edges, model in decks["arcs"]:
@@ -233,12 +245,20 @@ def tree_cases(mods, decks) -> dict:
 
 
 def build_decks(workdir: Path) -> dict:
-    """The members-decompose graph files and the arcs-nonmembers graphs
-    (n, m, sorted edges, arc-model file) of the perfbench decks, seed 1."""
+    """The members-decompose graph files, their CRLF and '#'-line copies,
+    and the arcs-nonmembers graphs (n, m, sorted edges, arc-model file) of
+    the perfbench decks, seed 1."""
     members = [Path(q.data["path"]) for q in MembersDecompose().build(SEED, workdir)]
+    copies = {"CRLF": [], "comment": []}
+    for path in members:
+        data = path.read_bytes()
+        for variant, copy in (("CRLF", data.replace(b"\n", b"\r\n")),
+                              ("comment", b"# a member of the deck\n" + data)):
+            copies[variant].append(path.with_name(f"{variant}-{path.name}"))
+            copies[variant][-1].write_bytes(copy)
     arcs = [(q.n, q.data["m"], sorted(q.data["edges"]), Path(q.data["model"]))
             for q in ArcsNonmembers().build(SEED, workdir)]
-    return {"members": members, "arcs": arcs}
+    return {"members": members, "copies": copies, "arcs": arcs}
 
 
 def measure(mods: dict, repeats: int) -> list[dict]:
@@ -281,7 +301,8 @@ def main(argv=None) -> int:
                 tree=tree_digest(Path(mods["graphs"].__file__).parent))
     doc = {
         "what": "CPU ms (min and median of repeats) of read_graph on the members-decompose "
-                "deck files, read_model, graph_to_text and scheme_to_text on the "
+                "deck files and on their CRLF and '#'-line copies, graph_from_text on the "
+                "CRLF copies' texts, read_model, graph_to_text and scheme_to_text on the "
                 "arcs-nonmembers deck (and scheme_to_text on C_{400,3}), refine_step "
                 "over all rounds of a closure, closure_of_graph, "
                 "circulant_closure, decompose_caw with its scheme-certificate check (also "

@@ -237,17 +237,16 @@ def is_elementary_caw(g: Graph):
     return (n, k, tuple(labels))
 
 
-def _recognize(g: Graph, labels: np.ndarray):
+def _recognize(g: Graph, labels: np.ndarray, quot: Graph, sizes: np.ndarray):
     """(certificate, None) for a member of the class, else (None, the first
-    recognition stage that fails), given g's twin labels (twin_relation).
-    The assembled map onto C_{m,k}[K_r] is verified edge-exactly before a
+    recognition stage that fails), given g's twin labels (twin_relation),
+    its twin quotient quot and the class sizes; g has a vertex.  The
+    assembled map onto C_{m,k}[K_r] is verified edge-exactly before a
     certificate is made."""
-    sizes = np.bincount(labels)
-    if g.n == 0 or (sizes != sizes[0]).any():  # closure_of_graph rejects n = 0
+    if (sizes != sizes[0]).any():
         return None, STAGE_UNEQUAL_TWIN_CLASSES
     r = int(sizes[0])
 
-    quot = quotient_graph(g, labels)
     recognized = is_elementary_caw(quot)
     if recognized is None:
         return None, STAGE_QUOTIENT_NOT_ELEMENTARY
@@ -261,7 +260,8 @@ def _recognize(g: Graph, labels: np.ndarray):
     points[np.argsort(a, kind="stable")] = np.arange(g.n)
     # C_{m,k}[K_r] pulled back through the positions: u != v are adjacent
     # when their positions are at circular distance at most k (0 in a fiber)
-    member = (circular_distances(m)[np.ix_(a, a)] <= k) & ~np.eye(g.n, dtype=bool)
+    member = (circular_distances(m) <= k).take(a, axis=0).take(a, axis=1)
+    np.fill_diagonal(member, False)
     if not np.array_equal(g.adj, member):
         return None, STAGE_RELABELING_FAILED
     return Decomposition(m, k, r, tuple(points.tolist())), None
@@ -272,10 +272,14 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
 
     The graph must have an association scheme, its twin classes a common
     size r, and its twin quotient must be elementary; a failure is
-    reported at the first of these stages that fails.  Recognition comes
-    first, as it needs no closure, and shares the twin labels with the
-    non-member closure (_nonmember_closure); non-association is reported
-    before any recognition stage.  A member closes its twin quotient Q,
+    reported at the first of these stages that fails.  The twin labels,
+    the class sizes and the twin quotient Q (quotient_graph) are built
+    once, here, and shared by recognition (_recognize) and the non-member
+    closure (_nonmember_closure); the empty graph is rejected here, before
+    either.  Recognition comes first, as it needs no closure;
+    non-association is reported before any recognition stage.  So g's n^2
+    entries are read three times: by the twin labels, by the regularity
+    test and by the edge-exact check of a certificate.  A member closes Q,
     which is C_{m,k} in position order, on one row of Z_m
     (circulant_closure), to stability: its last round splits nothing, so
     C_Q is Q's closure whatever X is.  One m x m comparison of canonical
@@ -305,10 +309,15 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     of C (they are D's) is the left diagonal of one of those.  So rank(C)
     >= rank(C_Q) + the diagonal colors of C_Q, which is rank(L): C = L.
     """
+    if g.n == 0:
+        raise ValueError("closure needs a graph with at least one vertex")
     labels = twin_relation(g)
+    sizes = np.bincount(labels)
+    quot = quotient_graph(g, labels)
     # the edges of an association scheme are a union of basic relations, each
     # of constant valency, so an irregular graph has none: skip recognition
-    cert, stage = _recognize(g, labels) if g.is_regular() else (None, STAGE_NON_ASSOCIATION)
+    cert, stage = (_recognize(g, labels, quot, sizes) if g.is_regular()
+                   else (None, STAGE_NON_ASSOCIATION))
     if cert is not None:
         m, k, r = cert.m, cert.k, cert.r
         d = circular_distance_row(m)  # row 0 of circulant(m, k) is its connection
@@ -317,20 +326,19 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
             raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] "
                                  "differs from prediction")
         return DecomposeOutcome(cert, None, closed, np.array(cert.points) // r)
-    outcome = DecomposeOutcome(None, stage, _nonmember_closure(g, labels), labels)
+    outcome = DecomposeOutcome(None, stage, _nonmember_closure(quot, sizes), labels)
     if not outcome.association:
         outcome = replace(outcome, failure_stage=STAGE_NON_ASSOCIATION)
     return outcome
 
 
-def _nonmember_closure(g: Graph, labels: np.ndarray) -> np.ndarray:
-    """The canonical color matrix of the closure C_Q of the twin quotient Q
-    of g, each class colored by its size (one diagonal relation per size),
-    from g's twin labels; the closure C of g is its lift through labels
-    by _lift.  C_Q is discrete, no 2-WL round run, when vertex refinement
-    of Q from the sizes ends discrete (_vertex_refinement_discrete); else
-    it is coherent_closure's.  An empty g goes to closure_of_graph, which
-    rejects it.
+def _nonmember_closure(quot: Graph, sizes: np.ndarray) -> np.ndarray:
+    """The canonical color matrix of the closure C_Q of the twin quotient
+    quot = Q of a graph g with a vertex, each class colored by its size
+    (sizes, one per class; one diagonal relation per size); the closure C
+    of g is its lift through g's twin labels by _lift.  C_Q is discrete, no
+    2-WL round run, when vertex refinement of Q from the sizes ends
+    discrete (_vertex_refinement_discrete); else it is coherent_closure's.
 
     Why C is the lift L of C_Q.  L is coherent: a class's size is constant
     on a diagonal color of C_Q, as the size relations are unions of its
@@ -355,11 +363,7 @@ def _nonmember_closure(g: Graph, labels: np.ndarray) -> np.ndarray:
     so the fibers refine it.  When it is discrete, every fiber is a point,
     and every color of C_Q lies in one {x} x {y}.
     """
-    if g.n == 0:
-        return closure_of_graph(g).colors
-    sizes = np.bincount(labels)
     t = sizes.size
-    quot = quotient_graph(g, labels)
     if _vertex_refinement_discrete(quot.adj, sizes):
         return np.arange(t * t).reshape(t, t)
     sized = [np.diag(sizes == s) for s in np.unique(sizes)]

@@ -220,18 +220,24 @@ def twin_relation(g: Graph) -> np.ndarray:
 
 
 def quotient_graph(g: Graph, labels) -> Graph:
-    """Graph on the classes of a vertex labeling whose labels are 0..k-1,
-    as twin_relation gives them; X ~ Y iff some x in X is adjacent to some
-    y in Y."""
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != (g.n,) or (labels < 0).any():
-        raise ValueError(f"expected one non-negative label for each of {g.n} vertices")
-    k = int(labels.max()) + 1 if g.n else 0
-    u, v = np.nonzero(g.adj)
-    adj = np.zeros((k, k), dtype=bool)
-    adj[labels[u], labels[v]] = True
-    np.fill_diagonal(adj, False)
-    return Graph(adj)
+    """The twin quotient: the graph on the twin classes of g, X ~ Y iff
+    X x Y holds an edge, for labels numbered 0, 1, ... by first appearance,
+    as twin_relation gives them; any other labeling raises ValueError.
+
+    Q is read at the first vertex of each class, one t x t gather of
+    g.adj: twins have equal closed neighborhoods, so for classes X != Y,
+    X x Y is all edges or none.  Class j starts where the running maximum
+    of the labels first reaches j."""
+    labels = np.asarray(labels)
+    if labels.shape != (g.n,) or g.n and labels.dtype.kind not in "iu" or (labels < 0).any():
+        raise ValueError(f"expected one non-negative integer label for each of {g.n} vertices")
+    top = np.maximum.accumulate(labels)
+    # no label by first appearance reaches n, so a larger one allocates nothing
+    classes = np.arange(min(top[-1], g.n - 1) + 1 if g.n else 0)
+    first = top.searchsorted(classes)
+    if (labels[first] != classes).any():
+        raise ValueError("labels must number the classes 0, 1, ... by first appearance")
+    return Graph(g.adj.take(first, axis=0).take(first, axis=1))
 
 
 def edge_level_partition(g: Graph) -> dict[int, np.ndarray]:
@@ -295,42 +301,30 @@ _ZEROS = bytes.maketrans(b"123456789", b"0" * 9)
 def int_pairs(text: str):
     """The records of a two-integer format: the line number of each line
     that is neither blank nor a '#' comment, and an R x 2 array of their
-    integers, int64 or, where they do not fit, exact Python ints.
+    integers, int64 or, where one does not fit, exact Python ints.
 
-    A plain text (ASCII digits, spaces and '\n' only, no token of 19 or
-    more digits) is read by one C call, np.loadtxt.  Any other text, and a
-    plain one whose rows are not all two wide, goes through _token_pairs,
-    which names the first malformed line or gives the exact ints (int()
-    semantics).  Both read the same records: a plain text holds nothing
-    that int() would read otherwise."""
-    values = _plain_table(text)
+    A plain text (ASCII digits, spaces and line ends only, '\n' or '\r\n',
+    no token of 19 or more digits) is read by one C call, np.loadtxt, on
+    the text with '\r\n' made '\n': splitlines breaks a line once at
+    either, so every line number stays.  Any other text, and a plain one
+    whose rows are not all two wide, is lexed as it is, line by line, by
+    int_records, which names the first malformed line and reads the ints
+    with int() semantics.  Both read the same records: a plain text holds
+    nothing that int() would read otherwise."""
+    plain = text.replace("\r\n", "\n")
+    values = _plain_table(plain)
     if values is not None and values.shape[1] == 2:
-        if len(values) == text.count("\n") + (not text.endswith("\n")):
+        if len(values) == plain.count("\n") + (not plain.endswith("\n")):
             return range(1, len(values) + 1), values  # no blank line
-        lines = text.split("\n")
+        lines = plain.split("\n")
         return [i for i, line in enumerate(lines, start=1) if line.strip()], values
-    return _token_pairs(text)
-
-
-def _token_pairs(text: str):
-    """int_pairs of any text: each line is split once and the integers are
-    converted in one numpy call (int() semantics).  A text that numpy
-    cannot read as R x 2 int64 goes through int_records, which names the
-    first malformed line or returns the exact Python ints."""
-    tokens = [line.split() for line in text.splitlines()]
-    if "#" in text or not all(tokens):  # skip blank and comment lines
-        kept = [i for i, words in enumerate(tokens, start=1) if words and words[0][0] != "#"]
-        tokens = [tokens[i - 1] for i in kept]
-    else:
-        kept = range(1, len(tokens) + 1)
+    records = list(int_records(text, "two integers", 2))
+    rows = [row for _, row in records]
     try:
-        values = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        values = None
-    if values is None or values.shape != (len(kept), 2):
-        rows = [row for _, row in int_records(text, "two integers", 2)]
-        values = np.array(rows, dtype=object).reshape(-1, 2)
-    return kept, values
+        values = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        values = np.array(rows, dtype=object)
+    return [lineno for lineno, _ in records], values.reshape(-1, 2)
 
 
 def _plain_table(text: str):

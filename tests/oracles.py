@@ -662,6 +662,19 @@ def twin_labels_product_oracle(g: Graph) -> np.ndarray:
     return np.unique(smallest, return_inverse=True)[1].reshape(g.n)
 
 
+def quotient_graph_oracle(g: Graph, labels) -> Graph:
+    """The graph on the classes of a labeling whose labels are 0..t-1 (the
+    library's former quotient_graph): every edge scattered onto its pair of
+    classes, X ~ Y iff some x in X is adjacent to some y in Y, X != Y."""
+    labels = np.asarray(labels, dtype=np.intp)
+    t = int(labels.max()) + 1 if g.n else 0
+    u, v = np.nonzero(g.adj)
+    adj = np.zeros((t, t), dtype=bool)
+    adj[labels[u], labels[v]] = True
+    np.fill_diagonal(adj, False)
+    return Graph(adj)
+
+
 def _pair_counts_oracle(mat: np.ndarray, pair) -> dict:
     """{(r, s): #w with color(x, w) = r and color(w, y) = s}, point by point."""
     x, y = pair

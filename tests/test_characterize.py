@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from arcschemes.graphs import (
     from_edges,
     graph_to_text,
     lex_product,
+    quotient_graph,
     twin_relation,
 )
 from arcschemes.schemes import (
@@ -460,7 +462,9 @@ class TestRecognizeFirst:
     def test_non_association_reported_before_recognition(self, name, builder, stage):
         g = builder()
         assert not is_association(closure_of_graph(g)), name
-        assert _recognize(g, twin_relation(g)) == (None, stage)
+        labels = twin_relation(g)
+        assert (_recognize(g, labels, quotient_graph(g, labels), np.bincount(labels))
+                == (None, stage))
         out = decompose_caw(g)
         assert not out.ok and out.failure_stage == STAGE_NON_ASSOCIATION
         assert out.scheme == closure_of_graph(g)
@@ -652,7 +656,9 @@ class TestRecognizeFirst:
         original = is_elementary_caw
         monkeypatch.setattr(characterize_module, "is_elementary_caw", swapped)
         g = permuted_member(m, k, r, seed=19)
-        assert _recognize(g, twin_relation(g)) == (None, STAGE_RELABELING_FAILED)
+        labels = twin_relation(g)
+        assert (_recognize(g, labels, quotient_graph(g, labels), np.bincount(labels))
+                == (None, STAGE_RELABELING_FAILED))
         out = decompose_caw(g)
         assert not out.ok and out.failure_stage == STAGE_RELABELING_FAILED
         assert out.scheme == closure_of_graph(g)
@@ -791,6 +797,36 @@ class TestSummaryWithoutLift:
                 discrete += len(closures) == before
                 fallback += len(closures) == before + 1
         assert discrete >= 20 and fallback >= 20, (discrete, fallback)
+
+
+class TestOneQuotient:
+    # decompose_caw builds the twin quotient once, from one vertex per
+    # class, and shares it with recognition and the non-member closure
+
+    @pytest.mark.parametrize("make_graph", [
+        oracles.petersen,
+        lambda: lex_product(oracles.hypercube3(), complete(2)),
+        lambda: oracles.path(4),
+        lambda: permuted_member(9, 2, 3, seed=9),
+    ], ids=["petersen", "cube[K_2]", "P4", "C_{9,2}[K_3]"])
+    def test_quotient_built_once(self, make_graph, monkeypatch):
+        g = make_graph()
+        calls = count_calls(monkeypatch, characterize_module, "quotient_graph")
+        out = decompose_caw(g)
+        assert len(calls) == 1
+        assert out.scheme == closure_of_graph(g)
+
+    def test_member_of_2000_points_allocates_less_than_an_int64_matrix(self):
+        # the relabeling check gathers booleans on Z_m, not n x n int64s
+        g = permuted_member(400, 5, 5, seed=2000)
+        tracemalloc.start()
+        try:
+            out = decompose_caw(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.ok and g.n == 2000
+        assert peak < 8 * g.n ** 2, peak
 
 
 class TestWreathTheorem:

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +246,72 @@ class TestQuotient:
             quotient_graph(g, np.arange(5))
         with pytest.raises(ValueError, match="label"):
             quotient_graph(g, [0, 0, 1, 1, 2, -1])
+
+
+class TestQuotientMatchesScatter:
+    # the quotient read at one vertex per twin class is the quotient with
+    # every edge scattered onto its pair of classes (oracles)
+
+    @staticmethod
+    def assert_matches(g):
+        labels = twin_relation(g)
+        q = quotient_graph(g, labels)
+        assert q == oracles.quotient_graph_oracle(g, labels), g
+        assert q.adj.flags.c_contiguous, g  # the kernels view rows as bytes
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_hypothesis_graphs(self, g):
+        self.assert_matches(g)
+
+    def test_blown_up_with_unequal_classes(self):
+        rng = random.Random(29)
+        unequal = 0
+        for n in (2, 5, 9, 17, 40):
+            for _ in range(8):
+                g = TestTwins.blown_up(rng, n)
+                self.assert_matches(g)
+                unequal += np.unique(np.bincount(twin_relation(g))).size > 1
+        assert unequal >= 20, unequal
+
+    def test_golden_files(self):
+        files = sorted((Path(__file__).parent / "golden").glob("*.graph"))
+        assert len(files) >= 6
+        for path in files:
+            self.assert_matches(read_graph(path))
+
+    def test_permuted_members(self):
+        rng = random.Random(31)
+        for m, k, r in aut_cases(30):
+            g = complete(r) if m == 1 else lex_product(elementary_caw(m, k), complete(r))
+            perm = rng.sample(range(g.n), g.n)
+            self.assert_matches(from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+
+    def test_arcs_nonmembers_deck(self, tmp_path, monkeypatch):
+        # the benchmark's arc-model graphs (n = 30 .. 64) of seeds 1 and 2
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        requests = [q for seed in (1, 2) for q in workloads.ArcsNonmembers().build(seed, tmp_path)]
+        assert len(requests) == 70
+        for q in requests:
+            self.assert_matches(from_edges(q.n, sorted(q.data["edges"])))
+
+    @pytest.mark.parametrize("g", [empty_graph(0), empty_graph(1)], ids=["n=0", "n=1"])
+    def test_zero_and_one_vertex(self, g):
+        self.assert_matches(g)
+
+    @pytest.mark.parametrize("n, labels", [
+        (4, [0, 0, 1]), (2, [0, 1, 1]), (2, [0, -1]), (3, [-1, -1, -1]), (3, [1, 0, 0]),
+        (3, [0, 2, 1]), (3, [1, 1, 1]), (3, [0, 0, 2]), (2, [[0], [1]]), (2, [0.5, 1.7]),
+        (2, [0, 2 ** 63 - 1]),
+    ], ids=["short", "long", "negative", "all-negative", "not-first-appearance", "swapped",
+            "no-class-0", "gap", "two-dimensional", "float", "huge"])
+    def test_other_labelings_rejected(self, n, labels):
+        with pytest.raises(ValueError, match="label"):
+            quotient_graph(empty_graph(n), labels)
 
 
 def level_pairs(levels):

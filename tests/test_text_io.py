@@ -187,6 +187,19 @@ class TestBulkPathEdge:
                     == outcome(oracles.graph_from_text_oracle, text, limit)), (text, limit)
         assert outcome(model_from_text, text) == outcome(oracles.model_from_text_oracle, text)
 
+    @pytest.mark.parametrize("text", [
+        "3 1\r0 1\n", "3 2\r\n0 1\r1 2\r\n", "3 1\r\r\n0 1\n", "3 1\r\n\r\n0 1", "\r\n3 1\r\n0 1",
+        "# c\r\n3 1\r\n0 1\r\n", "3 1\r\n0 1 2\r\n", "3 1\r\n0 x\r\n", "3 2\n0 1\r\n1 1\n",
+        "3 1\r\n0 1\r\n\r\n", "\r\n", "\r",
+    ])
+    def test_carriage_returns_read_like_oracle(self, text):
+        # '\r\n' is one line end to splitlines and a lone '\r' another, so
+        # a file's line numbers are the oracle's whichever path reads it
+        for limit in (None, 2):
+            assert (outcome(graph_from_text, text, limit)
+                    == outcome(oracles.graph_from_text_oracle, text, limit)), (text, limit)
+        assert outcome(model_from_text, text) == outcome(oracles.model_from_text_oracle, text)
+
     def test_long_tokens_never_reach_loadtxt(self, monkeypatch):
         # numpy 1.x's loadtxt reads a token beyond int64 via float, with a
         # DeprecationWarning, so a token of 19 digits must not reach it
@@ -208,7 +221,30 @@ class TestBulkPathEdge:
         expected = [graph_from_text(Path(q.data["path"]).read_text(), 200) for q in members]
         models = [read_model(q.data["model"]) for q in arcs_deck[1]]
         monkeypatch.setattr(graphs_module, "int_records", fail)
-        monkeypatch.setattr(graphs_module, "_token_pairs", fail)
         assert len(members) == 10
         assert [read_graph(q.data["path"], 200) for q in members] == expected
         assert [read_model(q.data["model"]) for q in arcs_deck[1]] == models
+
+    def test_crlf_copies_take_the_bulk_path(self, workloads, arcs_deck, tmp_path, monkeypatch):
+        # '\r\n' line ends are plain: a CRLF copy of each member file and arc
+        # model reads by np.loadtxt, from the file (which universal newlines
+        # translate) and from its text as it is, and gives the oracle's answer
+        def fail(*args):
+            raise AssertionError("left the bulk path")
+
+        def crlf(path):
+            copy = tmp_path / f"crlf-{Path(path).name}"
+            copy.write_bytes(Path(path).read_bytes().replace(b"\n", b"\r\n"))
+            return copy, copy.read_bytes().decode("ascii")
+
+        members = workloads.MembersDecompose().build(1, tmp_path)
+        graph_files = [crlf(q.data["path"]) for q in members]
+        model_files = [crlf(q.data["model"]) for q in arcs_deck[1]]
+        graphs = [oracles.graph_from_text_oracle(text, 200) for _, text in graph_files]
+        models = [oracles.model_from_text_oracle(text) for _, text in model_files]
+        assert all("\r\n" in text for _, text in graph_files + model_files)
+        monkeypatch.setattr(graphs_module, "int_records", fail)
+        assert [read_graph(path, 200) for path, _ in graph_files] == graphs
+        assert [graph_from_text(text, 200) for _, text in graph_files] == graphs
+        assert [read_model(path) for path, _ in model_files] == models
+        assert [model_from_text(text) for _, text in model_files] == models
