@@ -15,9 +15,9 @@ arcs.  These labels are the ones the `arcs check` CLI report uses.
 
 Every check is numpy on the arrays of arc starts and sizes: (i) on the
 n x n containment matrix, (1) and (iii) on end-point counts of the first
-2n + 1 points at most, so nothing is allocated per circle point at any m.  reduce groups the equal
-rows of the m x n point-membership matrix, which condition (1) keeps at
-most 2n x n.
+2n + 1 points at most, so nothing is allocated per circle point at any
+m.  reduce numbers the equal rows of the m x n point-membership matrix
+by kernels.number_rows, which condition (1) keeps at most 2n x n.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph, build_by_line, common_neighbors, int_pairs
+from .kernels import number_rows
 
 
 class ArcFunction:
@@ -207,6 +208,12 @@ def reduce(f: ArcFunction) -> ReducedArcFunction:
     raises NeighborhoodConditionError.  Under those hypotheses the
     collapsed model satisfies (i), (ii), (iii) and has the same
     intersection graph, both of which are re-checked before returning.
+
+    The classes of equal membership rows are numbered by
+    kernels.number_rows.  The model is read at each class's head, its
+    first point around the circle: new point i is the i-th head, and an
+    arc's new size is the number of heads it holds.  So the result does
+    not depend on how the classes are numbered.
     """
     require_valid(f)
     g = _intersection_graph(f)
@@ -222,24 +229,25 @@ def reduce(f: ArcFunction) -> ReducedArcFunction:
     start, size = _columns(f)
     # the m x n point-membership matrix; m <= 2n by condition (1)
     member = (np.arange(f.m)[:, None] - start) % f.m < size
-    patterns, class_of = np.unique(member, axis=0, return_inverse=True)
-    class_of = class_of.reshape(-1)  # numpy 2.0.0 returns another shape
-    # ~ classes: points with equal membership pattern; each must be a
-    # proper circular interval, otherwise the input was inconsistent
-    if len(patterns) < 2:
+    # ~ classes: points with equal membership pattern, numbered by first
+    # appearance; each must be a proper circular interval, otherwise the
+    # input was inconsistent
+    ids: dict[bytes, int] = {}
+    class_of = number_rows(ids, [member])
+    if len(ids) < 2:
         raise ValueError("membership classes cover the whole circle; input inconsistent")
     # a head is a point whose predecessor is in another class; with two or
     # more classes each class has a head, and an interval has exactly one
     heads = np.flatnonzero(class_of != np.roll(class_of, 1))
-    if len(heads) != len(patterns):
+    if len(heads) != len(ids):
         raise ValueError("membership class is not a circular interval; input inconsistent")
     # new point i is the class of the i-th head around the circle, and an
-    # arc, a union of classes, keeps the classes it holds
-    index_of = np.empty(len(patterns), dtype=np.int64)
+    # arc, a union of classes, keeps the classes it holds, one head each
+    index_of = np.empty(len(heads), dtype=np.int64)
     index_of[class_of[heads]] = np.arange(len(heads))
     new_start = index_of[class_of[start]]
     reduced = ReducedArcFunction(len(heads), zip(new_start.tolist(),
-                                                 patterns.sum(axis=0).tolist()))
+                                                 member[heads].sum(axis=0).tolist()))
     if intersection_graph(reduced) != g:
         raise AssertionError("reduction changed the intersection graph")
     return reduced

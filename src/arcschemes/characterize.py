@@ -3,10 +3,12 @@
 The characterized class consists exactly of the lexicographic products of
 an elementary circular-arc graph with a complete graph.  decompose_caw
 recovers such a product structure (or a named reason why none exists)
-and computes one closure.  A member's is that of its twin quotient
-C_{m,k}, closed on one row of Z_m (closure.circulant_closure), checked
-against the outer scheme X (_outer_colors) on the m points of Z_m, and
-lifted to rank2(r) wr X through the certificate's points.  A
+and computes one closure.  _recognize is the one recognizer, and
+is_elementary_caw its r = 1 case.  A member's closure is that of its
+twin quotient C_{m,k}, closed on one row of Z_m
+(closure.circulant_closure), checked against the outer scheme X
+(_outer_colors) on the m points of Z_m, and lifted to rank2(r) wr X
+through the certificate's points.  A
 non-member's is that of its twin quotient colored by class size, lifted
 through the twin labels: discrete when vertex refinement of the quotient
 separates every class, else closed by coherent_closure.  The outcome
@@ -23,10 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from . import closure
-from .closure import circulant_closure, closure_of_graph
+from .closure import _NO_VERTEX, circulant_closure, closure_of_graph
 from .graphs import (
     Graph,
-    circulant,
     circular_distance_row,
     circular_distances,
     common_neighbors,
@@ -35,7 +36,7 @@ from .graphs import (
     quotient_graph,
     twin_relation,
 )
-from .kernels import _number
+from .kernels import number_rows
 from .schemes import CoherentConfiguration, identity_verdict, is_association, is_fusion_of
 
 OUTER_RANK2 = "RANK2"
@@ -45,7 +46,6 @@ OUTER_DIHEDRAL = "DIHEDRAL"
 STAGE_NON_ASSOCIATION = "non-association"
 STAGE_UNEQUAL_TWIN_CLASSES = "unequal twin classes"
 STAGE_QUOTIENT_NOT_ELEMENTARY = "quotient not elementary"
-STAGE_RELABELING_FAILED = "relabeling verification failed"
 
 
 def _outer_kind(m: int, k: int, r: int) -> str:
@@ -185,24 +185,39 @@ def is_elementary_caw(g: Graph):
     """Recognize elementary circular-arc graphs.
 
     Returns (n, k, labels) with labels[v] the recovered position on Z_n,
-    or None.  Empty graphs are C_{n,0}; a 2k-regular graph on 2k+2
-    vertices must be a complete graph minus a perfect matching; beyond
-    that the level of edges with exactly 2k-2 common neighbors, the one
-    edge level the walk reads (g.adj & (common_neighbors(g) == 2k - 2)),
-    must form a single Hamiltonian cycle, which fixes the circular order;
-    an empty level fails the degree check.  The walk leaves vertex 0
-    towards its smaller-numbered cycle neighbor.  The
-    recovered labeling is always re-verified edge-exactly, so a wrong
-    guess cannot escape.
+    or None.  This is the r = 1 case of recognizing C_{m,k}[K_r]: g is
+    taken as its own quotient, each class one vertex, through _recognize,
+    so the labels are the points of its certificate.  Empty graphs are
+    C_{n,0}; the walk (_elementary_walk) guesses the circular order, and
+    the recovered labeling is always verified edge-exactly, once, so a
+    wrong guess cannot escape.  The empty graph on no vertex is None.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return None
-    if g.edge_count() == 0:
-        return (n, 0, tuple(range(n)))
-    if not g.is_regular():
+    cert, _ = _recognize(g, np.arange(g.n), g, np.ones(g.n, dtype=np.int64))
+    return None if cert is None else (cert.m, cert.k, cert.points)
+
+
+def _elementary_walk(q: Graph):
+    """The positions on Z_m that make q, a graph with a vertex, C_{m,k} if
+    anything does: (m, k, labels) with labels[x] the position of x, or
+    None.  Nothing here is verified; _recognize compares the guess.
+
+    Empty graphs are C_{m,0}, in vertex order; a 2k-regular graph on 2k+2
+    vertices must be a complete graph minus a perfect matching, whose
+    partner pairs go to positions i and i + k + 1; beyond that the level
+    of edges with exactly 2k-2 common neighbors, the one edge level the
+    walk reads (q.adj & (common_neighbors(q) == 2k - 2)), must form a
+    single Hamiltonian cycle, which fixes the circular order; an empty
+    level fails the degree check, and a cycle closing early is rejected.
+    The walk leaves vertex 0 towards its smaller-numbered cycle neighbor.
+    """
+    n = q.n
+    if q.edge_count() == 0:
+        return (n, 0, list(range(n)))
+    if not q.is_regular():
         return None
-    d = g.degree(0)
+    d = q.degree(0)
     if d % 2 != 0:
         return None
     k = d // 2
@@ -210,12 +225,12 @@ def is_elementary_caw(g: Graph):
     if n == 2 * k + 2:
         # by regularity every vertex has exactly one non-neighbor, its
         # partner; the k+1 partner pairs go to labels i and i+k+1
-        partner = (~(g.adj | np.eye(n, dtype=bool))).argmax(axis=1).tolist()
+        partner = (~(q.adj | np.eye(n, dtype=bool))).argmax(axis=1).tolist()
         labels = [-1] * n
         for i, v in enumerate(v for v in range(n) if v < partner[v]):
             labels[v], labels[partner[v]] = i, i + k + 1
     elif n > 2 * k + 2:
-        cyc = g.adj & (common_neighbors(g) == 2 * k - 2)
+        cyc = q.adj & (common_neighbors(q) == 2 * k - 2)
         if (cyc.sum(axis=1) != 2).any():
             return None
         succ = np.nonzero(cyc)[1].reshape(n, 2).tolist()  # both cycle neighbors, ascending
@@ -231,57 +246,74 @@ def is_elementary_caw(g: Graph):
             prev, cur = cur, nxt_v
     else:
         return None  # d = n - 1 would mean a complete graph, never elementary
-
-    if not np.array_equal(g.adj, circulant(n, k)[np.ix_(labels, labels)]):
-        return None
-    return (n, k, tuple(labels))
+    return (n, k, labels)
 
 
 def _recognize(g: Graph, labels: np.ndarray, quot: Graph, sizes: np.ndarray):
     """(certificate, None) for a member of the class, else (None, the first
     recognition stage that fails), given g's twin labels (twin_relation),
-    its twin quotient quot and the class sizes; g has a vertex.  The
-    assembled map onto C_{m,k}[K_r] is verified edge-exactly before a
-    certificate is made."""
+    its twin quotient quot and the class sizes; g has a vertex.  This is
+    the one recognizer of C_{m,k}[K_r]; is_elementary_caw is its r = 1
+    case, a graph taken as its own quotient.
+
+    The walk on Q (_elementary_walk) guesses positions qlabels on Z_m, and
+    vertex v goes to position a = qlabels[labels[v]].  Then one edge-exact
+    comparison: g.adj against C_{m,k}[K_r] pulled back through a, where
+    u != v are adjacent when their positions are at circular distance at
+    most k (0 in a fiber).  A walk that finds no order, or a comparison
+    that fails, is STAGE_QUOTIENT_NOT_ELEMENTARY.
+
+    Why one comparison, on g, is enough.  The twin labels are exact
+    (equal closed neighborhoods), and Q is g read at one vertex per class
+    (quotient_graph).  So g is exactly Q blown up by its classes: twins
+    are adjacent, and for classes X != Y, X x Y is all edges or none, as
+    Q's pair (X, Y) says.  The pullback is blown up through the same
+    classes, each a fiber.  So g equals C_{m,k}[K_r] pulled back through
+    qlabels[labels] exactly when Q equals C_{m,k} at qlabels: the
+    comparison on g implies the comparison on Q, and the reverse holds
+    too.  A wrong guess fails it, and so does a library bug: either way
+    there is no certificate.
+    """
     if (sizes != sizes[0]).any():
         return None, STAGE_UNEQUAL_TWIN_CLASSES
     r = int(sizes[0])
 
-    recognized = is_elementary_caw(quot)
-    if recognized is None:
+    walked = _elementary_walk(quot)
+    if walked is None:
         return None, STAGE_QUOTIENT_NOT_ELEMENTARY
-    m, k, qlabels = recognized
+    m, k, qlabels = walked
 
-    # v goes to point a * r + b: a is the position of its class on Z_m, and
-    # b its rank inside the class.  A stable sort by position lists the
-    # classes in position order, each one's r vertices in ascending order.
     a = np.asarray(qlabels)[labels]
-    points = np.empty(g.n, dtype=np.int64)
-    points[np.argsort(a, kind="stable")] = np.arange(g.n)
-    # C_{m,k}[K_r] pulled back through the positions: u != v are adjacent
-    # when their positions are at circular distance at most k (0 in a fiber)
     member = (circular_distances(m) <= k).take(a, axis=0).take(a, axis=1)
     np.fill_diagonal(member, False)
     if not np.array_equal(g.adj, member):
-        return None, STAGE_RELABELING_FAILED
+        return None, STAGE_QUOTIENT_NOT_ELEMENTARY
+    # v goes to point a * r + b: a is the position of its class on Z_m, and
+    # b its rank inside the class.  A stable sort by position lists the
+    # classes in position order, each one's r vertices in ascending order.
+    points = np.empty(g.n, dtype=np.int64)
+    points[np.argsort(a, kind="stable")] = np.arange(g.n)
     return Decomposition(m, k, r, tuple(points.tolist())), None
 
 
 def decompose_caw(g: Graph) -> DecomposeOutcome:
     """Decide membership in the characterized class, with certificate.
 
-    The graph must have an association scheme, its twin classes a common
-    size r, and its twin quotient must be elementary; a failure is
-    reported at the first of these stages that fails.  The twin labels,
-    the class sizes and the twin quotient Q (quotient_graph) are built
-    once, here, and shared by recognition (_recognize) and the non-member
-    closure (_nonmember_closure); the empty graph is rejected here, before
-    either.  Recognition comes first, as it needs no closure;
+    A failure is reported at the first of three stages that fails:
+    STAGE_NON_ASSOCIATION (the graph has no association scheme),
+    STAGE_UNEQUAL_TWIN_CLASSES (its twin classes have no common size r)
+    and STAGE_QUOTIENT_NOT_ELEMENTARY (its twin quotient is not C_{m,k}:
+    the walk finds no order, or the one edge-exact comparison of the
+    certificate fails; see _recognize).  The twin labels, the class sizes
+    and the twin quotient Q (quotient_graph; g itself when g is twin-free)
+    are built once, here, and shared by recognition (_recognize) and the
+    non-member closure (_nonmember_closure); the empty graph is rejected
+    here, before either.  Recognition comes first, as it needs no closure;
     non-association is reported before any recognition stage.  So g's n^2
     entries are read three times: by the twin labels, by the regularity
-    test and by the edge-exact check of a certificate.  A member closes Q,
-    which is C_{m,k} in position order, on one row of Z_m
-    (circulant_closure), to stability: its last round splits nothing, so
+    test and by the edge-exact check of a certificate, and no matrix is
+    compared with Q.  A member closes Q, which is C_{m,k} in position
+    order, on one row of Z_m (circulant_closure), to stability: its last round splits nothing, so
     C_Q is Q's closure whatever X is.  One m x m comparison of canonical
     color matrices checks C_Q against X = _outer_colors(m, k, r); a
     mismatch is a library bug or a counterexample to the theorem:
@@ -310,7 +342,7 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
     >= rank(C_Q) + the diagonal colors of C_Q, which is rank(L): C = L.
     """
     if g.n == 0:
-        raise ValueError("closure needs a graph with at least one vertex")
+        raise ValueError(_NO_VERTEX)
     labels = twin_relation(g)
     sizes = np.bincount(labels)
     quot = quotient_graph(g, labels)
@@ -320,7 +352,7 @@ def decompose_caw(g: Graph) -> DecomposeOutcome:
                    else (None, STAGE_NON_ASSOCIATION))
     if cert is not None:
         m, k, r = cert.m, cert.k, cert.r
-        d = circular_distance_row(m)  # row 0 of circulant(m, k) is its connection
+        d = circular_distance_row(m)  # row 0 of C_{m,k} is its connection
         closed = circulant_closure((d <= k) & (d != 0))
         if not np.array_equal(closed, _outer_colors(m, k, r)):
             raise AssertionError(f"closure of certified C_{{{m},{k}}}[K_{r}] "
@@ -375,14 +407,16 @@ def _vertex_refinement_discrete(adj: np.ndarray, colors: np.ndarray) -> bool:
     """Whether 1-dimensional refinement (color refinement) of the graph adj
     from the vertex colors ends with every vertex in its own class.  A
     round numbers the rows [color(v), color(w) + 1 where w ~ v, else 0],
-    each sorted after its first entry, by kernels._number, the numbering
-    of every 2-WL round.  A row holds its old color, so a round only
-    splits, and one that splits nothing is stable.  t^2 per round."""
+    each sorted after its first entry, by kernels.number_rows, the
+    numbering of every 2-WL round.  A row holds its old color, so a round
+    only splits, and one that splits nothing is stable.  t^2 per round."""
     t = len(colors)
     count = len(np.unique(colors))
     while count < t:
         ids: dict[bytes, int] = {}
-        colors = _number(ids, [np.column_stack((colors, np.where(adj, colors + 1, 0)))])
+        rows = np.column_stack((colors, np.where(adj, colors + 1, 0)))
+        rows[:, 1:].sort(axis=1)
+        colors = number_rows(ids, [rows])
         if len(ids) == count:
             return False
         count = len(ids)

@@ -24,6 +24,10 @@ from .graphs import Graph
 from .kernels import circulant_matrix, first_appearance, refine_row, refine_step
 from .schemes import CoherentConfiguration
 
+# the error for a graph without a vertex, raised by closure_of_graph and by
+# characterize.decompose_caw
+_NO_VERTEX = "closure needs a graph with at least one vertex"
+
 
 def _initial_coloring(n: int, relations) -> np.ndarray:
     """Color of (u, v): whether u = v and which generators hold (u, v) and
@@ -77,5 +81,5 @@ def circulant_closure(connection) -> np.ndarray:
 def closure_of_graph(g: Graph) -> CoherentConfiguration:
     """Scheme of a graph: coherent closure of its (symmetric) edge relation."""
     if g.n < 1:
-        raise ValueError("closure needs a graph with at least one vertex")
+        raise ValueError(_NO_VERTEX)
     return coherent_closure(g.n, [g.adj])

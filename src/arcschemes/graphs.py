@@ -15,7 +15,7 @@ import io
 
 import numpy as np
 
-from .kernels import circulant_matrix
+from .kernels import circulant_matrix, number_rows
 
 
 class Graph:
@@ -205,18 +205,15 @@ def twin_relation(g: Graph) -> np.ndarray:
 
     Equal closed neighborhoods are the pairwise definition: u ~twin~ v
     forces u and v adjacent, hence N[u] = N[v].  Each closed neighborhood
-    is packed into ceil(n / 8) bytes (np.packbits) and read as one bytes
-    key, so equal keys are exactly equal closed neighborhoods.  Numbering
-    the keys through a dict in vertex order, as kernels._number numbers
-    signatures, numbers each class where its smallest vertex first
-    appears.  About n^2 / 8 bytes of keys, and no product.
+    is packed into ceil(n / 8) bytes (np.packbits), and kernels.number_rows
+    numbers the packed rows in vertex order, each read as one bytes key:
+    equal keys are exactly equal closed neighborhoods, and each class is
+    numbered where its smallest vertex first appears.  About n^2 / 8 bytes
+    of keys, and no product.
     """
     if g.n == 0:
         return np.zeros(0, dtype=np.int64)
-    packed = np.packbits(g.adj | np.eye(g.n, dtype=bool), axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-    ids: dict[bytes, int] = {}
-    return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.int64)
+    return number_rows({}, [np.packbits(g.adj | np.eye(g.n, dtype=bool), axis=1)])
 
 
 def quotient_graph(g: Graph, labels) -> Graph:
@@ -227,7 +224,9 @@ def quotient_graph(g: Graph, labels) -> Graph:
     Q is read at the first vertex of each class, one t x t gather of
     g.adj: twins have equal closed neighborhoods, so for classes X != Y,
     X x Y is all edges or none.  Class j starts where the running maximum
-    of the labels first reaches j."""
+    of the labels first reaches j.  When every class is one vertex (g is
+    twin-free, and the labels are 0 .. n - 1), Q is g itself, not a
+    copy."""
     labels = np.asarray(labels)
     if labels.shape != (g.n,) or g.n and labels.dtype.kind not in "iu" or (labels < 0).any():
         raise ValueError(f"expected one non-negative integer label for each of {g.n} vertices")
@@ -237,6 +236,8 @@ def quotient_graph(g: Graph, labels) -> Graph:
     first = top.searchsorted(classes)
     if (labels[first] != classes).any():
         raise ValueError("labels must number the classes 0, 1, ... by first appearance")
+    if classes.size == g.n:
+        return g  # n classes numbered by first appearance: the labels are 0 .. n - 1
     return Graph(g.adj.take(first, axis=0).take(first, axis=1))
 
 

@@ -9,9 +9,10 @@ is the one canonical form of every color matrix in the package:
 first_appearance numbers any array by it, and the initial coloring and
 CoherentConfiguration go through it.
 
-Signatures are built and sorted in numpy, a block of pairs at a time, and
-each one is read as a single bytes key.  Two keys are equal exactly when
-the signatures are, so the round is exact: no hashing, no randomness.
+Signatures are built and sorted in numpy, a block of pairs at a time
+(_row_blocks), and number_rows reads each one as a single bytes key.  Two
+keys are equal exactly when the signatures are, so the round is exact: no
+hashing, no randomness.
 
 Sorting and keying scale with the item size, so a signature is held in
 the narrowest of uint16, uint32 and uint64 that holds rank**2 - 1.  No
@@ -43,7 +44,8 @@ _SIGNATURE_TYPES = [(t, int(np.iinfo(t).max)) for t in (np.uint16, np.uint32, np
 
 def _row_blocks(c: np.ndarray, scale, rows: int):
     """The signatures of the pairs (u, v) with u < rows in row-major
-    order, a block of rows at a time, as (pairs, n + 1) arrays."""
+    order, a block of rows at a time, as (pairs, n + 1) arrays: the old
+    color, then the multiset of products, sorted."""
     n = len(c)
     width = n + 1
     step = max(1, _BLOCK_BYTES // max(1, c.itemsize * n * width))
@@ -53,7 +55,9 @@ def _row_blocks(c: np.ndarray, scale, rows: int):
         block = np.empty((len(cu), n, width), dtype=c.dtype)
         block[:, :, 0] = cu
         np.add((cu * scale)[:, None, :], c.T, out=block[:, :, 1:])
-        yield block.reshape(-1, width)
+        block = block.reshape(-1, width)
+        block[:, 1:].sort(axis=1)
+        yield block
 
 
 def circulant_matrix(row) -> np.ndarray:
@@ -67,13 +71,16 @@ def circulant_matrix(row) -> np.ndarray:
     return np.ndarray((m, m), row.dtype, buffer, max(m - 1, 0) * step, (-step, step))
 
 
-def _number(ids: dict, blocks) -> np.ndarray:
-    """The ids of the signatures in blocks, each numbered in ids by first
-    appearance."""
+def number_rows(ids: dict, blocks) -> np.ndarray:
+    """The ids of the rows of blocks, in order, each row numbered in ids by
+    first appearance.  A block is a C-contiguous 2-d array, and each of its
+    rows is read as one bytes key, so equal ids are exactly equal rows (of
+    one dtype and width).  The 2-WL rounds number their signatures with
+    it, vertex refinement its rows, graphs.twin_relation the packed
+    closed neighborhoods and arcs.reduce the point-membership rows."""
     out: list[int] = []
     setdefault = ids.setdefault
     for block in blocks:
-        block[:, 1:].sort(axis=1)
         keys = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
         # a list comprehension: the round took 6% less time than with
         # np.fromiter over a generator (arc-model rounds, rank ~ n^2 / 2)
@@ -91,7 +98,7 @@ def refine_step(colors, rank: int):
     dt = _signature_type(c, rank)
     ids: dict[bytes, int] = {}
     # rank as a dt scalar, so that numpy 1.x and 2.x keep the product in dt
-    return _number(ids, _row_blocks(c.astype(dt), dt(rank), len(c))).reshape(c.shape), len(ids)
+    return number_rows(ids, _row_blocks(c.astype(dt), dt(rank), len(c))).reshape(c.shape), len(ids)
 
 
 def refine_row(row, rank: int):
@@ -106,7 +113,7 @@ def refine_row(row, rank: int):
         raise ValueError(f"row of shape {c.shape}, expected one dimension")
     dt = _signature_type(c, rank)
     ids: dict[bytes, int] = {}
-    return _number(ids, _row_blocks(circulant_matrix(c.astype(dt)), dt(rank), 1)), len(ids)
+    return number_rows(ids, _row_blocks(circulant_matrix(c.astype(dt)), dt(rank), 1)), len(ids)
 
 
 def _signature_type(c: np.ndarray, rank: int):

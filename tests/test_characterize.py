@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from arcschemes.characterize import (
@@ -14,7 +15,6 @@ from arcschemes.characterize import (
     OUTER_RANK2,
     STAGE_NON_ASSOCIATION,
     STAGE_QUOTIENT_NOT_ELEMENTARY,
-    STAGE_RELABELING_FAILED,
     STAGE_UNEQUAL_TWIN_CLASSES,
     Decomposition,
     _certificate_generators,
@@ -54,6 +54,7 @@ from arcschemes.schemes import (
     verify,
 )
 from arcschemes.suites import aut_cases, run_aut_suite
+from test_graphs import graphs as hypothesis_graphs
 
 
 def assert_labels_witness(g, n, k, labels):
@@ -487,7 +488,7 @@ class TestRecognizeFirst:
         graphs += [oracles.random_graph(rng, rng.randint(3, 12)) for _ in range(40)]
         irregular = [g for g in graphs if not g.is_regular()]
         assert len(irregular) > 30
-        recognitions = count_calls(monkeypatch, characterize_module, "is_elementary_caw")
+        recognitions = count_calls(monkeypatch, characterize_module, "_recognize")
         for g in irregular:
             out = decompose_caw(g)
             assert not out.ok and out.failure_stage == STAGE_NON_ASSOCIATION
@@ -653,15 +654,17 @@ class TestRecognizeFirst:
             n, k, labels = original(q)
             return n, k, tuple({0: 1, 1: 0}.get(x, x) for x in labels)
 
-        original = is_elementary_caw
-        monkeypatch.setattr(characterize_module, "is_elementary_caw", swapped)
+        original = characterize_module._elementary_walk
+        monkeypatch.setattr(characterize_module, "_elementary_walk", swapped)
         g = permuted_member(m, k, r, seed=19)
         labels = twin_relation(g)
         assert (_recognize(g, labels, quotient_graph(g, labels), np.bincount(labels))
-                == (None, STAGE_RELABELING_FAILED))
+                == (None, STAGE_QUOTIENT_NOT_ELEMENTARY))
         out = decompose_caw(g)
-        assert not out.ok and out.failure_stage == STAGE_RELABELING_FAILED
+        assert not out.ok and out.failure_stage == STAGE_QUOTIENT_NOT_ELEMENTARY
         assert out.scheme == closure_of_graph(g)
+        if r == 1:
+            assert is_elementary_caw(g) is None
 
 
 class TestNonmemberClosure:
@@ -827,6 +830,81 @@ class TestOneQuotient:
             tracemalloc.stop()
         assert out.ok and g.n == 2000
         assert peak < 8 * g.n ** 2, peak
+
+
+class TestOneRecognizer:
+    # is_elementary_caw is the r = 1 case of _recognize: one walk and one
+    # edge-exact comparison, on g, for each certificate
+
+    @staticmethod
+    def assert_entry_points_agree(g):
+        """is_elementary_caw(g) is the (m, k, points) of decompose_caw(g)'s
+        certificate when it has r = 1, else None; a labeling is checked
+        pair by pair.  Returns whether g was recognized."""
+        got = is_elementary_caw(g)
+        cert = decompose_caw(g).certificate
+        if cert is None or cert.r != 1:
+            assert got is None, g
+            return False
+        assert got == (cert.m, cert.k, cert.points), g
+        assert_labels_witness(g, *got)
+        return True
+
+    @staticmethod
+    def double_edge_swapped(rng, n, k, swaps):
+        """C_{n,k} after up to swaps double-edge swaps ab, cd -> ad, cb (each
+        keeps every degree), with permuted labels."""
+        edges = set(elementary_caw(n, k).edges())
+        for _ in range(swaps):
+            (a, b), (c, d) = rng.sample(sorted(edges), 2)
+            new = {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+            if len({a, b, c, d}) == 4 and len(new) == 2 and not new & edges:
+                edges = edges - {(a, b), (c, d)} | new
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+    def test_every_circulant_up_to_12_points(self):
+        recognized = twin_free = 0
+        for m in range(1, 13):
+            for bits in range(1 << (m // 2)):
+                connection = [s for s in range(1, m // 2 + 1) if bits >> (s - 1) & 1]
+                g = graphs_module.Graph(np.isin(graphs_module.circular_distances(m), connection))
+                twin_free += twin_relation(g).max() == m - 1
+                recognized += self.assert_entry_points_agree(g)
+        assert twin_free > 60 and recognized > 30, (twin_free, recognized)
+
+    def test_permuted_elementary_graphs(self):
+        for m in range(1, 31):
+            for k in range(m):
+                if 2 * k + 1 < m or (m, k) == (1, 0):
+                    g = permuted_member(m, k, 1, seed=m * 30 + k)
+                    assert self.assert_entry_points_agree(g), (m, k)
+
+    def test_double_edge_swapped_elementary_graphs(self):
+        rng = random.Random(30)
+        recognized = 0
+        for _ in range(300):
+            n = rng.randint(7, 16)
+            k = rng.randint(1, (n - 2) // 2)
+            g = self.double_edge_swapped(rng, n, k, rng.randint(1, 3))
+            recognized += self.assert_entry_points_agree(g)
+        assert 100 < recognized < 250, recognized  # a swap may be refused or give C_{n,k} again
+
+    @settings(max_examples=60, deadline=None)
+    @given(hypothesis_graphs(10))
+    def test_hypothesis_graphs(self, g):
+        self.assert_entry_points_agree(g)
+
+    @pytest.mark.parametrize("m, k, r", [(7, 2, 1), (12, 0, 1), (10, 4, 1), (9, 2, 3),
+                                         (6, 2, 2), (1, 0, 4)])
+    def test_decompose_walks_once_without_is_elementary_caw(self, m, k, r, monkeypatch):
+        g = permuted_member(m, k, r, seed=m + k + r)
+        elementary = count_calls(monkeypatch, characterize_module, "is_elementary_caw")
+        walks = count_calls(monkeypatch, characterize_module, "_elementary_walk")
+        out = decompose_caw(g)
+        assert out.ok and (out.certificate.m, out.certificate.k, out.certificate.r) == (m, k, r)
+        assert (len(elementary), len(walks)) == (0, 1)
 
 
 class TestWreathTheorem:

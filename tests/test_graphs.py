@@ -240,6 +240,15 @@ class TestQuotient:
         g = cycle(6)
         assert quotient_graph(g, np.arange(6)) == g
 
+    @pytest.mark.parametrize("g", [cycle(6), elementary_caw(9, 2), empty_graph(4),
+                                   complete(1), lex_product(cycle(5), empty_graph(2))],
+                             ids=["C6", "C_{9,2}", "empty-4", "K1", "C5[2K1]"])
+    def test_twin_free_graph_is_its_own_quotient(self, g):
+        # every class is one vertex: the quotient is g itself, not a copy
+        labels = twin_relation(g)
+        assert labels.tolist() == list(range(g.n))
+        assert quotient_graph(g, labels) is g
+
     def test_malformed_partition(self):
         g = cycle(6)
         with pytest.raises(ValueError, match="label"):
